@@ -2,13 +2,12 @@
 model, six classical baseline filters, calibrated noise mixing, and a
 benchmark harness for PhysioNet-style records."""
 
-from .core import AffineMap, PhaseSeries, RPeaks, Signal, normalize, slice_signal, validate
+from .core import PhaseSeries, RPeaks, Signal, slice_signal, validate
 from .enkf import Ensemble, FilterConfig, denoise
 from .metrics import MetricReport, NoisyMix, calibrate_gain, corr, mix, prd, report, rmse, snr
 from .model import GaussianWaveParams, default_morphology, detect_r_peaks, fit_params, mean_beat, observed_phase, synthesize
 
 __all__ = [
-    "AffineMap",
     "Ensemble",
     "FilterConfig",
     "GaussianWaveParams",
@@ -25,7 +24,6 @@ __all__ = [
     "fit_params",
     "mean_beat",
     "mix",
-    "normalize",
     "observed_phase",
     "prd",
     "report",

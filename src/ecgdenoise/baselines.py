@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RPeaks, Signal, require_valid, wrap_centered, wrap_phase
-from .enkf import FilterConfig, beat_angular_velocities, resolve_config
-from .model import GaussianWaveParams, observed_phase, wave_increment, wave_increment_dtheta
+from .enkf import FilterConfig, prepare_inputs
+from .model import GaussianWaveParams, wave_increment, wave_increment_dtheta
 
 
 class ConditioningError(RuntimeError):
@@ -28,8 +28,6 @@ class SgParams:
 @dataclass(frozen=True)
 class WaveletParams:
     levels: int = 4
-    threshold_rule: str = "universal"  # or "fixed"
-    threshold: float | None = None  # used when rule == "fixed"
 
 
 @dataclass(frozen=True)
@@ -48,40 +46,6 @@ class RlsParams:
 @dataclass(frozen=True)
 class TvdParams:
     lam: float | None = None  # None: 0.2 * noise-std estimate from the finest wavelet details
-
-
-@dataclass(frozen=True)
-class BaselineParams:
-    """Bundle of per-method settings for the bench harness."""
-
-    sg: SgParams = SgParams()
-    wavelet: WaveletParams = WaveletParams()
-    nlms: NlmsParams = NlmsParams()
-    rls: RlsParams = RlsParams()
-    tvd: TvdParams = TvdParams()
-
-    def to_dict(self) -> dict:
-        return {
-            "sg": {"window": self.sg.window, "polyorder": self.sg.polyorder},
-            "wavelet": {
-                "levels": self.wavelet.levels,
-                "threshold_rule": self.wavelet.threshold_rule,
-                "threshold": self.wavelet.threshold,
-            },
-            "nlms": {"taps": self.nlms.taps, "mu": self.nlms.mu},
-            "rls": {"taps": self.rls.taps, "forgetting": self.rls.forgetting, "delta": self.rls.delta},
-            "tvd": {"lam": self.tvd.lam},
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BaselineParams":
-        return cls(
-            sg=SgParams(**d.get("sg", {})),
-            wavelet=WaveletParams(**d.get("wavelet", {})),
-            nlms=NlmsParams(**d.get("nlms", {})),
-            rls=RlsParams(**d.get("rls", {})),
-            tvd=TvdParams(**d.get("tvd", {})),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -110,13 +74,9 @@ def ekf_denoise(
     Uses the same wrap rules and noise-default resolution as the ensemble
     filter, so the two are directly comparable.
     """
-    require_valid(signal)
-    r_peaks.check_against(len(signal), signal.fs)
+    phase, omega, cfg = prepare_inputs(signal, r_peaks, params, cfg)
     n = len(signal)
     fs = signal.fs
-    phase = observed_phase(r_peaks, n)
-    omega = beat_angular_velocities(r_peaks, n, fs)
-    cfg = resolve_config(cfg, signal, phase, params, omega)
 
     # Phase noise enters before the nonlinearity (the increment is evaluated
     # at the perturbed phase), amplitude noise after, matching the ensemble

@@ -1,5 +1,6 @@
 """Benchmark harness: run records x methods x SNR levels, aggregate, and emit
-deterministic CSV tables and SVG plots.
+deterministic CSV tables and SVG plots.  METHODS is the one table of
+denoisers; the `bench` and `denoise` commands both call it via run_method.
 
 Every cell derives its own seed from the master seed and its coordinates, so
 results are independent of execution order and of which other cells run.
@@ -10,17 +11,72 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
+from typing import Any, Callable
 
 from . import baselines, enkf, metrics, wfdbio
-from .core import RPeaks, Signal, slice_signal
-from .model import GaussianWaveParams, fit_params, mean_beat, observed_phase
+from .core import RPeaks, Signal, require_valid, slice_signal
+from .model import GaussianWaveParams, detect_r_peaks, fit_params, mean_beat, observed_phase
 from .svgplot import Series, render_line_chart
 
-METHODS = ("enkf", "ekf", "sg", "wavelet", "nlms", "rls", "tvd")
-NOISE_KINDS = ("bw", "ma", "em", "user")
+
+@dataclass(frozen=True)
+class MethodContext:
+    """What only some methods read: the noise reference (nlms, rls); the R peaks,
+    morphology (both derived from the noisy signal when None), seed and N (enkf, ekf)."""
+
+    reference: Signal | None = None
+    peaks: RPeaks | None = None
+    morphology: GaussianWaveParams | None = None
+    seed: int = 0
+    n_ensemble: int = 100
+
+
+@dataclass(frozen=True)
+class Method:
+    """A params dataclass (None for the model-based filters) and a callable
+    (noisy, params, ctx) that looks its filter up in its module at call time,
+    so a rebound module attribute (the per-layer tracer's) is what runs."""
+
+    params: type | None
+    run: Callable[[Signal, Any, MethodContext], Signal]
+    needs_reference: bool = False
+
+
+def _model_inputs(noisy: Signal, ctx: MethodContext) -> tuple[RPeaks, GaussianWaveParams, enkf.FilterConfig]:
+    """The model-based filters' preamble: R peaks, morphology and filter config."""
+    peaks = ctx.peaks if ctx.peaks is not None else detect_r_peaks(noisy)
+    morphology = ctx.morphology if ctx.morphology is not None else fit_record_morphology(noisy, peaks)
+    return peaks, morphology, enkf.FilterConfig(n_ensemble=ctx.n_ensemble, seed=ctx.seed)
+
+
+# Params field names are the filters' keyword names, so asdict(p) is the call.
+METHODS: dict[str, Method] = {
+    "enkf": Method(None, lambda x, p, c: enkf.denoise(x, *_model_inputs(x, c))),
+    "ekf": Method(None, lambda x, p, c: baselines.ekf_denoise(x, *_model_inputs(x, c))),
+    "sg": Method(baselines.SgParams, lambda x, p, c: baselines.sg_filter(x, **asdict(p))),
+    "wavelet": Method(baselines.WaveletParams, lambda x, p, c: baselines.wavelet_denoise(x, **asdict(p))),
+    "nlms": Method(baselines.NlmsParams, lambda x, p, c: baselines.nlms_denoise(x, c.reference, **asdict(p)), True),
+    "rls": Method(baselines.RlsParams, lambda x, p, c: baselines.rls_denoise(x, c.reference, **asdict(p)), True),
+    "tvd": Method(
+        baselines.TvdParams,
+        lambda x, p, c: baselines.tvd_denoise(x, 0.2 * baselines.noise_sigma_estimate(x) if p.lam is None else p.lam),
+    ),
+}
 DEFAULT_LEVELS = (-6.0, 0.0, 6.0, 12.0, 18.0, 24.0)
+
+
+def run_method(name: str, noisy: Signal, ctx: MethodContext, params=None) -> Signal:
+    """Denoise with one table entry (params default to its dataclass defaults).
+    Non-finite output is an error, never a plausible-looking result."""
+    method = METHODS[name]
+    if params is None and method.params is not None:
+        params = method.params()
+    denoised = method.run(noisy, params, ctx)
+    require_valid(denoised, f"{name} output")
+    return denoised
+
 
 CSV_COLUMNS = (
     "record",
@@ -45,7 +101,7 @@ class BenchError(RuntimeError):
 @dataclass(frozen=True)
 class BenchPlan:
     records: tuple[str, ...]
-    methods: tuple[str, ...] = METHODS
+    methods: tuple[str, ...] = tuple(METHODS)
     snr_levels: tuple[float, ...] = DEFAULT_LEVELS
     channel: int = 0
     noise: str = "em"  # record name under the dataset root, or a CSV path
@@ -54,14 +110,13 @@ class BenchPlan:
     duration_s: float | None = 60.0
     skip_warmup_s: float = 2.0
     n_ensemble: int = 100
-    baseline_params: baselines.BaselineParams = field(default_factory=baselines.BaselineParams)
 
     def __post_init__(self):
         if not self.records or not self.methods or not self.snr_levels:
             raise ValueError("records, methods and snr_levels must be non-empty")
         for m in self.methods:
             if m not in METHODS:
-                raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
+                raise ValueError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
 
 
 @dataclass(frozen=True)
@@ -69,7 +124,6 @@ class BenchCell:
     record_id: str
     channel: int
     method: str
-    noise_kind: str
     input_snr: float
     report: metrics.MetricReport | None
     seed: int
@@ -92,7 +146,7 @@ def params_digest(plan: BenchPlan) -> str:
         "duration_s": plan.duration_s,
         "skip_warmup_s": plan.skip_warmup_s,
         "n_ensemble": plan.n_ensemble,
-        "baselines": plan.baseline_params.to_dict(),
+        "baselines": {name: asdict(m.params()) for name, m in METHODS.items() if m.params},
     }
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
@@ -141,34 +195,8 @@ def run_cell(
 ) -> metrics.MetricReport:
     mixdat = metrics.mix(clean, noise, level)
     noisy = mixdat.noisy
-    bp = plan.baseline_params
-
-    if method in ("enkf", "ekf"):
-        params = fit_record_morphology(noisy, peaks)
-        cfg = enkf.FilterConfig(n_ensemble=plan.n_ensemble, seed=seed)
-        if method == "enkf":
-            denoised = enkf.denoise(noisy, peaks, params, cfg)
-        else:
-            denoised = baselines.ekf_denoise(noisy, peaks, params, cfg)
-    elif method == "sg":
-        denoised = baselines.sg_filter(noisy, bp.sg.window, bp.sg.polyorder)
-    elif method == "wavelet":
-        denoised = baselines.wavelet_denoise(
-            noisy, bp.wavelet.levels, bp.wavelet.threshold_rule, bp.wavelet.threshold
-        )
-    elif method == "nlms":
-        denoised = baselines.nlms_denoise(noisy, mixdat.scaled_noise, bp.nlms.taps, bp.nlms.mu)
-    elif method == "rls":
-        denoised = baselines.rls_denoise(
-            noisy, mixdat.scaled_noise, bp.rls.taps, bp.rls.forgetting, bp.rls.delta
-        )
-    elif method == "tvd":
-        lam = bp.tvd.lam
-        if lam is None:
-            lam = 0.2 * baselines.noise_sigma_estimate(noisy)
-        denoised = baselines.tvd_denoise(noisy, lam)
-    else:
-        raise BenchError(f"unknown method {method!r}")
+    ctx = MethodContext(reference=mixdat.scaled_noise, peaks=peaks, seed=seed, n_ensemble=plan.n_ensemble)
+    denoised = run_method(method, noisy, ctx)
 
     skip = int(round(plan.skip_warmup_s * clean.fs))
     if skip >= len(clean):
@@ -209,7 +237,6 @@ def run_bench(plan: BenchPlan, data_root: Path) -> list[BenchCell]:
                 record_id=record_id,
                 channel=plan.channel,
                 method=method,
-                noise_kind=_noise_kind(plan.noise),
                 input_snr=level,
                 report=rep,
                 seed=seed,
@@ -218,10 +245,6 @@ def run_bench(plan: BenchPlan, data_root: Path) -> list[BenchCell]:
             )
         )
     return cells
-
-
-def _noise_kind(noise: str) -> str:
-    return noise if noise in NOISE_KINDS else "user"
 
 
 def _load_noise(plan: BenchPlan, data_root: Path) -> Signal:
@@ -240,23 +263,14 @@ def aggregate(cells: list[BenchCell]) -> list[BenchCell]:
             groups.setdefault((c.method, c.input_snr), []).append(c)
     rows = []
     for (method, level), grp in sorted(groups.items()):
-        n = len(grp)
-        mean = lambda f: sum(f(c.report) for c in grp) / n
+        per_metric = zip(*(astuple(c.report) for c in grp))
         rows.append(
             BenchCell(
                 record_id="mean",
                 channel=grp[0].channel,
                 method=method,
-                noise_kind=grp[0].noise_kind,
                 input_snr=level,
-                report=metrics.MetricReport(
-                    snr_in=mean(lambda r: r.snr_in),
-                    snr_out=mean(lambda r: r.snr_out),
-                    snr_improvement=mean(lambda r: r.snr_improvement),
-                    rmse=mean(lambda r: r.rmse),
-                    prd=mean(lambda r: r.prd),
-                    corr=mean(lambda r: r.corr),
-                ),
+                report=metrics.MetricReport(*(sum(values) / len(grp) for values in per_metric)),
                 seed=0,
                 wall_time=sum(c.wall_time for c in grp),
             )
@@ -266,7 +280,7 @@ def aggregate(cells: list[BenchCell]) -> list[BenchCell]:
 
 def _sort_key(cell: BenchCell):
     rec_rank = (1, "") if cell.record_id == "mean" else (0, cell.record_id)
-    return (rec_rank, METHODS.index(cell.method), cell.input_snr)
+    return (rec_rank, list(METHODS).index(cell.method), cell.input_snr)
 
 
 def table_csv(cells: list[BenchCell], plan: BenchPlan) -> str:
@@ -279,15 +293,7 @@ def table_csv(cells: list[BenchCell], plan: BenchPlan) -> str:
             vals = [f"{c.input_snr:.12g}", "", "", "", "", ""]
             status = f"failed: {c.error}"
         else:
-            r = c.report
-            vals = [
-                f"{r.snr_in:.12g}",
-                f"{r.snr_out:.12g}",
-                f"{r.snr_improvement:.12g}",
-                f"{r.rmse:.12g}",
-                f"{r.prd:.12g}",
-                f"{r.corr:.12g}",
-            ]
+            vals = [f"{v:.12g}" for v in astuple(c.report)]  # field order is the column order
             status = "ok"
         lines.append(
             ",".join(

@@ -12,11 +12,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from . import baselines, bench, enkf, metrics, wfdbio
+from . import baselines, bench, metrics, wfdbio
 from .core import RPeaks, Signal
 from .model import (
     FitDivergenceError,
@@ -169,38 +170,18 @@ def cmd_mix(args) -> int:
 
 def cmd_denoise(args) -> int:
     signal, peaks = _load_input(args, args.input)
-    method = args.method
-    if method in ("nlms", "rls") and not args.reference:
-        raise UsageError(f"--method {method} requires --reference (the noise channel)")
-
-    if method in ("enkf", "ekf"):
-        if peaks is None:
-            peaks = detect_r_peaks(signal)
-        if args.params:
-            params = _load_params(args.params)
-        else:
-            phase = observed_phase(peaks, len(signal))
-            params = fit_params(mean_beat(signal, phase, n_bins=64))
-        cfg = enkf.FilterConfig(n_ensemble=args.n_ensemble, seed=args.seed)
-        if method == "enkf":
-            denoised = enkf.denoise(signal, peaks, params, cfg)
-        else:
-            denoised = baselines.ekf_denoise(signal, peaks, params, cfg)
-    elif method == "sg":
-        denoised = baselines.sg_filter(signal, args.window, args.polyorder)
-    elif method == "wavelet":
-        denoised = baselines.wavelet_denoise(signal, args.levels)
-    elif method == "nlms":
-        ref = wfdbio.read_csv(Path(args.reference).read_bytes(), fs=signal.fs)
-        denoised = baselines.nlms_denoise(signal, ref, args.taps, args.mu)
-    elif method == "rls":
-        ref = wfdbio.read_csv(Path(args.reference).read_bytes(), fs=signal.fs)
-        denoised = baselines.rls_denoise(signal, ref, args.taps, args.forgetting, args.delta)
-    elif method == "tvd":
-        lam = args.lam if args.lam is not None else 0.2 * baselines.noise_sigma_estimate(signal)
-        denoised = baselines.tvd_denoise(signal, lam)
+    method = bench.METHODS[args.method]
+    reference = morphology = params = None
+    if method.needs_reference:
+        if not args.reference:
+            raise UsageError(f"--method {args.method} requires --reference (the noise channel)")
+        reference = wfdbio.read_csv(Path(args.reference).read_bytes(), fs=signal.fs)
+    if method.params is None:  # the model-based filters
+        morphology = _load_params(args.params) if args.params else None
     else:
-        raise UsageError(f"unknown method {method!r}")
+        params = method.params(**{f.name: getattr(args, f.name) for f in fields(method.params)})
+    ctx = bench.MethodContext(reference, peaks, morphology, args.seed, args.n_ensemble)
+    denoised = bench.run_method(args.method, signal, ctx, params)
 
     _write(Path(args.out), wfdbio.write_csv(denoised))
     if args.clean:
@@ -212,14 +193,14 @@ def cmd_denoise(args) -> int:
             f"prd {rep.prd:.4f}%, corr {rep.corr:.6f}"
         )
     else:
-        print(f"denoised {len(signal)} samples with {method} -> {args.out}")
+        print(f"denoised {len(signal)} samples with {args.method} -> {args.out}")
     return 0
 
 
 def cmd_bench(args) -> int:
     plan = bench.BenchPlan(
         records=tuple(args.records.split(",")),
-        methods=tuple(args.methods.split(",")) if args.methods else bench.METHODS,
+        methods=tuple(args.methods.split(",")) if args.methods else tuple(bench.METHODS),
         snr_levels=tuple(float(v) for v in args.levels.split(",")) if args.levels else bench.DEFAULT_LEVELS,
         channel=args.channel,
         noise=args.noise,
@@ -298,14 +279,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", help="morphology JSON for enkf/ekf")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-ensemble", type=int, default=100)
-    p.add_argument("--window", type=int, default=15)
-    p.add_argument("--polyorder", type=int, default=3)
-    p.add_argument("--levels", type=int, default=4, help="wavelet decomposition levels")
-    p.add_argument("--taps", type=int, default=16)
-    p.add_argument("--mu", type=float, default=0.5)
-    p.add_argument("--forgetting", type=float, default=0.999)
-    p.add_argument("--delta", type=float, default=100.0)
-    p.add_argument("--lambda", dest="lam", type=float, default=None, help="TV regularization")
+    # Method settings: each dest is a params-dataclass field, defaults from the dataclasses.
+    p.add_argument("--window", type=int, default=baselines.SgParams.window)
+    p.add_argument("--polyorder", type=int, default=baselines.SgParams.polyorder)
+    p.add_argument("--levels", type=int, default=baselines.WaveletParams.levels, help="wavelet decomposition levels")
+    p.add_argument("--taps", type=int, default=baselines.NlmsParams.taps)  # shared with RlsParams.taps
+    p.add_argument("--mu", type=float, default=baselines.NlmsParams.mu)
+    p.add_argument("--forgetting", type=float, default=baselines.RlsParams.forgetting)
+    p.add_argument("--delta", type=float, default=baselines.RlsParams.delta)
+    p.add_argument("--lambda", dest="lam", type=float, default=baselines.TvdParams.lam, help="TV regularization")
     p.set_defaults(func=cmd_denoise)
 
     p = sub.add_parser("bench", help="run the records x methods x levels benchmark")

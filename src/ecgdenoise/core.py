@@ -8,7 +8,7 @@ construction; every operation here is a pure function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,10 +17,6 @@ TWO_PI = 2.0 * np.pi
 # Minimum plausible spacing between consecutive R waves.  Anything tighter
 # than 200 ms (300 bpm) is a double detection, not a heartbeat.
 REFRACTORY_S = 0.2
-
-
-class DegenerateSignalError(ValueError):
-    """Input signal has no usable amplitude content (e.g. constant)."""
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -122,20 +118,6 @@ class PhaseSeries:
         return self.phases.shape[0]
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    """y = scale * x + offset, with an exact inverse."""
-
-    scale: float
-    offset: float
-
-    def apply(self, x):
-        return self.scale * np.asarray(x, dtype=np.float64) + self.offset
-
-    def invert(self, y):
-        return (np.asarray(y, dtype=np.float64) - self.offset) / self.scale
-
-
 def validate(signal: Signal) -> str | None:
     """Check Signal invariants; return None if ok, else a diagnostic naming the first violation."""
     if len(signal) == 0:
@@ -148,27 +130,10 @@ def validate(signal: Signal) -> str | None:
     return None
 
 
-def require_valid(signal: Signal) -> None:
+def require_valid(signal: Signal, what: str = "signal") -> None:
     diag = validate(signal)
     if diag is not None:
-        raise ValueError(f"invalid signal: {diag}")
-
-
-def normalize(signal: Signal) -> tuple[Signal, AffineMap]:
-    """Rescale to zero median and unit peak-to-peak amplitude.
-
-    Returns the normalized signal together with the affine map that was
-    applied, so callers can compute metrics back in original units.  Robust
-    to transient spikes in the sense that the centering statistic is the
-    median, not the mean.
-    """
-    require_valid(signal)
-    shifted = signal.samples - np.median(signal.samples)
-    p2p = float(shifted.max() - shifted.min())
-    if p2p == 0.0:
-        raise DegenerateSignalError("constant signal has zero peak-to-peak amplitude")
-    fwd = AffineMap(scale=1.0 / p2p, offset=float(-np.median(signal.samples) / p2p))
-    return Signal(shifted / p2p, signal.fs), fwd
+        raise ValueError(f"invalid {what}: {diag}")
 
 
 def slice_signal(signal: Signal, start: int, length: int) -> Signal:

@@ -295,6 +295,21 @@ def resolve_config(
     return replace(cfg, q_z=q_z, r_phi=r_phi, r_s=r_s)
 
 
+def prepare_inputs(
+    signal: Signal,
+    r_peaks: RPeaks,
+    params: GaussianWaveParams,
+    cfg: FilterConfig,
+) -> tuple[PhaseSeries, np.ndarray, FilterConfig]:
+    """Front end shared with the EKF: validate the inputs, then return the
+    observed phase, per-sample angular velocity and resolved configuration."""
+    require_valid(signal)
+    r_peaks.check_against(len(signal), signal.fs)
+    phase = observed_phase(r_peaks, len(signal))
+    omega = beat_angular_velocities(r_peaks, len(signal), signal.fs)
+    return phase, omega, resolve_config(cfg, signal, phase, params, omega)
+
+
 def denoise(
     signal: Signal,
     r_peaks: RPeaks,
@@ -307,13 +322,9 @@ def denoise(
     the first observation, then per sample: predict, sample covariances,
     gain, perturbed update, ensemble mean.  Deterministic given cfg.seed.
     """
-    require_valid(signal)
-    r_peaks.check_against(len(signal), signal.fs)
+    phase, omega, cfg = prepare_inputs(signal, r_peaks, params, cfg)
     n = len(signal)
     fs = signal.fs
-    phase = observed_phase(r_peaks, n)
-    omega = beat_angular_velocities(r_peaks, n, fs)
-    cfg = resolve_config(cfg, signal, phase, params, omega)
 
     rng0 = substream(cfg.seed, 0)
     size = cfg.n_ensemble

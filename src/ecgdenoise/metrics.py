@@ -128,8 +128,10 @@ def mix(clean: Signal, noise: Signal, target_snr_db: float) -> NoisyMix:
     """Contaminate the clean signal at an exactly calibrated SNR.
 
     The scaled noise is retained as the reference channel for adaptive
-    noise cancellation.
+    noise cancellation.  Both records must share one sampling rate.
     """
+    if noise.fs != clean.fs:
+        raise ValueError(f"noise sampled at {noise.fs:g} Hz cannot mix into a {clean.fs:g} Hz record")
     noise = tile_to_length(noise, len(clean))
     g = calibrate_gain(clean, noise, target_snr_db)
     scaled = Signal(g * noise.samples, clean.fs)

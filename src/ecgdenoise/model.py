@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import firwin
 
 from .core import (
     PhaseSeries,
@@ -446,6 +445,19 @@ def fit_residual_rms(template: BeatTemplate, params: GaussianWaveParams) -> floa
     return float(np.sqrt(np.mean((template.mean - g) ** 2)))
 
 
+def _bandpass_fir(numtaps: int, low_hz: float, high_hz: float, fs: float) -> np.ndarray:
+    """Hamming-windowed sinc band-pass, scaled to unit gain at the band center.
+
+    The same taps, bit for bit, as scipy.signal.firwin(numtaps, [low_hz,
+    high_hz], pass_zero=False, fs=fs): every operation follows its order.
+    """
+    low, high = low_hz / (0.5 * fs), high_hz / (0.5 * fs)
+    m = np.arange(numtaps) - 0.5 * (numtaps - 1)
+    window = 0.54 + (1.0 - 0.54) * np.cos(np.linspace(-np.pi, np.pi, numtaps))
+    h = (high * np.sinc(high * m) - low * np.sinc(low * m)) * window
+    return h / np.sum(h * np.cos(np.pi * m * (0.5 * (low + high))))
+
+
 def detect_r_peaks(signal: Signal) -> RPeaks:
     """Find R peaks in an unannotated recording.
 
@@ -462,7 +474,7 @@ def detect_r_peaks(signal: Signal) -> RPeaks:
         raise DetectionFailureError("constant signal has no QRS energy")
 
     numtaps = int(round(0.25 * fs)) | 1
-    taps = firwin(numtaps, [5.0, 15.0], pass_zero=False, fs=fs)
+    taps = _bandpass_fir(numtaps, 5.0, 15.0, fs)
     band = np.convolve(signal.samples, taps, mode="same")
     deriv = np.gradient(band)
     squared = deriv * deriv

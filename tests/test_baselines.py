@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from ecgdenoise import bench
 from ecgdenoise.baselines import (
     _DB_G,
     _DB_H,
@@ -271,27 +272,6 @@ class TestTvd:
             assert tv_objective(y, x, lam) <= best + 1e-6
 
 
-class TestBaselineParams:
-    def test_json_round_trip(self):
-        import json
-
-        from ecgdenoise.baselines import BaselineParams, TvdParams
-
-        params = BaselineParams(tvd=TvdParams(lam=0.3))
-        assert params.tvd.lam == 0.3
-        back = BaselineParams.from_dict(json.loads(json.dumps(params.to_dict())))
-        assert back == params
-
-    def test_defaults_present_in_serialized_form(self):
-        from ecgdenoise.baselines import BaselineParams
-
-        doc = BaselineParams().to_dict()
-        assert doc["sg"] == {"window": 15, "polyorder": 3}
-        assert doc["nlms"] == {"taps": 16, "mu": 0.5}
-        assert doc["rls"] == {"taps": 16, "forgetting": 0.999, "delta": 100.0}
-        assert doc["wavelet"]["levels"] == 4
-
-
 class TestCommonInvariants:
     def test_finite_in_finite_out_same_shape(self):
         p = default_morphology()
@@ -299,15 +279,9 @@ class TestCommonInvariants:
         rng = np.random.default_rng(1)
         noisy = sig(clean.samples + 0.1 * rng.normal(size=len(clean)))
         ref = sig(0.1 * rng.normal(size=len(clean)))
-        outputs = [
-            ekf_denoise(noisy, peaks, p, FilterConfig(seed=0)),
-            sg_filter(noisy, 15, 3),
-            wavelet_denoise(noisy, 4),
-            nlms_denoise(noisy, ref, 16, 0.5),
-            rls_denoise(noisy, ref, 16),
-            tvd_denoise(noisy, 0.05),
-        ]
-        for out in outputs:
-            assert len(out) == len(noisy)
-            assert out.fs == noisy.fs
-            assert np.all(np.isfinite(out.samples))
+        ctx = bench.MethodContext(reference=ref, peaks=peaks, morphology=p, n_ensemble=20)
+        for name in bench.METHODS:
+            out = bench.run_method(name, noisy, ctx)
+            assert len(out) == len(noisy), name
+            assert out.fs == noisy.fs, name
+            assert np.all(np.isfinite(out.samples)), name

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ecgdenoise import bench, cli, wfdbio
+from ecgdenoise import baselines, bench, cli, wfdbio
+from ecgdenoise.core import Signal
 from ecgdenoise.svgplot import PlotError, Series, render_line_chart
 
 
@@ -45,6 +50,38 @@ def small_result(data_root):
         duration_s=12.0,
     )
     return plan, bench.run_bench(plan, data_root)
+
+
+class TestMethodTable:
+    def test_denoise_flag_defaults_are_params_defaults(self):
+        parser = cli.build_parser()
+        for name, method in bench.METHODS.items():
+            if method.params is None:
+                continue
+            args = parser.parse_args(["denoise", "x.csv", "--method", name])
+            assert {f.name: getattr(args, f.name) for f in fields(method.params)} == asdict(method.params()), name
+
+    def test_non_finite_output_fails_cell_and_denoise(self, data_root, tmp_path, monkeypatch, capsys):
+        nan_filter = lambda x, p, c: Signal(np.full(len(x), np.nan), x.fs)
+        monkeypatch.setitem(bench.METHODS, "sg", bench.Method(baselines.SgParams, nan_filter))
+        plan = bench.BenchPlan(records=("122",), methods=("sg",), snr_levels=(12.0,), duration_s=8.0)
+        cells = bench.run_bench(plan, data_root)
+        assert cells[0].report is None
+        assert "sg output" in cells[0].error and "non-finite" in cells[0].error
+        assert "failed: " in bench.table_csv(cells, plan)
+
+        synth_dir = tmp_path / "s"
+        assert cli.main(["synth", "--out-dir", str(synth_dir), "--beats", "8"]) == 0
+        rc = cli.main(["denoise", str(synth_dir / "signal.csv"), "--method", "sg", "--out", str(tmp_path / "o.csv")])
+        assert rc == 1
+        assert "invalid sg output: non-finite" in capsys.readouterr().err
+
+    def test_cli_import_needs_no_scipy(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import sys, ecgdenoise.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestBenchRun:

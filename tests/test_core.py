@@ -1,4 +1,4 @@
-"""Core types: construction invariants, normalize, slice, validate."""
+"""Core types: construction invariants, slice, validate."""
 
 from __future__ import annotations
 
@@ -7,10 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ecgdenoise.core import (
-    DegenerateSignalError,
     RPeaks,
     Signal,
-    normalize,
     slice_signal,
     validate,
     wrap_centered,
@@ -57,47 +55,6 @@ class TestWrap:
     def test_wrap_centered_pi_boundary(self):
         assert wrap_centered(np.pi) == np.pi
         assert wrap_centered(-np.pi) == np.pi
-
-
-class TestNormalize:
-    def test_basic_example(self):
-        out, fwd = normalize(Signal([0.0, 1.0, 0.0, -1.0], 360.0))
-        assert out.samples.tolist() == [0.0, 0.5, 0.0, -0.5]
-        assert fwd.scale == 0.5
-        assert fwd.offset == 0.0
-
-    def test_idempotent_on_normalized(self):
-        s = Signal([0.0, 0.5, 0.0, -0.5, 0.0], 360.0)
-        out, fwd = normalize(s)
-        assert out.samples.tolist() == s.samples.tolist()
-        assert fwd.scale == 1.0
-        assert fwd.offset == 0.0
-
-    def test_record_first_10s_unit_p2p(self, data_root):
-        from ecgdenoise import bench
-
-        sig, _ = bench.load_record(data_root, "118", 0)
-        head = slice_signal(sig, 0, int(10 * sig.fs))
-        out, _ = normalize(head)
-        p2p = float(out.samples.max() - out.samples.min())
-        assert p2p == pytest.approx(1.0, abs=1e-15)
-        assert abs(np.median(out.samples)) < 1e-15
-
-    def test_constant_signal_rejected(self):
-        with pytest.raises(DegenerateSignalError):
-            normalize(Signal([2.0, 2.0, 2.0], 360.0))
-
-    @given(
-        st.lists(st.floats(-50, 50), min_size=3, max_size=60).filter(
-            lambda xs: max(xs) > min(xs)
-        )
-    )
-    def test_inverse_map_round_trip(self, xs):
-        s = Signal(xs, 250.0)
-        out, fwd = normalize(s)
-        back = fwd.invert(out.samples)
-        scale = max(1.0, float(np.abs(s.samples).max()))
-        assert np.max(np.abs(back - s.samples)) / scale < 1e-12
 
 
 class TestSlice:

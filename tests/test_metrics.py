@@ -183,6 +183,12 @@ class TestMixer:
         with pytest.raises(UndefinedMetricError):
             calibrate_gain(sig([1.0, 1.0]), sig([0.0, 0.0]), 6.0)
 
+    def test_sample_rate_mismatch_rejected(self):
+        clean = sig(np.ones(16))
+        noise = Signal(np.concatenate([np.ones(8), -np.ones(8)]), 250.0)
+        with pytest.raises(ValueError, match="250 Hz.*360 Hz"):
+            mix(clean, noise, 6.0)
+
 
 class TestReport:
     def test_improvement_is_difference(self):

@@ -285,3 +285,12 @@ class TestDetectRPeaks:
     def test_too_short(self):
         with pytest.raises(ValueError, match="2 s"):
             detect_r_peaks(Signal(np.zeros(100), 360.0))
+
+    def test_bandpass_taps_equal_scipy_firwin(self):
+        firwin = pytest.importorskip("scipy.signal").firwin
+        from ecgdenoise.model import _bandpass_fir
+
+        for fs in np.arange(100.0, 2001.0, 7.0):
+            numtaps = int(round(0.25 * fs)) | 1
+            expected = firwin(numtaps, [5.0, 15.0], pass_zero=False, fs=fs)
+            assert np.array_equal(_bandpass_fir(numtaps, 5.0, 15.0, fs), expected), fs
