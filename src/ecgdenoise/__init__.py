@@ -3,12 +3,11 @@ model, six classical baseline filters, calibrated noise mixing, and a
 benchmark harness for PhysioNet-style records."""
 
 from .core import PhaseSeries, RPeaks, Signal, slice_signal, validate
-from .enkf import Ensemble, FilterConfig, denoise
+from .enkf import FilterConfig, denoise
 from .metrics import MetricReport, NoisyMix, calibrate_gain, corr, mix, prd, report, rmse, snr
 from .model import GaussianWaveParams, default_morphology, detect_r_peaks, fit_params, mean_beat, observed_phase, synthesize
 
 __all__ = [
-    "Ensemble",
     "FilterConfig",
     "GaussianWaveParams",
     "MetricReport",

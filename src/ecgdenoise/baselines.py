@@ -125,7 +125,7 @@ def ekf_denoise(
 # ---------------------------------------------------------------------------
 
 
-def sg_filter(signal: Signal, window: int = 15, polyorder: int = 3) -> Signal:
+def sg_filter(signal: Signal, window: int, polyorder: int) -> Signal:
     """Least-squares polynomial smoothing.
 
     Interior samples use the symmetric convolution kernel; samples within
@@ -241,7 +241,7 @@ def waverec(a: np.ndarray, details: list[np.ndarray], lengths: list[int]) -> np.
 
 def wavelet_denoise(
     signal: Signal,
-    levels: int = 4,
+    levels: int,
     threshold_rule: str = "universal",
     threshold: float | None = None,
 ) -> Signal:
@@ -280,7 +280,7 @@ def noise_sigma_estimate(signal: Signal) -> float:
 # ---------------------------------------------------------------------------
 
 
-def nlms_denoise(primary: Signal, reference: Signal, taps: int = 16, mu: float = 0.5) -> Signal:
+def nlms_denoise(primary: Signal, reference: Signal, taps: int, mu: float) -> Signal:
     """Normalized LMS canceller: subtract the adaptively filtered reference.
 
     The output is the residual e_k = primary_k - w . ref_window_k, which is
@@ -309,13 +309,7 @@ def nlms_denoise(primary: Signal, reference: Signal, taps: int = 16, mu: float =
     return Signal(out, primary.fs)
 
 
-def rls_denoise(
-    primary: Signal,
-    reference: Signal,
-    taps: int = 16,
-    forgetting: float = 0.999,
-    delta: float = 100.0,
-) -> Signal:
+def rls_denoise(primary: Signal, reference: Signal, taps: int, forgetting: float, delta: float) -> Signal:
     """Recursive least squares canceller with the same topology as NLMS."""
     require_valid(primary)
     if len(reference) != len(primary):

@@ -19,15 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import PhaseSeries, RPeaks, Signal, TWO_PI, _as_readonly, require_valid, wrap_centered, wrap_phase
-from .model import (
-    BeatClock,
-    GaussianWaveParams,
-    ModelState,
-    observed_phase,
-    wave_increment,
-    wave_sum,
-)
+from .core import PhaseSeries, RPeaks, Signal, TWO_PI, require_valid, wrap_centered, wrap_phase
+from .model import GaussianWaveParams, observed_phase, wave_increment, wave_sum
 
 
 class DegenerateEnsembleError(ValueError):
@@ -89,37 +82,6 @@ class FilterConfig:
         return cls(**json.loads(text))
 
 
-@dataclass(frozen=True)
-class Ensemble:
-    """N copies of the model state: member phases and amplitudes."""
-
-    theta: np.ndarray
-    z: np.ndarray
-
-    def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=np.float64)
-        z = np.asarray(self.z, dtype=np.float64)
-        if theta.shape != z.shape or theta.ndim != 1:
-            raise ValueError("theta and z must be 1-D arrays of equal length")
-        if theta.shape[0] < 2:
-            raise DegenerateEnsembleError("need at least 2 ensemble members")
-        object.__setattr__(self, "theta", _as_readonly(theta))
-        object.__setattr__(self, "z", _as_readonly(z))
-
-    @property
-    def size(self) -> int:
-        return self.theta.shape[0]
-
-
-@dataclass(frozen=True)
-class GainMatrices:
-    """Sample cross covariance, innovation covariance and the resulting gain."""
-
-    p_xy: np.ndarray
-    p_yy: np.ndarray
-    k: np.ndarray | None = None
-
-
 def substream(master_seed: int, *key) -> np.random.Generator:
     """Deterministic generator for a named substream of the master seed.
 
@@ -139,13 +101,15 @@ def circular_mean(theta: np.ndarray) -> float:
 
 
 def predict(
-    ens: Ensemble,
+    theta: np.ndarray,
+    z: np.ndarray,
     params: GaussianWaveParams,
-    clock: BeatClock,
+    phase_step: float,
     cfg: FilterConfig,
     rng: np.random.Generator,
-) -> Ensemble:
-    """Propagate every member through the stochastic transition.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Propagate every member (phases theta, amplitudes z) through the
+    stochastic transition; phase_step is omega * delta for this sample.
 
     The phase perturbation is folded into each member's theta before the
     transition runs, so the amplitude increment is evaluated at the perturbed
@@ -157,91 +121,86 @@ def predict(
     observed phase.  Setting q_z to zero disables amplitude noise entirely.
     Member order is preserved; draws come from `rng` in member order.
     """
-    n = ens.size
-    xi = rng.normal(0.0, cfg.q_theta, size=n) if cfg.q_theta > 0 else np.zeros(n)
-    theta_pert = ens.theta + xi
-    dz = wave_increment(theta_pert, params, clock.phase_step)
+    shape = theta.shape
+    xi = rng.normal(0.0, cfg.q_theta, size=shape) if cfg.q_theta > 0 else np.zeros(shape)
+    theta_pert = theta + xi
+    dz = wave_increment(theta_pert, params, phase_step)
     if cfg.q_z > 0:
-        eta = rng.normal(0.0, 1.0, size=n) * (cfg.q_z + cfg.q_z_activity * np.abs(dz))
+        eta = rng.normal(0.0, 1.0, size=shape) * (cfg.q_z + cfg.q_z_activity * np.abs(dz))
     else:
-        eta = np.zeros(n)
-    return Ensemble(
-        theta=wrap_phase(theta_pert + clock.phase_step),
-        z=ens.z + dz + eta,
-    )
+        eta = np.zeros(shape)
+    return wrap_phase(theta_pert + phase_step), z + dz + eta
 
 
-def sample_covariances(pred: Ensemble) -> GainMatrices:
-    """Sample covariances of the predicted ensemble with the 1/N normalizer.
+def sample_covariances(theta: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """2x2 sample covariance of the predicted members with the 1/N normalizer.
 
     The observation map is the identity on (theta, z), so the predicted
-    observations are the members themselves.  Phase residuals are taken
-    against the circular ensemble mean and wrapped to (-pi, pi] before the
-    outer products.
+    observations are the members themselves and this one matrix is both the
+    state-observation cross covariance and the innovation covariance.  Phase
+    residuals are taken against the circular ensemble mean and wrapped to
+    (-pi, pi] before the outer products.
     """
-    n = pred.size
+    n = theta.shape[0]
     if n < 2:
         raise DegenerateEnsembleError("need at least 2 members for sample covariances")
-    r_theta = wrap_centered(pred.theta - circular_mean(pred.theta))
-    r_z = pred.z - pred.z.mean()
+    r_theta = wrap_centered(theta - circular_mean(theta))
+    r_z = z - z.mean()
     resid = np.stack([r_theta, r_z])  # (2, N)
-    p = (resid @ resid.T) / n
-    return GainMatrices(p_xy=p, p_yy=p.copy())
+    return (resid @ resid.T) / n
 
 
-def kalman_gain(g: GainMatrices, cfg: FilterConfig) -> GainMatrices:
-    """K = P_xy (P_yy + R)^-1 with R = diag(r_phi^2, r_s^2).
+def kalman_gain(p: np.ndarray, cfg: FilterConfig) -> np.ndarray:
+    """K = P (P + R)^-1 with R = diag(r_phi^2, r_s^2).
 
     Adding R keeps the gain consistent with the perturbed-observation update;
     a singular innovation covariance signals a mis-sized noise configuration.
     """
-    s = g.p_yy + np.diag([cfg.r_phi**2, cfg.r_s**2])
+    s = p + np.diag([cfg.r_phi**2, cfg.r_s**2])
     det = s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]
     if not np.isfinite(det) or abs(det) < 1e-300:
         raise SingularInnovationError("innovation covariance is singular; increase r_phi/r_s")
     inv = np.array([[s[1, 1], -s[0, 1]], [-s[1, 0], s[0, 0]]]) / det
-    return GainMatrices(p_xy=g.p_xy, p_yy=g.p_yy, k=g.p_xy @ inv)
+    return p @ inv
 
 
 def update(
-    ens: Ensemble,
+    theta: np.ndarray,
+    z: np.ndarray,
     y_phi: float,
     y_s: float,
-    g: GainMatrices,
+    k: np.ndarray,
     cfg: FilterConfig,
     rng: np.random.Generator,
-) -> Ensemble:
-    """Perturbed-observation update.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Perturbed-observation update of the members with the 2x2 gain k.
 
     Each member sees its own noised copy of the observation, with the drawn
     perturbation set re-centered to exactly zero mean so the update adds no
     sampling bias.  The phase innovation is wrapped to (-pi, pi] and member
     phases are re-wrapped to [0, 2*pi) afterwards.
     """
-    if g.k is None:
-        raise ValueError("gain not computed; call kalman_gain first")
-    n = ens.size
+    shape = theta.shape
 
     def draws(std: float) -> np.ndarray:
         if std == 0.0:
-            return np.zeros(n)
-        v = rng.normal(0.0, std, size=n)
+            return np.zeros(shape)
+        v = rng.normal(0.0, std, size=shape)
         return v - v.mean()  # exactly zero-mean perturbation set
 
     v_phi = draws(cfg.r_phi)
     v_s = draws(cfg.r_s)
-    innov_phi = wrap_centered(y_phi + v_phi - ens.theta)
-    innov_s = (y_s + v_s) - ens.z
-    k = g.k
-    return Ensemble(
-        theta=wrap_phase(ens.theta + k[0, 0] * innov_phi + k[0, 1] * innov_s),
-        z=ens.z + k[1, 0] * innov_phi + k[1, 1] * innov_s,
+    innov_phi = wrap_centered(y_phi + v_phi - theta)
+    innov_s = (y_s + v_s) - z
+    return (
+        wrap_phase(theta + k[0, 0] * innov_phi + k[0, 1] * innov_s),
+        z + k[1, 0] * innov_phi + k[1, 1] * innov_s,
     )
 
 
-def estimate(ens: Ensemble) -> ModelState:
+def estimate(theta: np.ndarray, z: np.ndarray) -> tuple[float, float]:
     """Ensemble mean: circular over phase, arithmetic over amplitude."""
-    return ModelState(theta=circular_mean(ens.theta), z=float(ens.z.mean()))
+    return circular_mean(theta), float(z.mean())
 
 
 def beat_angular_velocities(r_peaks: RPeaks, length: int, fs: float) -> np.ndarray:
@@ -321,6 +280,7 @@ def denoise(
     Builds the observed phase from the R peaks, initializes the ensemble from
     the first observation, then per sample: predict, sample covariances,
     gain, perturbed update, ensemble mean.  Deterministic given cfg.seed.
+    A SingularInnovationError or AmbiguousPhaseError names the sample index.
     """
     phase, omega, cfg = prepare_inputs(signal, r_peaks, params, cfg)
     n = len(signal)
@@ -328,18 +288,20 @@ def denoise(
 
     rng0 = substream(cfg.seed, 0)
     size = cfg.n_ensemble
-    theta0 = wrap_phase(phase.phases[0] + rng0.normal(0.0, cfg.r_phi, size=size))
-    z0 = signal.samples[0] + rng0.normal(0.0, cfg.r_s, size=size)
-    ens = Ensemble(theta=theta0, z=z0)
+    theta = wrap_phase(phase.phases[0] + rng0.normal(0.0, cfg.r_phi, size=size))
+    z = signal.samples[0] + rng0.normal(0.0, cfg.r_s, size=size)
 
     out = np.empty(n)
-    out[0] = estimate(ens).z
     delta = 1.0 / fs
-    for k in range(1, n):
-        rng = substream(cfg.seed, k)
-        clock = BeatClock(omega=float(omega[k]), delta=delta)
-        ens = predict(ens, params, clock, cfg, rng)
-        g = kalman_gain(sample_covariances(ens), cfg)
-        ens = update(ens, float(phase.phases[k]), float(signal.samples[k]), g, cfg, rng)
-        out[k] = estimate(ens).z
+    k = 0
+    try:
+        out[0] = estimate(theta, z)[1]
+        for k in range(1, n):
+            rng = substream(cfg.seed, k)
+            theta, z = predict(theta, z, params, float(omega[k]) * delta, cfg, rng)
+            gain = kalman_gain(sample_covariances(theta, z), cfg)
+            theta, z = update(theta, z, float(phase.phases[k]), float(signal.samples[k]), gain, cfg, rng)
+            out[k] = estimate(theta, z)[1]
+    except (SingularInnovationError, AmbiguousPhaseError) as exc:
+        raise type(exc)(f"{exc} at sample {k}") from None
     return Signal(out, fs)

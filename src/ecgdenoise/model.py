@@ -95,30 +95,6 @@ def default_morphology() -> GaussianWaveParams:
     return GaussianWaveParams(alpha=alpha, b=b, theta=theta)
 
 
-@dataclass(frozen=True)
-class ModelState:
-    """One point of the beat cycle: phase in [0, 2*pi) and amplitude in mV."""
-
-    theta: float
-    z: float
-
-
-@dataclass(frozen=True)
-class BeatClock:
-    """Per-sample phase advance: omega from the surrounding R-R interval."""
-
-    omega: float  # rad/s, > 0
-    delta: float  # sampling period, s
-
-    def __post_init__(self):
-        if not (self.omega > 0 and self.delta > 0):
-            raise ValueError("omega and delta must be positive")
-
-    @property
-    def phase_step(self) -> float:
-        return self.omega * self.delta
-
-
 def wave_sum(theta, params: GaussianWaveParams):
     """Limit-cycle amplitude g(theta) = sum of the five Gaussian bumps."""
     th = np.asarray(theta, dtype=np.float64)
@@ -146,13 +122,10 @@ def wave_increment_dtheta(theta, params: GaussianWaveParams, phase_step: float):
     return -np.sum(params.alpha * (phase_step / b2) * e * (1.0 - (d * d) / b2), axis=-1)
 
 
-def transition(state: ModelState, params: GaussianWaveParams, clock: BeatClock, eta: float) -> ModelState:
-    """Advance one sample: phase rotates by omega*delta, z accumulates the wave derivative."""
-    dz = wave_increment(state.theta, params, clock.phase_step)
-    return ModelState(
-        theta=float(wrap_phase(state.theta + clock.phase_step)),
-        z=float(state.z + dz + eta),
-    )
+def transition(theta: float, z: float, params: GaussianWaveParams, phase_step: float, eta: float) -> tuple[float, float]:
+    """Advance one sample: phase rotates by phase_step = omega*delta, z accumulates the wave derivative."""
+    dz = wave_increment(theta, params, phase_step)
+    return float(wrap_phase(theta + phase_step)), float(z + dz + eta)
 
 
 def synthesize(

@@ -297,28 +297,43 @@ def assemble_record(
 
 
 def read_csv(data: bytes | str, fs: float) -> Signal:
-    """Read a one-sample-per-row CSV with header "mv" or "t,mv"."""
+    """Read a one-sample-per-row CSV with header "mv" or "t,mv".
+
+    A "t" column must put data row k (from 0) at t_0 + k/fs within 1 us, so a
+    file sampled at another rate is rejected rather than relabelled as fs.
+    """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     lines = [ln.strip() for ln in data.splitlines() if ln.strip()]
     if not lines:
         raise CsvParseError("empty CSV")
     header = [c.strip().lower() for c in lines[0].split(",")]
-    if header == ["mv"]:
-        col = 0
-    elif header == ["t", "mv"]:
-        col = 1
-    else:
+    if header not in (["mv"], ["t", "mv"]):
         raise CsvParseError(f'unrecognized CSV header {lines[0]!r}; expected "mv" or "t,mv"')
+    width = len(header)
+    timed = width == 2
     values = np.empty(len(lines) - 1)
-    for row, ln in enumerate(lines[1:], start=1):
+    times = np.empty(len(lines) - 1)
+    for k, ln in enumerate(lines[1:]):
         cells = ln.split(",")
-        if len(cells) != len(header):
-            raise CsvParseError(f"row {row}: expected {len(header)} cells, got {len(cells)}")
+        if len(cells) != width:
+            raise CsvParseError(f"row {k + 1}: expected {width} cells, got {len(cells)}")
         try:
-            values[row - 1] = float(cells[col])
+            values[k] = float(cells[-1])
+            if timed:
+                times[k] = float(cells[0])
         except ValueError:
-            raise CsvParseError(f"row {row}: non-numeric value {cells[col]!r}") from None
+            raise CsvParseError(f"row {k + 1}: non-numeric value in {ln!r}") from None
+    if timed and len(times):
+        off = np.abs((times - times[0]) - np.arange(len(times)) / fs)
+        bad = np.flatnonzero(~(off <= 1e-6))  # NaN counts as bad
+        if bad.size:
+            k = int(bad[0])
+            span = float(times[k] - times[0])
+            raise CsvParseError(
+                f"row {k + 1}: t = {times[k]:.9g} s is not sample {k} at {fs:g} Hz; "
+                f"the t column runs at {k / span if span else float('inf'):.6g} Hz"
+            )
     return Signal(values, fs)
 
 

@@ -191,7 +191,7 @@ class TestAdaptive:
 
     def test_rls_zero_reference_identity(self):
         y = sig(np.sin(np.arange(200) * 0.1))
-        out = rls_denoise(y, sig(np.zeros(200)), 8)
+        out = rls_denoise(y, sig(np.zeros(200)), 8, 0.999, 100.0)
         assert np.array_equal(out.samples, y.samples)
 
     def test_nlms_cancels_correlated_noise(self):
@@ -206,7 +206,7 @@ class TestAdaptive:
         clean, ref = self._scenario()
         primary = sig(clean + ref)
         nl = nlms_denoise(primary, sig(ref), taps=8, mu=0.5)
-        rl = rls_denoise(primary, sig(ref), taps=8)
+        rl = rls_denoise(primary, sig(ref), taps=8, forgetting=0.999, delta=100.0)
         q = slice(3 * len(clean) // 4, None)
         assert self._snr(clean[q], rl.samples[q]) >= self._snr(clean[q], nl.samples[q])
 
@@ -215,9 +215,9 @@ class TestAdaptive:
         with pytest.raises(ValueError, match="mu"):
             nlms_denoise(y, y, 8, 2.5)
         with pytest.raises(ValueError, match="forgetting"):
-            rls_denoise(y, y, 8, forgetting=0.0)
+            rls_denoise(y, y, 8, forgetting=0.0, delta=100.0)
         with pytest.raises(ValueError, match="delta"):
-            rls_denoise(y, y, 8, delta=0.0)
+            rls_denoise(y, y, 8, forgetting=0.999, delta=0.0)
         with pytest.raises(ValueError, match="length"):
             nlms_denoise(y, sig(np.zeros(10)), 8, 0.5)
 

@@ -333,6 +333,17 @@ class TestCliMixDenoise:
         assert rc == 2
         assert "--reference" in capsys.readouterr().err
 
+    def test_denoise_reference_rate_mismatch_exits_2(self, tmp_path, capsys):
+        synth_dir = tmp_path / "s"
+        assert cli.main(["synth", "--out-dir", str(synth_dir), "--beats", "8"]) == 0
+        n = len(wfdbio.read_csv((synth_dir / "signal.csv").read_bytes(), 360.0))
+        ref = tmp_path / "ref.csv"
+        ref.write_bytes(wfdbio.write_csv(Signal(np.zeros(n), 250.0)))
+        argv = ["denoise", str(synth_dir / "signal.csv"), "--method", "nlms", "--reference", str(ref)]
+        rc = cli.main(argv + ["--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert "250 Hz" in capsys.readouterr().err
+
 
 class TestCliBench:
     def test_small_bench_writes_artifacts(self, data_root, tmp_path, capsys):

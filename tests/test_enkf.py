@@ -4,17 +4,18 @@ estimation, and the full denoising loop."""
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ecgdenoise.core import RPeaks, Signal, TWO_PI
+from ecgdenoise.core import RPeaks, Signal, TWO_PI, wrap_phase
 from ecgdenoise.enkf import (
     AmbiguousPhaseError,
     DegenerateEnsembleError,
-    Ensemble,
     FilterConfig,
-    GainMatrices,
     SingularInnovationError,
     beat_angular_velocities,
     circular_mean,
@@ -22,11 +23,12 @@ from ecgdenoise.enkf import (
     estimate,
     kalman_gain,
     predict,
+    prepare_inputs,
     sample_covariances,
     substream,
     update,
 )
-from ecgdenoise.model import BeatClock, default_morphology, synthesize, transition, ModelState
+from ecgdenoise.model import default_morphology, synthesize, transition
 
 
 def brute_force_covariances(theta, z):
@@ -78,62 +80,58 @@ class TestPredict:
 
     def test_zero_noise_matches_deterministic_transition(self):
         p = default_morphology()
-        clock = BeatClock(omega=TWO_PI, delta=1 / 360.0)
+        step = TWO_PI * (1 / 360.0)
         theta = np.linspace(0.1, 5.9, 10)
         z = np.linspace(-1, 1, 10)
-        out = predict(Ensemble(theta, z), p, clock, self._cfg(), substream(0, 0))
+        out_theta, out_z = predict(theta, z, p, step, self._cfg(), substream(0, 0))
         for i in range(10):
-            want = transition(ModelState(theta[i], z[i]), p, clock, 0.0)
-            assert out.theta[i] == pytest.approx(want.theta, abs=1e-12)
-            assert out.z[i] == pytest.approx(want.z, abs=1e-12)
+            want_theta, want_z = transition(theta[i], z[i], p, step, 0.0)
+            assert out_theta[i] == pytest.approx(want_theta, abs=1e-12)
+            assert out_z[i] == pytest.approx(want_z, abs=1e-12)
 
     def test_identical_members_stay_identical_without_noise(self):
         p = default_morphology()
-        clock = BeatClock(omega=TWO_PI, delta=1 / 360.0)
-        ens = Ensemble(np.full(8, 1.0), np.full(8, 0.5))
-        out = predict(ens, p, clock, self._cfg(n_ensemble=8), substream(0, 1))
-        assert np.all(out.theta == out.theta[0])
-        assert np.all(out.z == out.z[0])
+        step = TWO_PI * (1 / 360.0)
+        theta, z = predict(np.full(8, 1.0), np.full(8, 0.5), p, step, self._cfg(n_ensemble=8), substream(0, 1))
+        assert np.all(theta == theta[0])
+        assert np.all(z == z[0])
 
     def test_monte_carlo_mean_tracks_transition(self):
         p = default_morphology()
-        clock = BeatClock(omega=TWO_PI, delta=1 / 360.0)
+        step = TWO_PI * (1 / 360.0)
         n = 100_000
         q = 0.02
         cfg = FilterConfig(n_ensemble=n, q_theta=0.0, q_z=q, q_z_activity=0.0, r_phi=0.1, r_s=0.1)
         theta0, z0 = 2.0, 0.3
-        ens = Ensemble(np.full(n, theta0), np.full(n, z0))
-        out = predict(ens, p, clock, cfg, substream(3, 0))
-        want = transition(ModelState(theta0, z0), p, clock, 0.0)
-        assert abs(float(np.mean(out.z)) - want.z) < 3 * q / np.sqrt(n)
+        _, z = predict(np.full(n, theta0), np.full(n, z0), p, step, cfg, substream(3, 0))
+        _, want_z = transition(theta0, z0, p, step, 0.0)
+        assert abs(float(np.mean(z)) - want_z) < 3 * q / np.sqrt(n)
 
     def test_phases_stay_in_range(self):
         p = default_morphology()
-        clock = BeatClock(omega=TWO_PI, delta=1 / 100.0)
+        step = TWO_PI * (1 / 100.0)
         rng = np.random.default_rng(0)
-        ens = Ensemble(rng.uniform(0, TWO_PI, 64), rng.normal(size=64))
+        theta, z = rng.uniform(0, TWO_PI, 64), rng.normal(size=64)
         cfg = FilterConfig(n_ensemble=64, q_theta=0.5, q_z=0.1, r_phi=0.1, r_s=0.1)
         for k in range(50):
-            ens = predict(ens, p, clock, cfg, substream(1, k))
-            assert np.all((ens.theta >= 0) & (ens.theta < TWO_PI))
+            theta, z = predict(theta, z, p, step, cfg, substream(1, k))
+            assert np.all((theta >= 0) & (theta < TWO_PI))
 
 
 class TestSampleCovariances:
     def test_identical_members_zero(self):
-        g = sample_covariances(Ensemble(np.full(5, 1.0), np.full(5, 2.0)))
-        assert np.all(g.p_xy == 0)
-        assert np.all(g.p_yy == 0)
+        assert np.all(sample_covariances(np.full(5, 1.0), np.full(5, 2.0)) == 0)
 
     def test_two_point_variance_with_1_over_n(self):
-        g = sample_covariances(Ensemble(np.full(2, 1.0), np.array([-1.0, 1.0])))
-        assert g.p_yy[1, 1] == pytest.approx(1.0)  # ((-1)^2 + 1^2) / 2
+        p = sample_covariances(np.full(2, 1.0), np.array([-1.0, 1.0]))
+        assert p[1, 1] == pytest.approx(1.0)  # ((-1)^2 + 1^2) / 2
 
     def test_large_cloud_matches_generator(self):
         rng = np.random.default_rng(8)
         cov = np.array([[0.04, 0.01], [0.01, 0.09]])
         pts = rng.multivariate_normal([3.0, 0.0], cov, size=1_000_000)
-        g = sample_covariances(Ensemble(np.mod(pts[:, 0], TWO_PI), pts[:, 1]))
-        assert np.abs(g.p_yy - cov).max() / np.abs(cov).max() < 0.01
+        p = sample_covariances(np.mod(pts[:, 0], TWO_PI), pts[:, 1])
+        assert np.abs(p - cov).max() / np.abs(cov).max() < 0.01
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(11)
@@ -141,16 +139,18 @@ class TestSampleCovariances:
             n = int(rng.integers(2, 40))
             theta = np.mod(rng.normal(3.0, 0.5, n), TWO_PI)
             z = rng.normal(0.0, 1.0, n)
-            g = sample_covariances(Ensemble(theta, z))
+            p = sample_covariances(theta, z)
             oracle = brute_force_covariances(theta, z)
-            assert np.abs(g.p_xy - oracle).max() < 1e-12
-            assert np.abs(g.p_yy - oracle).max() < 1e-12
+            assert np.abs(p - oracle).max() < 1e-12
+
+    def test_single_member_rejected(self):
+        with pytest.raises(DegenerateEnsembleError):
+            sample_covariances(np.array([1.0]), np.array([0.0]))
 
     def test_wraparound_residuals(self):
         # Members straddling 0 must not produce a near-pi variance.
         theta = np.array([TWO_PI - 0.1, 0.1, TWO_PI - 0.05, 0.05])
-        g = sample_covariances(Ensemble(theta, np.zeros(4)))
-        assert g.p_yy[0, 0] < 0.02
+        assert sample_covariances(theta, np.zeros(4))[0, 0] < 0.02
 
 
 class TestKalmanGain:
@@ -158,87 +158,78 @@ class TestKalmanGain:
         return FilterConfig(n_ensemble=4, r_phi=r_phi, r_s=r_s)
 
     def test_zero_cross_covariance_zero_gain(self):
-        g = GainMatrices(p_xy=np.zeros((2, 2)), p_yy=np.eye(2))
-        assert np.all(kalman_gain(g, self._cfg(0.1, 0.1)).k == 0)
+        assert np.all(kalman_gain(np.zeros((2, 2)), self._cfg(0.1, 0.1)) == 0)
 
     def test_identity_when_noise_free(self):
-        g = GainMatrices(p_xy=2.0 * np.eye(2), p_yy=2.0 * np.eye(2))
-        cfg = self._cfg(0.0, 1e-12)
-        k = kalman_gain(g, cfg).k
+        k = kalman_gain(2.0 * np.eye(2), self._cfg(0.0, 1e-12))
         assert np.abs(k - np.eye(2)).max() < 1e-9
 
     def test_scalar_case(self):
         p = np.diag([0.0, 4.0])
         cfg = self._cfg(1.0, 1.0)
-        k = kalman_gain(GainMatrices(p_xy=p, p_yy=p), cfg).k
+        k = kalman_gain(p, cfg)
         assert k[1, 1] == pytest.approx(0.8)
 
     def test_singular_innovation_rejected(self):
-        g = GainMatrices(p_xy=np.zeros((2, 2)), p_yy=np.zeros((2, 2)))
         cfg = self._cfg(0.0, 1e-200)
         with pytest.raises(SingularInnovationError):
-            kalman_gain(g, cfg)
+            kalman_gain(np.zeros((2, 2)), cfg)
 
     def test_gain_monotone_in_observation_noise(self):
         p = np.diag([0.01, 4.0])
         prev = np.inf
         for r_s in (0.5, 1.0, 2.0, 4.0, 8.0):
-            k = kalman_gain(GainMatrices(p_xy=p, p_yy=p), self._cfg(0.1, r_s)).k
+            k = kalman_gain(p, self._cfg(0.1, r_s))
             assert k[1, 1] < prev
             prev = k[1, 1]
 
 
 class TestUpdate:
     def test_zero_gain_is_identity(self):
-        ens = Ensemble(np.array([1.0, 2.0]), np.array([0.5, -0.5]))
-        g = GainMatrices(p_xy=np.zeros((2, 2)), p_yy=np.zeros((2, 2)), k=np.zeros((2, 2)))
+        theta, z = np.array([1.0, 2.0]), np.array([0.5, -0.5])
         cfg = FilterConfig(n_ensemble=2, r_phi=0.3, r_s=0.3)
-        out = update(ens, 1.5, 0.0, g, cfg, substream(0, 0))
-        assert np.array_equal(out.theta, ens.theta)
-        assert np.array_equal(out.z, ens.z)
+        out_theta, out_z = update(theta, z, 1.5, 0.0, np.zeros((2, 2)), cfg, substream(0, 0))
+        assert np.array_equal(out_theta, theta)
+        assert np.array_equal(out_z, z)
 
     def test_identity_gain_zero_noise_jumps_to_observation(self):
-        ens = Ensemble(np.array([1.0, 2.0, 3.0]), np.array([0.5, -0.5, 1.5]))
-        g = GainMatrices(p_xy=np.eye(2), p_yy=np.eye(2), k=np.eye(2))
+        theta, z = np.array([1.0, 2.0, 3.0]), np.array([0.5, -0.5, 1.5])
         cfg = FilterConfig(n_ensemble=3, r_phi=0.0, r_s=0.1)
         object.__setattr__(cfg, "r_s", 0.0)  # exercise the exact R = 0 degeneracy
-        out = update(ens, 2.5, 0.75, g, cfg, substream(0, 0))
-        assert np.allclose(out.theta, 2.5)
-        assert np.allclose(out.z, 0.75)
+        theta, z = update(theta, z, 2.5, 0.75, np.eye(2), cfg, substream(0, 0))
+        assert np.allclose(theta, 2.5)
+        assert np.allclose(z, 0.75)
 
     def test_phase_innovation_wraps(self):
-        ens = Ensemble(np.array([TWO_PI - 0.1, TWO_PI - 0.1]), np.zeros(2))
-        g = GainMatrices(p_xy=np.eye(2), p_yy=np.eye(2), k=np.diag([1.0, 0.0]))
+        theta = np.array([TWO_PI - 0.1, TWO_PI - 0.1])
         cfg = FilterConfig(n_ensemble=2, r_phi=0.0, r_s=0.5)
-        out = update(ens, 0.1, 0.0, g, cfg, substream(0, 0))
+        theta, _ = update(theta, np.zeros(2), 0.1, 0.0, np.diag([1.0, 0.0]), cfg, substream(0, 0))
         # Innovation is +0.2 across the wrap, not -2*pi + 0.2.
-        assert np.allclose(out.theta, 0.1, atol=1e-12)
+        assert np.allclose(theta, 0.1, atol=1e-12)
 
     def test_updated_phases_wrapped(self):
-        ens = Ensemble(np.array([6.0, 6.2]), np.zeros(2))
-        g = GainMatrices(p_xy=np.eye(2), p_yy=np.eye(2), k=np.diag([1.0, 0.0]))
         cfg = FilterConfig(n_ensemble=2, r_phi=0.0, r_s=0.5)
-        out = update(ens, 0.3, 0.0, g, cfg, substream(0, 1))
-        assert np.all((out.theta >= 0) & (out.theta < TWO_PI))
+        theta, _ = update(np.array([6.0, 6.2]), np.zeros(2), 0.3, 0.0, np.diag([1.0, 0.0]), cfg, substream(0, 1))
+        assert np.all((theta >= 0) & (theta < TWO_PI))
 
 
 class TestEstimate:
     def test_degenerate_members(self):
-        s = estimate(Ensemble(np.full(3, 1.2), np.full(3, 0.4)))
-        assert s.theta == pytest.approx(1.2)
-        assert s.z == pytest.approx(0.4)
+        theta, z = estimate(np.full(3, 1.2), np.full(3, 0.4))
+        assert theta == pytest.approx(1.2)
+        assert z == pytest.approx(0.4)
 
     def test_amplitude_mean(self):
-        s = estimate(Ensemble(np.full(2, 1.0), np.array([0.0, 2.0])))
-        assert s.z == pytest.approx(1.0)
+        _, z = estimate(np.full(2, 1.0), np.array([0.0, 2.0]))
+        assert z == pytest.approx(1.0)
 
     def test_circular_phase_mean(self):
-        s = estimate(Ensemble(np.array([TWO_PI - 0.1, 0.1]), np.zeros(2)))
-        assert s.theta == pytest.approx(0.0, abs=1e-12)
+        theta, _ = estimate(np.array([TWO_PI - 0.1, 0.1]), np.zeros(2))
+        assert theta == pytest.approx(0.0, abs=1e-12)
 
     def test_antipodal_phases_rejected(self):
         with pytest.raises(AmbiguousPhaseError):
-            estimate(Ensemble(np.array([0.0, np.pi]), np.zeros(2)))
+            estimate(np.array([0.0, np.pi]), np.zeros(2))
 
 
 class TestBeatAngularVelocities:
@@ -291,3 +282,60 @@ class TestDenoise:
 
         rep = report(clean, noisy, out)
         assert rep.snr_improvement > 3.0
+
+    def test_mid_record_failure_names_the_sample(self):
+        p = default_morphology()
+        clean, _, peaks = synthesize(p, [0.8] * 4, 360.0, noise_std=0.0, seed=4)
+        cfg = FilterConfig(n_ensemble=10, q_theta=0.0, q_z=0.0, r_phi=0.0, r_s=1e-200)
+        with pytest.raises(SingularInnovationError, match=r"at sample 1$"):
+            denoise(clean, peaks, p, cfg)
+
+    def test_matches_step_function_loop(self):
+        # The step functions, one sample at a time, are the pinned reference
+        # for any faster kernel: outputs must be equal, not merely close.  The
+        # 0.4 s beat makes omega * (1/fs) round differently from omega / fs.
+        p = default_morphology()
+        clean, _, peaks = synthesize(p, [0.9, 0.7, 0.4], 360.0, noise_std=0.0, seed=4)
+        noisy = Signal(clean.samples + 0.1 * np.random.default_rng(2).normal(size=len(clean)), 360.0)
+        cfg = FilterConfig(n_ensemble=20, seed=5)
+
+        phase, omega, resolved = prepare_inputs(noisy, peaks, p, cfg)
+        rng0 = substream(resolved.seed, 0)
+        theta = wrap_phase(phase.phases[0] + rng0.normal(0.0, resolved.r_phi, size=20))
+        z = noisy.samples[0] + rng0.normal(0.0, resolved.r_s, size=20)
+        want = [estimate(theta, z)[1]]
+        for k in range(1, len(noisy)):
+            rng = substream(resolved.seed, k)
+            theta, z = predict(theta, z, p, float(omega[k]) * (1.0 / noisy.fs), resolved, rng)
+            gain = kalman_gain(sample_covariances(theta, z), resolved)
+            theta, z = update(theta, z, float(phase.phases[k]), float(noisy.samples[k]), gain, resolved, rng)
+            want.append(estimate(theta, z)[1])
+
+        assert np.array_equal(denoise(noisy, peaks, p, cfg).samples, want)
+
+
+class TestTracerContract:
+    def test_every_layer_resolves_and_member_steps_count(self):
+        """The per-layer benchmark tracer must find every function it lists and
+        count N members per predict call."""
+        import ecgdenoise.cli  # noqa: F401  (loads every traced module)
+        from ecgdenoise import enkf
+
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer_module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer_module)
+
+        p = default_morphology()
+        clean, _, peaks = synthesize(p, [0.8, 0.8], 360.0, noise_std=0.0, seed=4)
+        tracer = tracer_module.Tracer()
+        try:
+            tracer.install()
+            for layer, names in tracer_module.LAYERS.items():
+                module = sys.modules[f"ecgdenoise.{layer}"]
+                for name in names:
+                    assert hasattr(getattr(module, name), "__wrapped__"), f"{layer}.{name} not traced"
+            enkf.denoise(clean, peaks, p, FilterConfig(n_ensemble=7, seed=1))
+        finally:
+            tracer.uninstall()
+        assert tracer.work["enkf.predict"]["member_steps"] == 7 * (len(clean) - 1)

@@ -9,13 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from ecgdenoise.core import Signal, TWO_PI, wrap_centered
 from ecgdenoise.model import (
-    BeatClock,
     BeatTemplate,
     BinCoverageError,
     DetectionFailureError,
     GaussianWaveParams,
     InsufficientFiducialsError,
-    ModelState,
     default_morphology,
     detect_r_peaks,
     fit_params,
@@ -59,11 +57,10 @@ class TestGaussianWaveParams:
 
 class TestTransition:
     def test_zero_waves_advance_phase_only(self):
-        state = ModelState(theta=0.1, z=0.7)
-        clock = BeatClock(omega=0.05 * 360.0, delta=1.0 / 360.0)  # phase step 0.05
-        out = transition(state, flat_params(), clock, eta=0.0)
-        assert out.theta == pytest.approx(0.15)
-        assert out.z == 0.7
+        step = (0.05 * 360.0) * (1.0 / 360.0)  # phase step 0.05
+        theta, z = transition(0.1, 0.7, flat_params(), step, eta=0.0)
+        assert theta == pytest.approx(0.15)
+        assert z == 0.7
 
     def test_r_term_vanishes_at_its_center(self):
         p = GaussianWaveParams(
@@ -71,26 +68,24 @@ class TestTransition:
             b=np.full(5, 0.1),
             theta=np.array([-1.0, -0.5, 0.0, 0.5, 1.0]),
         )
-        out = transition(ModelState(theta=0.0, z=0.3), p, BeatClock(18.0, 1 / 360.0), eta=0.0)
-        assert out.z == 0.3  # delta-theta factor is exactly 0 at the center
+        _, z = transition(0.0, 0.3, p, 18.0 * (1 / 360.0), eta=0.0)
+        assert z == 0.3  # delta-theta factor is exactly 0 at the center
 
     def test_phase_wraps(self):
-        clock = BeatClock(omega=0.05 * 360.0, delta=1.0 / 360.0)
-        out = transition(ModelState(theta=TWO_PI - 0.01, z=0.0), flat_params(), clock, 0.0)
-        assert out.theta == pytest.approx(0.04)
+        theta, _ = transition(TWO_PI - 0.01, 0.0, flat_params(), (0.05 * 360.0) * (1.0 / 360.0), 0.0)
+        assert theta == pytest.approx(0.04)
 
     def test_one_revolution_shows_five_alternating_extrema(self):
         # Integrate one beat and count sign-alternating interior extrema of z.
         p = default_morphology()
         n = 720
-        clock = BeatClock(omega=TWO_PI, delta=1.0 / n)
-        state = ModelState(theta=0.0, z=float(wave_sum(0.0, p)))
+        step = TWO_PI * (1.0 / n)
         zs = []
         # Start half a cycle before R so all five waves are interior.
-        state = ModelState(theta=np.pi, z=float(wave_sum(np.pi, p)))
+        theta, z = np.pi, float(wave_sum(np.pi, p))
         for _ in range(n):
-            zs.append(state.z)
-            state = transition(state, p, clock, 0.0)
+            zs.append(z)
+            theta, z = transition(theta, z, p, step, 0.0)
         z = np.asarray(zs)
         d = np.diff(z)
         extrema = [
@@ -104,9 +99,8 @@ class TestTransition:
     @given(st.floats(0, 2 * np.pi - 1e-9), st.floats(-2, 2), st.floats(0.001, 0.3))
     @settings(max_examples=80)
     def test_phase_stays_in_range(self, theta, z, step):
-        clock = BeatClock(omega=step * 360.0, delta=1.0 / 360.0)
-        out = transition(ModelState(theta, z), default_morphology(), clock, 0.0)
-        assert 0.0 <= out.theta < TWO_PI
+        out_theta, _ = transition(theta, z, default_morphology(), (step * 360.0) * (1.0 / 360.0), 0.0)
+        assert 0.0 <= out_theta < TWO_PI
 
     def test_periodic_z_after_phase_realignment(self):
         p = default_morphology()

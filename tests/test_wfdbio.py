@@ -191,6 +191,11 @@ class TestCsv:
             back = wfdbio.read_csv(wfdbio.write_csv(sig, with_time=with_time), fs=360.0)
             assert np.array_equal(back.samples, sig.samples)
 
+    def test_wrong_rate_rejected(self):
+        data = wfdbio.write_csv(Signal(np.arange(20.0), 250.0))
+        with pytest.raises(wfdbio.CsvParseError, match=r"row 2: .* 360 Hz; the t column runs at 250 Hz"):
+            wfdbio.read_csv(data, fs=360.0)
+
     def test_non_numeric_cell(self):
         with pytest.raises(wfdbio.CsvParseError, match="row 1"):
             wfdbio.read_csv(b"mv\nabc\n", fs=360.0)
