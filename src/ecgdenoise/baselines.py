@@ -6,13 +6,14 @@ Parameter choices are explicit everywhere; nothing is tuned silently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import RPeaks, Signal, require_valid, wrap_centered, wrap_phase
 from .enkf import FilterConfig, prepare_inputs
-from .model import GaussianWaveParams, wave_increment, wave_increment_dtheta
+from .model import GaussianWaveParams
 
 
 class ConditioningError(RuntimeError):
@@ -53,16 +54,6 @@ class TvdParams:
 # ---------------------------------------------------------------------------
 
 
-def ekf_jacobian(theta: float, params: GaussianWaveParams, phase_step: float) -> np.ndarray:
-    """State Jacobian of the transition at the pre-update phase."""
-    return np.array(
-        [
-            [1.0, 0.0],
-            [float(wave_increment_dtheta(theta, params, phase_step)), 1.0],
-        ]
-    )
-
-
 def ekf_denoise(
     signal: Signal,
     r_peaks: RPeaks,
@@ -72,51 +63,70 @@ def ekf_denoise(
     """Standard EKF recursion over the beat model with identity observation map.
 
     Uses the same wrap rules and noise-default resolution as the ensemble
-    filter, so the two are directly comparable.
+    filter, so the two are directly comparable.  The 2x2 algebra is written
+    out on Python floats: the state Jacobian is [[1, 0], [j, 1]] with j the
+    phase derivative of the amplitude increment (model.wave_increment_dtheta),
+    and the covariance [[a, c], [c, d]] stays symmetric.
     """
     phase, omega, cfg = prepare_inputs(signal, r_peaks, params, cfg)
-    n = len(signal)
     fs = signal.fs
+    waves = [
+        (center, alpha / (b * b), 1.0 / (b * b), 0.5 / (b * b))
+        for alpha, b, center in zip(params.alpha.tolist(), params.b.tolist(), params.theta.tolist())
+    ]
 
     # Phase noise enters before the nonlinearity (the increment is evaluated
     # at the perturbed phase), amplitude noise after, matching the ensemble
     # filter's transition semantics, including the activity-scaled eta std.
-    q_theta = np.diag([cfg.q_theta**2, 0.0])
-    r = np.diag([cfg.r_phi**2, cfg.r_s**2])
-    x = np.array([phase.phases[0], signal.samples[0]])
-    p = np.diag([max(cfg.r_phi**2, 1e-12), max(cfg.r_s**2, 1e-12)])
+    q_theta2, r_phi2, r_s2 = cfg.q_theta**2, cfg.r_phi**2, cfg.r_s**2
+    q_z, q_z_activity = cfg.q_z, cfg.q_z_activity
+    x0, x1 = float(phase.phases[0]), float(signal.samples[0])
+    a, c, d = max(r_phi2, 1e-12), 0.0, max(r_s2, 1e-12)
 
-    out = np.empty(n)
-    out[0] = x[1]
-    eye = np.eye(2)
-    for k in range(1, n):
-        step = omega[k] / fs
-        f = ekf_jacobian(float(x[0]), params, step)
-        dz = float(wave_increment(x[0], params, step))
-        x = np.array([wrap_phase(x[0] + step), x[1] + dz])
-        eta_std = cfg.q_z + cfg.q_z_activity * abs(dz) if cfg.q_z > 0 else 0.0
-        p = f @ (p + q_theta) @ f.T + np.diag([0.0, eta_std**2])
-        s = p + r
-        det = s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]
-        if not np.isfinite(det) or det <= 0:
+    out = np.empty(len(signal))
+    out_floats = memoryview(out)  # memoryviews read and write plain floats, without per-sample lists
+    out_floats[0] = x1
+    observed = zip(memoryview(omega)[1:], memoryview(phase.phases)[1:], memoryview(signal.samples)[1:])
+    for k, (w, y_phi, y_s) in enumerate(observed, start=1):
+        step = w / fs
+        dz = j = 0.0
+        for center, alpha_b2, inv_b2, half_inv_b2 in waves:
+            u = wrap_centered(x0 - center)
+            g = alpha_b2 * step * math.exp(-u * u * half_inv_b2)
+            dz -= g * u
+            j -= g * (1.0 - u * u * inv_b2)
+        x0 = wrap_phase(x0 + step)
+        x1 += dz
+        eta_std = q_z + q_z_activity * abs(dz) if q_z > 0 else 0.0
+        # P <- F (P + Q_theta) F^T + diag(0, eta^2)
+        a += q_theta2
+        c_pred = j * a + c
+        d = c_pred * j + (j * c + d) + eta_std * eta_std
+        c = c_pred
+        s00, s11 = a + r_phi2, d + r_s2
+        det = s00 * s11 - c * c
+        if not (math.isfinite(det) and det > 0):
             raise ConditioningError(f"innovation covariance not positive definite at sample {k}")
-        kgain = p @ (np.array([[s[1, 1], -s[0, 1]], [-s[1, 0], s[0, 0]]]) / det)
-        innov = np.array(
-            [
-                float(wrap_centered(phase.phases[k] - x[0])),
-                signal.samples[k] - x[1],
-            ]
+        # Gain K = P S^-1, then x += K (y - x) and P <- (I - K) P, symmetrized.
+        i00, i01, i11 = s11 / det, -c / det, s00 / det
+        k00, k01 = a * i00 + c * i01, a * i01 + c * i11
+        k10, k11 = c * i00 + d * i01, c * i01 + d * i11
+        e0 = wrap_centered(y_phi - x0)
+        e1 = y_s - x1
+        x0 = wrap_phase(x0 + (k00 * e0 + k01 * e1))
+        x1 += k10 * e0 + k11 * e1
+        a, c, d = (
+            (1.0 - k00) * a - k01 * c,
+            0.5 * (((1.0 - k00) * c - k01 * d) + ((1.0 - k11) * c - k10 * a)),
+            (1.0 - k11) * d - k10 * c,
         )
-        x = x + kgain @ innov
-        x[0] = wrap_phase(x[0])
-        p = (eye - kgain) @ p
-        p = 0.5 * (p + p.T)
-        if p[0, 0] < 0 or p[1, 1] < 0:
+        if a < 0 or d < 0:
             # One repair attempt: pull the covariance back to the PSD cone.
-            p = 0.5 * (p + p.T) + 1e-12 * np.trace(np.abs(p)) * eye
-            if p[0, 0] < 0 or p[1, 1] < 0:
+            bump = 1e-12 * (abs(a) + abs(d))
+            a, d = a + bump, d + bump
+            if a < 0 or d < 0:
                 raise ConditioningError(f"covariance lost positive definiteness at sample {k}")
-        out[k] = x[1]
+        out_floats[k] = x1
     return Signal(out, fs)
 
 

@@ -184,6 +184,14 @@ def fit_record_morphology(noisy: Signal, peaks: RPeaks, n_bins: int = 64) -> Gau
     return fit_params(template)
 
 
+def _score(clean: Signal, noisy: Signal, denoised: Signal, plan: BenchPlan) -> metrics.MetricReport:
+    skip = int(round(plan.skip_warmup_s * clean.fs))
+    if skip >= len(clean):
+        raise BenchError("warm-up skip covers the whole evaluation segment")
+    seg = lambda s: slice_signal(s, skip, len(s) - skip)
+    return metrics.report(seg(clean), seg(noisy), seg(denoised))
+
+
 def run_cell(
     clean: Signal,
     peaks: RPeaks,
@@ -196,13 +204,7 @@ def run_cell(
     mixdat = metrics.mix(clean, noise, level)
     noisy = mixdat.noisy
     ctx = MethodContext(reference=mixdat.scaled_noise, peaks=peaks, seed=seed, n_ensemble=plan.n_ensemble)
-    denoised = run_method(method, noisy, ctx)
-
-    skip = int(round(plan.skip_warmup_s * clean.fs))
-    if skip >= len(clean):
-        raise BenchError("warm-up skip covers the whole evaluation segment")
-    seg = lambda s: slice_signal(s, skip, len(s) - skip)
-    return metrics.report(seg(clean), seg(noisy), seg(denoised))
+    return _score(clean, noisy, run_method(method, noisy, ctx), plan)
 
 
 def plan_cells(plan: BenchPlan) -> list[tuple[str, str, float]]:
@@ -215,42 +217,103 @@ def plan_cells(plan: BenchPlan) -> list[tuple[str, str, float]]:
     ]
 
 
+# Most enkf cells one lockstep batch holds; each prepared cell keeps its
+# noisy signal and per-sample filter inputs until the batch is scored.
+BATCH_ROWS = 8
+
+
 def run_bench(plan: BenchPlan, data_root: Path) -> list[BenchCell]:
-    """Execute every (record, method, level) cell; failures become failed rows."""
-    noise_sig = _load_noise(plan, data_root)
-    cells: list[BenchCell] = []
-    loaded: dict[str, tuple[Signal, RPeaks]] = {}
-    for record_id, method, level in plan_cells(plan):
-        if record_id not in loaded:
-            clean, peaks = load_record(data_root, record_id, plan.channel)
-            loaded[record_id] = _trim(clean, peaks, plan.duration_s)
-        clean, peaks = loaded[record_id]
-        seed = cell_seed(plan.seed, record_id, method, level)
+    """Execute every (record, method, level) cell; failures become failed rows.
+
+    enkf cells of equal length run in lockstep batches of up to BATCH_ROWS
+    (enkf.denoise_batch, bit-identical to one cell at a time); every other
+    cell streams one at a time.
+    """
+    loaded = {rid: _trim(*load_record(data_root, rid, plan.channel), plan.duration_s) for rid in plan.records}
+    noise = _load_noise(plan, data_root, loaded[plan.records[0]][0].fs)
+    coords = plan_cells(plan)
+    cells: dict[int, BenchCell] = {}
+    batches: dict[int, list[list[int]]] = {}  # cell indices by length, in plan order
+    for i, (record_id, method, _) in enumerate(coords):
+        if method == "enkf":
+            groups = batches.setdefault(len(loaded[record_id][0]), [[]])
+            if len(groups[-1]) == BATCH_ROWS:
+                groups.append([])
+            groups[-1].append(i)
+        else:
+            cells[i] = _run_alone(coords[i], loaded, noise, plan)
+    for groups in batches.values():
+        for batch in groups:
+            cells.update(_run_enkf_batch({i: coords[i] for i in batch}, loaded, noise, plan))
+    return [cells[i] for i in range(len(coords))]
+
+
+def _run_alone(coord: tuple[str, str, float], loaded, noise: Signal, plan: BenchPlan) -> BenchCell:
+    record_id, method, level = coord
+    seed = cell_seed(plan.seed, *coord)
+    t0 = time.perf_counter()
+    try:
+        rep, err = run_cell(*loaded[record_id], noise, method, level, seed, plan), None
+    except Exception as exc:  # cell failures must not kill the run
+        rep, err = None, f"{type(exc).__name__}: {exc}"
+    return BenchCell(record_id, plan.channel, method, level, rep, seed, time.perf_counter() - t0, err)
+
+
+def _run_enkf_batch(
+    batch: dict[int, tuple[str, str, float]], loaded, noise: Signal, plan: BenchPlan
+) -> dict[int, BenchCell]:
+    """Mix and prepare each enkf cell, filter them in lockstep, score each row.
+
+    A cell that fails to prepare, and every cell of a batch that raises,
+    reruns alone, so only a faulty cell becomes a failed row, with the error
+    a lone run gives.  A batched cell's wall time is its own preparation and
+    scoring plus an equal share of the batch's filter time.
+    """
+    out: dict[int, BenchCell] = {}
+    rows = []  # (index, seed, noisy signal, filter job, own seconds)
+    for i, (record_id, _, level) in batch.items():
+        seed = cell_seed(plan.seed, *batch[i])
         t0 = time.perf_counter()
         try:
-            rep = run_cell(clean, peaks, noise_sig, method, level, seed, plan)
-            err = None
-        except Exception as exc:  # cell failures must not kill the run
+            noisy = metrics.mix(loaded[record_id][0], noise, level).noisy
+            ctx = MethodContext(peaks=loaded[record_id][1], seed=seed, n_ensemble=plan.n_ensemble)
+            rows.append((i, seed, noisy, (noisy, *_model_inputs(noisy, ctx)), time.perf_counter() - t0))
+        except Exception:
+            out[i] = _run_alone(batch[i], loaded, noise, plan)
+    if not rows:
+        return out
+    t0 = time.perf_counter()
+    try:
+        outputs = enkf.denoise_batch([job for _, _, _, job, _ in rows])
+    except Exception:
+        return out | {i: _run_alone(batch[i], loaded, noise, plan) for i, *_ in rows}
+    share = (time.perf_counter() - t0) / len(rows)
+    for (i, seed, noisy, _, own), denoised in zip(rows, outputs):
+        record_id, method, level = batch[i]
+        t0 = time.perf_counter()
+        try:
+            require_valid(denoised, f"{method} output")
+            rep, err = _score(loaded[record_id][0], noisy, denoised, plan), None
+        except Exception as exc:
             rep, err = None, f"{type(exc).__name__}: {exc}"
-        cells.append(
-            BenchCell(
-                record_id=record_id,
-                channel=plan.channel,
-                method=method,
-                input_snr=level,
-                report=rep,
-                seed=seed,
-                wall_time=time.perf_counter() - t0,
-                error=err,
-            )
-        )
-    return cells
+        wall_time = own + share + time.perf_counter() - t0
+        out[i] = BenchCell(record_id, plan.channel, method, level, rep, seed, wall_time, err)
+    return out
 
 
-def _load_noise(plan: BenchPlan, data_root: Path) -> Signal:
+def _load_noise(plan: BenchPlan, data_root: Path, fs: float) -> Signal:
+    """The noise record, or a "t,mv" CSV checked against the records' rate fs."""
     if plan.noise.endswith(".csv"):
         path = Path(plan.noise)
-        return wfdbio.read_csv(path.read_bytes(), fs=360.0)
+        text = path.read_text()
+        if text.lstrip().split("\n", 1)[0].strip().lower() == "mv":
+            raise BenchError(
+                f"noise CSV {path} has no t column, so its rate cannot be checked against the records' {fs:g} Hz"
+            )
+        try:
+            return wfdbio.read_csv(text, fs=fs)
+        except wfdbio.CsvParseError as exc:
+            raise wfdbio.CsvParseError(f"noise CSV {path}: {exc}") from None
     sig, _ = load_record(data_root, plan.noise, plan.noise_channel)
     return sig
 

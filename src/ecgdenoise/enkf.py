@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -92,24 +93,44 @@ def substream(master_seed: int, *key) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int.from_bytes(digest[:16], "little")))
 
 
-def circular_mean(theta: np.ndarray) -> float:
-    s = float(np.mean(np.sin(theta)))
-    c = float(np.mean(np.cos(theta)))
-    if s * s + c * c < 1e-24:
+def circular_mean(theta: np.ndarray):
+    """Circular mean over the last (member) axis, one value per leading index."""
+    n = theta.shape[-1]
+    s = np.add.reduce(np.sin(theta), axis=-1) / n
+    c = np.add.reduce(np.cos(theta), axis=-1) / n
+    if (s * s + c * c < 1e-24).any():
         raise AmbiguousPhaseError("member phases cancel; circular mean undefined")
-    return float(wrap_phase(np.arctan2(s, c)))
+    return wrap_phase(np.arctan2(s, c))
+
+
+def draw_noise(rng: np.random.Generator, cfg: FilterConfig, n: int) -> np.ndarray:
+    """One sample's standard normal draws for n members, shape (4, n): phase
+    and amplitude process noise, then phase and amplitude observation noise.
+    cfg is resolved (see :func:`resolve_config`): no noise level is None.
+
+    A noise whose std is zero draws nothing and its row stays zero, so the
+    stream is the one separate rng.normal(0, std, n) draws in that order give.
+    """
+    active = [cfg.q_theta > 0, cfg.q_z > 0, cfg.r_phi != 0, cfg.r_s != 0]
+    if all(active):
+        return rng.standard_normal((4, n))
+    out = np.zeros((4, n))
+    out[active] = rng.standard_normal((sum(active), n))
+    return out
 
 
 def predict(
     theta: np.ndarray,
     z: np.ndarray,
     params: GaussianWaveParams,
-    phase_step: float,
+    phase_step,
     cfg: FilterConfig,
-    rng: np.random.Generator,
+    noise: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Propagate every member (phases theta, amplitudes z) through the
-    stochastic transition; phase_step is omega * delta for this sample.
+    stochastic transition; phase_step is omega * delta for this sample and
+    noise[..., :2, :] is the process part of this sample's draw_noise block
+    (zero where a std is zero).
 
     The phase perturbation is folded into each member's theta before the
     transition runs, so the amplitude increment is evaluated at the perturbed
@@ -119,16 +140,14 @@ def predict(
     gain) honest about it.  Because that spread is uncorrelated with the
     member phases, the joint update cannot explain it away via the
     observed phase.  Setting q_z to zero disables amplitude noise entirely.
-    Member order is preserved; draws come from `rng` in member order.
+
+    Members lie along the last axis.  Leading axes are independent rows,
+    with params, phase_step and the cfg noise levels given per row (see
+    :func:`denoise_batch`).
     """
-    shape = theta.shape
-    xi = rng.normal(0.0, cfg.q_theta, size=shape) if cfg.q_theta > 0 else np.zeros(shape)
-    theta_pert = theta + xi
+    theta_pert = theta + cfg.q_theta * noise[..., 0, :]
     dz = wave_increment(theta_pert, params, phase_step)
-    if cfg.q_z > 0:
-        eta = rng.normal(0.0, 1.0, size=shape) * (cfg.q_z + cfg.q_z_activity * np.abs(dz))
-    else:
-        eta = np.zeros(shape)
+    eta = noise[..., 1, :] * (cfg.q_z + cfg.q_z_activity * np.abs(dz))
     return wrap_phase(theta_pert + phase_step), z + dz + eta
 
 
@@ -139,68 +158,75 @@ def sample_covariances(theta: np.ndarray, z: np.ndarray) -> np.ndarray:
     observations are the members themselves and this one matrix is both the
     state-observation cross covariance and the innovation covariance.  Phase
     residuals are taken against the circular ensemble mean and wrapped to
-    (-pi, pi] before the outer products.
+    (-pi, pi] before the outer products.  Leading axes are rows: (B, N)
+    members give (B, 2, 2).
     """
-    n = theta.shape[0]
+    n = theta.shape[-1]
     if n < 2:
         raise DegenerateEnsembleError("need at least 2 members for sample covariances")
-    r_theta = wrap_centered(theta - circular_mean(theta))
-    r_z = z - z.mean()
-    resid = np.stack([r_theta, r_z])  # (2, N)
-    return (resid @ resid.T) / n
+    resid = np.empty(theta.shape[:-1] + (2, n))
+    resid[..., 0, :] = wrap_centered(theta - np.asarray(circular_mean(theta))[..., None])
+    np.subtract(z, np.add.reduce(z, axis=-1, keepdims=True) / n, out=resid[..., 1, :])
+    return (resid @ resid.swapaxes(-1, -2)) / n
+
+
+# Sign pattern of the 2x2 adjugate.
+_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 def kalman_gain(p: np.ndarray, cfg: FilterConfig) -> np.ndarray:
-    """K = P (P + R)^-1 with R = diag(r_phi^2, r_s^2).
+    """K = P (P + R)^-1 with R = diag(r_phi^2, r_s^2), per row of a (..., 2, 2) stack.
 
     Adding R keeps the gain consistent with the perturbed-observation update;
     a singular innovation covariance signals a mis-sized noise configuration.
     """
-    s = p + np.diag([cfg.r_phi**2, cfg.r_s**2])
-    det = s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]
-    if not np.isfinite(det) or abs(det) < 1e-300:
+    rows = p.shape[:-2]
+    s = p.copy()
+    s[..., 0, 0] += np.square(cfg.r_phi).reshape(rows)
+    s[..., 1, 1] += np.square(cfg.r_s).reshape(rows)
+    det = s[..., 0, 0] * s[..., 1, 1] - s[..., 0, 1] * s[..., 1, 0]
+    size = np.abs(det)
+    if not ((size >= 1e-300) & (size < np.inf)).all():
         raise SingularInnovationError("innovation covariance is singular; increase r_phi/r_s")
-    inv = np.array([[s[1, 1], -s[0, 1]], [-s[1, 0], s[0, 0]]]) / det
-    return p @ inv
+    adjugate = s.swapaxes(-1, -2)[..., ::-1, ::-1] * _ADJUGATE_SIGNS
+    return p @ (adjugate / det[..., None, None])
 
 
 def update(
     theta: np.ndarray,
     z: np.ndarray,
-    y_phi: float,
-    y_s: float,
+    y_phi,
+    y_s,
     k: np.ndarray,
     cfg: FilterConfig,
-    rng: np.random.Generator,
+    noise: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Perturbed-observation update of the members with the 2x2 gain k.
+    """Perturbed-observation update of the members with the 2x2 gain k;
+    noise[..., :2, :] is the observation part of this sample's draw_noise block.
 
     Each member sees its own noised copy of the observation, with the drawn
     perturbation set re-centered to exactly zero mean so the update adds no
     sampling bias.  The phase innovation is wrapped to (-pi, pi] and member
-    phases are re-wrapped to [0, 2*pi) afterwards.
+    phases are re-wrapped to [0, 2*pi) afterwards.  Leading axes are rows,
+    with the observation, gain and noise levels given per row.
     """
-    shape = theta.shape
-
-    def draws(std: float) -> np.ndarray:
-        if std == 0.0:
-            return np.zeros(shape)
-        v = rng.normal(0.0, std, size=shape)
-        return v - v.mean()  # exactly zero-mean perturbation set
-
-    v_phi = draws(cfg.r_phi)
-    v_s = draws(cfg.r_s)
+    n = theta.shape[-1]
+    v_phi = cfg.r_phi * noise[..., 0, :]
+    v_s = cfg.r_s * noise[..., 1, :]
+    v_phi -= np.add.reduce(v_phi, axis=-1, keepdims=True) / n  # exactly zero-mean perturbation sets
+    v_s -= np.add.reduce(v_s, axis=-1, keepdims=True) / n
     innov_phi = wrap_centered(y_phi + v_phi - theta)
     innov_s = (y_s + v_s) - z
+    k = k[..., None]  # gain entries broadcast over the member axis
     return (
-        wrap_phase(theta + k[0, 0] * innov_phi + k[0, 1] * innov_s),
-        z + k[1, 0] * innov_phi + k[1, 1] * innov_s,
+        wrap_phase(theta + k[..., 0, 0, :] * innov_phi + k[..., 0, 1, :] * innov_s),
+        z + k[..., 1, 0, :] * innov_phi + k[..., 1, 1, :] * innov_s,
     )
 
 
-def estimate(theta: np.ndarray, z: np.ndarray) -> tuple[float, float]:
-    """Ensemble mean: circular over phase, arithmetic over amplitude."""
-    return circular_mean(theta), float(z.mean())
+def estimate(theta: np.ndarray, z: np.ndarray):
+    """Ensemble mean: circular over phase, arithmetic over amplitude (per row)."""
+    return circular_mean(theta), np.add.reduce(z, axis=-1) / z.shape[-1]
 
 
 def beat_angular_velocities(r_peaks: RPeaks, length: int, fs: float) -> np.ndarray:
@@ -275,33 +301,61 @@ def denoise(
     params: GaussianWaveParams,
     cfg: FilterConfig = FilterConfig(),
 ) -> Signal:
-    """Run the full filter over a noisy recording.
+    """Run the full filter over a noisy recording: a batch of one, see :func:`denoise_batch`."""
+    return denoise_batch([(signal, r_peaks, params, cfg)])[0]
 
-    Builds the observed phase from the R peaks, initializes the ensemble from
-    the first observation, then per sample: predict, sample covariances,
-    gain, perturbed update, ensemble mean.  Deterministic given cfg.seed.
-    A SingularInnovationError or AmbiguousPhaseError names the sample index.
+
+def denoise_batch(jobs) -> list[Signal]:
+    """Run the filter over equal-length recordings in lockstep.
+
+    jobs: (signal, r_peaks, params, cfg) tuples, the arguments of
+    :func:`denoise`, all with one length and one ensemble size.  Row b of the
+    (B, N) member arrays is job b's ensemble; its morphology (wave arrays
+    stacked to (5, B, 1)), phase steps and resolved noise levels ((B, 1)
+    columns) are its own.  Each row builds the observed phase from its R
+    peaks and initializes its members from the first observation; then, per
+    sample, each row draws from its own substream(seed, k) and all rows take
+    one predict, sample covariances, gain, perturbed update and ensemble mean
+    together.  Rows never mix, so each output equals a lone run of its job
+    bit for bit.  A SingularInnovationError or AmbiguousPhaseError in any row
+    names the sample index.
     """
-    phase, omega, cfg = prepare_inputs(signal, r_peaks, params, cfg)
-    n = len(signal)
-    fs = signal.fs
+    signals = [job[0] for job in jobs]
+    inputs = [prepare_inputs(*job) for job in jobs]
+    cfgs = [resolved for _, _, resolved in inputs]
+    n, size = len(signals[0]), cfgs[0].n_ensemble
+    if any(len(sig) != n for sig in signals) or any(c.n_ensemble != size for c in cfgs):
+        raise ValueError("a lockstep batch needs one signal length and one ensemble size")
 
-    rng0 = substream(cfg.seed, 0)
-    size = cfg.n_ensemble
-    theta = wrap_phase(phase.phases[0] + rng0.normal(0.0, cfg.r_phi, size=size))
-    z = signal.samples[0] + rng0.normal(0.0, cfg.r_s, size=size)
+    levels = SimpleNamespace(
+        **{f: np.array([[getattr(c, f)] for c in cfgs]) for f in ("q_theta", "q_z", "q_z_activity", "r_phi", "r_s")}
+    )
+    morphology = SimpleNamespace(
+        **{f: np.stack([getattr(job[2], f) for job in jobs], axis=1)[..., None] for f in ("alpha", "b", "theta")}
+    )
+    rows = [(c, phase.phases, sig.samples, omega, 1.0 / sig.fs) for (phase, omega, c), sig in zip(inputs, signals)]
 
-    out = np.empty(n)
-    delta = 1.0 / fs
+    theta = np.empty((len(jobs), size))
+    z = np.empty((len(jobs), size))
+    for row, (c, phases, samples, _, _) in enumerate(rows):
+        rng0 = substream(c.seed, 0)
+        theta[row] = wrap_phase(phases[0] + rng0.normal(0.0, c.r_phi, size=size))
+        z[row] = samples[0] + rng0.normal(0.0, c.r_s, size=size)
+
+    noise = np.empty((len(jobs), 4, size))
+    obs = np.empty((len(jobs), 3))  # per row: observed phase and amplitude, phase step
+    out = np.empty((n, len(jobs)))
     k = 0
     try:
         out[0] = estimate(theta, z)[1]
         for k in range(1, n):
-            rng = substream(cfg.seed, k)
-            theta, z = predict(theta, z, params, float(omega[k]) * delta, cfg, rng)
-            gain = kalman_gain(sample_covariances(theta, z), cfg)
-            theta, z = update(theta, z, float(phase.phases[k]), float(signal.samples[k]), gain, cfg, rng)
+            for row, (c, phases, samples, omega, delta) in enumerate(rows):
+                noise[row] = draw_noise(substream(c.seed, k), c, size)
+                obs[row] = phases[k], samples[k], float(omega[k]) * delta
+            theta, z = predict(theta, z, morphology, obs[:, 2:], levels, noise[:, :2])
+            gain = kalman_gain(sample_covariances(theta, z), levels)
+            theta, z = update(theta, z, obs[:, :1], obs[:, 1:2], gain, levels, noise[:, 2:])
             out[k] = estimate(theta, z)[1]
     except (SingularInnovationError, AmbiguousPhaseError) as exc:
         raise type(exc)(f"{exc} at sample {k}") from None
-    return Signal(out, fs)
+    return [Signal(out[:, row], sig.fs) for row, sig in enumerate(signals)]

@@ -102,15 +102,21 @@ def wave_sum(theta, params: GaussianWaveParams):
     return np.sum(params.alpha * np.exp(-(d * d) / (2.0 * params.b**2)), axis=-1)
 
 
-def wave_increment(theta, params: GaussianWaveParams, phase_step: float):
+def wave_increment(theta, params: GaussianWaveParams, phase_step):
     """Per-sample z increment: the discretized derivative of the Gaussian sum.
 
     Evaluated at the pre-update phase; equals d g/d theta * omega * delta.
+    The wave axis leads, so params arrays may also be per-row stacks shaped
+    (5, B, 1) against (B, N) phases and a (B, 1) phase_step.
     """
     th = np.asarray(theta, dtype=np.float64)
-    d = wrap_centered(th[..., None] - params.theta)
-    b2 = params.b**2
-    return -np.sum(params.alpha * d * (phase_step / b2) * np.exp(-(d * d) / (2.0 * b2)), axis=-1)
+    alpha, b, centers = params.alpha, params.b, params.theta
+    if centers.ndim <= th.ndim:  # one morphology for all phases: waves lead, phases follow
+        lead = (5,) + (1,) * th.ndim
+        alpha, b, centers = alpha.reshape(lead), b.reshape(lead), centers.reshape(lead)
+    d = wrap_centered(th - centers)
+    b2 = b**2
+    return -np.add.reduce(alpha * d * (phase_step / b2) * np.exp((d * d) / -(2.0 * b2)), axis=0)
 
 
 def wave_increment_dtheta(theta, params: GaussianWaveParams, phase_step: float):

@@ -9,8 +9,8 @@ from ecgdenoise import bench
 from ecgdenoise.baselines import (
     _DB_G,
     _DB_H,
+    ConditioningError,
     ekf_denoise,
-    ekf_jacobian,
     nlms_denoise,
     noise_sigma_estimate,
     rls_denoise,
@@ -20,13 +20,14 @@ from ecgdenoise.baselines import (
     waverec,
     wavelet_denoise,
 )
-from ecgdenoise.core import Signal, TWO_PI
-from ecgdenoise.enkf import FilterConfig
+from ecgdenoise.core import RPeaks, Signal, TWO_PI, wrap_centered, wrap_phase
+from ecgdenoise.enkf import FilterConfig, prepare_inputs
 from ecgdenoise.model import (
     GaussianWaveParams,
     default_morphology,
     synthesize,
     wave_increment,
+    wave_increment_dtheta,
 )
 
 
@@ -38,7 +39,70 @@ def tv_objective(y, x, lam):
     return 0.5 * float(np.sum((y - x) ** 2)) + lam * float(np.sum(np.abs(np.diff(x))))
 
 
+def matrix_ekf(signal, r_peaks, params, cfg):
+    """The EKF recursion written with numpy 2x2 matrices: the reference for
+    the scalar ekf_denoise."""
+    phase, omega, cfg = prepare_inputs(signal, r_peaks, params, cfg)
+    q_theta = np.diag([cfg.q_theta**2, 0.0])
+    r = np.diag([cfg.r_phi**2, cfg.r_s**2])
+    x = np.array([phase.phases[0], signal.samples[0]])
+    p = np.diag([max(cfg.r_phi**2, 1e-12), max(cfg.r_s**2, 1e-12)])
+    out = np.empty(len(signal))
+    out[0] = x[1]
+    eye = np.eye(2)
+    for k in range(1, len(signal)):
+        step = omega[k] / signal.fs
+        f = np.array([[1.0, 0.0], [float(wave_increment_dtheta(float(x[0]), params, step)), 1.0]])
+        dz = float(wave_increment(x[0], params, step))
+        x = np.array([wrap_phase(x[0] + step), x[1] + dz])
+        eta_std = cfg.q_z + cfg.q_z_activity * abs(dz) if cfg.q_z > 0 else 0.0
+        p = f @ (p + q_theta) @ f.T + np.diag([0.0, eta_std**2])
+        s = p + r
+        det = s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]
+        if not np.isfinite(det) or det <= 0:
+            raise ConditioningError(f"innovation covariance not positive definite at sample {k}")
+        kgain = p @ (np.array([[s[1, 1], -s[0, 1]], [-s[1, 0], s[0, 0]]]) / det)
+        innov = np.array([float(wrap_centered(phase.phases[k] - x[0])), signal.samples[k] - x[1]])
+        x = x + kgain @ innov
+        x[0] = wrap_phase(x[0])
+        p = (eye - kgain) @ p
+        p = 0.5 * (p + p.T)
+        if p[0, 0] < 0 or p[1, 1] < 0:
+            p = 0.5 * (p + p.T) + 1e-12 * np.trace(np.abs(p)) * eye
+            if p[0, 0] < 0 or p[1, 1] < 0:
+                raise ConditioningError(f"covariance lost positive definiteness at sample {k}")
+        out[k] = x[1]
+    return Signal(out, signal.fs)
+
+
 class TestEkf:
+    def test_scalar_recursion_matches_matrix_reference(self):
+        p = default_morphology()
+        clean, _, peaks = synthesize(p, [0.8, 0.7, 0.9, 0.6] * 3, 360.0, 0.0, seed=1)
+        noisy = sig(clean.samples + 0.15 * np.random.default_rng(2).normal(size=len(clean)))
+        for cfg in (FilterConfig(seed=0), FilterConfig(q_theta=0.05, q_z=0.0, r_phi=0.2, r_s=0.05)):
+            got = ekf_denoise(noisy, peaks, p, cfg).samples
+            want = matrix_ekf(noisy, peaks, p, cfg).samples
+            assert np.abs(got - want).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "scale, cfg, message",
+        [
+            # Overflowing Jacobian: the innovation covariance is not finite.
+            (1e200, FilterConfig(q_z=0.0, r_phi=0.1, r_s=0.1), "innovation covariance not positive definite"),
+            # Huge phase noise against tiny observation noise: cancellation
+            # leaves a negative variance that the one repair cannot lift.
+            (1.0, FilterConfig(q_theta=1e3, q_z=0.0, r_phi=1e-3, r_s=1e-3), "covariance lost positive definiteness"),
+        ],
+    )
+    def test_conditioning_errors_name_the_sample(self, scale, cfg, message):
+        p = default_morphology()
+        params = GaussianWaveParams(alpha=p.alpha * scale, b=p.b, theta=p.theta)
+        clean, _, peaks = synthesize(p, [0.8] * 4, 360.0, 0.0, seed=4)
+        for run in (ekf_denoise, matrix_ekf):
+            with np.errstate(all="ignore"), pytest.raises(ConditioningError, match=message + " at sample 1$"):
+                run(clean, peaks, params, cfg)
+
     def test_jacobian_matches_finite_differences(self):
         p = default_morphology()
         rng = np.random.default_rng(0)
@@ -47,7 +111,7 @@ class TestEkf:
         for _ in range(200):
             theta = rng.uniform(0, TWO_PI)
             step = rng.uniform(0.005, 0.03)
-            analytic = ekf_jacobian(theta, p, step)[1, 0]
+            analytic = float(wave_increment_dtheta(theta, p, step))
             fd = (
                 float(wave_increment(theta + h, p, step))
                 - float(wave_increment(theta - h, p, step))
@@ -67,8 +131,6 @@ class TestEkf:
         n = 400
         fs = 360.0
         obs = rng.normal(0.0, 0.3, size=n)
-        from ecgdenoise.core import RPeaks
-
         peaks = RPeaks(np.arange(0, n, 100))
         cfg = FilterConfig(q_theta=0.0, q_z=0.02, r_phi=0.05, r_s=0.3, seed=0)
         out = ekf_denoise(sig(obs, fs), peaks, p, cfg)

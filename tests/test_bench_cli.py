@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +131,51 @@ class TestBenchRun:
         assert cells[0].error
         table = bench.table_csv(cells, plan)
         assert "failed:" in table
+
+    def test_failed_batch_row_is_isolated(self, data_root, monkeypatch):
+        """One enkf cell failing mid-record fails alone: its row names the
+        sample, its batch-mates' rows equal those of a run without the fault,
+        and every batched cell gets its own wall time."""
+        plan = bench.BenchPlan(
+            records=("118", "119"), methods=("enkf",), snr_levels=(12.0, 18.0), duration_s=4.0, n_ensemble=20
+        )
+        clean_run = bench.run_bench(plan, data_root)
+        faulty_seed = bench.cell_seed(plan.seed, "119", "enkf", 12.0)
+        model_inputs = bench._model_inputs
+
+        def faulty(noisy, ctx):
+            peaks, morphology, cfg = model_inputs(noisy, ctx)
+            if ctx.seed == faulty_seed:
+                cfg = replace(cfg, q_theta=0.0, q_z=0.0, r_phi=0.0, r_s=1e-200)
+            return peaks, morphology, cfg
+
+        monkeypatch.setattr(bench, "_model_inputs", faulty)
+        cells = bench.run_bench(plan, data_root)
+        rows = bench.table_csv(cells, plan).splitlines()
+        want = bench.table_csv(clean_run, plan).splitlines()
+        bad = [r for r in rows if r.startswith("119,0,enkf,12,")]
+        assert len(bad) == 1
+        assert re.search(r",failed: SingularInnovationError: .* at sample \d+$", bad[0])
+        for row in rows:
+            if row.startswith(("118,", "119,0,enkf,18,")):
+                assert row in want
+        assert sum(r.startswith(("118,", "119,")) for r in rows) == 4
+        assert all(c.wall_time > 0 for c in cells)
+
+    def test_noise_csv_read_at_the_record_rate(self, data_root, tmp_path):
+        plan = lambda path: bench.BenchPlan(records=("122",), methods=("sg",), snr_levels=(12.0,), noise=str(path))
+        timed = tmp_path / "noise250.csv"
+        timed.write_bytes(wfdbio.write_csv(Signal(np.zeros(3000), 250.0)))
+        with pytest.raises(wfdbio.CsvParseError, match="noise250.csv.*runs at 250 Hz"):
+            bench.run_bench(plan(timed), data_root)
+        untimed = tmp_path / "noise_mv.csv"
+        untimed.write_bytes(wfdbio.write_csv(Signal(np.zeros(3000), 360.0), with_time=False))
+        with pytest.raises(bench.BenchError, match="noise_mv.csv has no t column"):
+            bench.run_bench(plan(untimed), data_root)
+        ok = tmp_path / "noise360.csv"
+        ok.write_bytes(wfdbio.write_csv(Signal(np.random.default_rng(0).normal(size=30000), 360.0)))
+        cells = bench.run_bench(replace(plan(ok), duration_s=8.0), data_root)
+        assert cells[0].report is not None
 
     def test_snr_in_tracks_target(self, small_result):
         # Metrics run on the post-warm-up window, so the measured input SNR

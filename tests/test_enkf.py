@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ecgdenoise.core import RPeaks, Signal, TWO_PI, wrap_phase
 from ecgdenoise.enkf import (
@@ -20,6 +21,8 @@ from ecgdenoise.enkf import (
     beat_angular_velocities,
     circular_mean,
     denoise,
+    denoise_batch,
+    draw_noise,
     estimate,
     kalman_gain,
     predict,
@@ -28,7 +31,7 @@ from ecgdenoise.enkf import (
     substream,
     update,
 )
-from ecgdenoise.model import default_morphology, synthesize, transition
+from ecgdenoise.model import GaussianWaveParams, default_morphology, synthesize, transition
 
 
 def brute_force_covariances(theta, z):
@@ -71,6 +74,23 @@ class TestSubstream:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("zero", [None, "q_theta", "q_z", "r_phi", "r_s"])
+    def test_block_draw_equals_separate_normal_draws(self, zero):
+        # The stream separate rng.normal(0, std, N) draws give, one per
+        # non-zero std in the order q_theta, q_z (unit draws), r_phi, r_s.
+        stds = dict(q_theta=0.01, q_z=0.02, r_phi=0.1, r_s=0.05)
+        if zero:
+            stds[zero] = 0.0
+        cfg = FilterConfig(n_ensemble=30, **stds)
+        block = draw_noise(substream(9, 4), cfg, 30)
+        rng = substream(9, 4)
+        for row, (name, std) in enumerate(stds.items()):
+            if std == 0.0:
+                assert np.all(block[row] == 0.0)
+                continue
+            want = rng.normal(0.0, std if name != "q_z" else 1.0, size=30)
+            assert np.array_equal(want, (std if name != "q_z" else 1.0) * block[row])
+
 
 class TestPredict:
     def _cfg(self, **kw):
@@ -83,7 +103,8 @@ class TestPredict:
         step = TWO_PI * (1 / 360.0)
         theta = np.linspace(0.1, 5.9, 10)
         z = np.linspace(-1, 1, 10)
-        out_theta, out_z = predict(theta, z, p, step, self._cfg(), substream(0, 0))
+        cfg = self._cfg()
+        out_theta, out_z = predict(theta, z, p, step, cfg, draw_noise(substream(0, 0), cfg, 10)[:2])
         for i in range(10):
             want_theta, want_z = transition(theta[i], z[i], p, step, 0.0)
             assert out_theta[i] == pytest.approx(want_theta, abs=1e-12)
@@ -92,7 +113,8 @@ class TestPredict:
     def test_identical_members_stay_identical_without_noise(self):
         p = default_morphology()
         step = TWO_PI * (1 / 360.0)
-        theta, z = predict(np.full(8, 1.0), np.full(8, 0.5), p, step, self._cfg(n_ensemble=8), substream(0, 1))
+        cfg = self._cfg(n_ensemble=8)
+        theta, z = predict(np.full(8, 1.0), np.full(8, 0.5), p, step, cfg, draw_noise(substream(0, 1), cfg, 8)[:2])
         assert np.all(theta == theta[0])
         assert np.all(z == z[0])
 
@@ -103,7 +125,7 @@ class TestPredict:
         q = 0.02
         cfg = FilterConfig(n_ensemble=n, q_theta=0.0, q_z=q, q_z_activity=0.0, r_phi=0.1, r_s=0.1)
         theta0, z0 = 2.0, 0.3
-        _, z = predict(np.full(n, theta0), np.full(n, z0), p, step, cfg, substream(3, 0))
+        _, z = predict(np.full(n, theta0), np.full(n, z0), p, step, cfg, substream(3, 0).standard_normal((2, n)))
         _, want_z = transition(theta0, z0, p, step, 0.0)
         assert abs(float(np.mean(z)) - want_z) < 3 * q / np.sqrt(n)
 
@@ -114,7 +136,7 @@ class TestPredict:
         theta, z = rng.uniform(0, TWO_PI, 64), rng.normal(size=64)
         cfg = FilterConfig(n_ensemble=64, q_theta=0.5, q_z=0.1, r_phi=0.1, r_s=0.1)
         for k in range(50):
-            theta, z = predict(theta, z, p, step, cfg, substream(1, k))
+            theta, z = predict(theta, z, p, step, cfg, substream(1, k).standard_normal((2, 64)))
             assert np.all((theta >= 0) & (theta < TWO_PI))
 
 
@@ -188,7 +210,7 @@ class TestUpdate:
     def test_zero_gain_is_identity(self):
         theta, z = np.array([1.0, 2.0]), np.array([0.5, -0.5])
         cfg = FilterConfig(n_ensemble=2, r_phi=0.3, r_s=0.3)
-        out_theta, out_z = update(theta, z, 1.5, 0.0, np.zeros((2, 2)), cfg, substream(0, 0))
+        out_theta, out_z = update(theta, z, 1.5, 0.0, np.zeros((2, 2)), cfg, substream(0, 0).standard_normal((2, 2)))
         assert np.array_equal(out_theta, theta)
         assert np.array_equal(out_z, z)
 
@@ -196,20 +218,22 @@ class TestUpdate:
         theta, z = np.array([1.0, 2.0, 3.0]), np.array([0.5, -0.5, 1.5])
         cfg = FilterConfig(n_ensemble=3, r_phi=0.0, r_s=0.1)
         object.__setattr__(cfg, "r_s", 0.0)  # exercise the exact R = 0 degeneracy
-        theta, z = update(theta, z, 2.5, 0.75, np.eye(2), cfg, substream(0, 0))
+        theta, z = update(theta, z, 2.5, 0.75, np.eye(2), cfg, substream(0, 0).standard_normal((2, 3)))
         assert np.allclose(theta, 2.5)
         assert np.allclose(z, 0.75)
 
     def test_phase_innovation_wraps(self):
         theta = np.array([TWO_PI - 0.1, TWO_PI - 0.1])
         cfg = FilterConfig(n_ensemble=2, r_phi=0.0, r_s=0.5)
-        theta, _ = update(theta, np.zeros(2), 0.1, 0.0, np.diag([1.0, 0.0]), cfg, substream(0, 0))
+        noise = substream(0, 0).standard_normal((2, 2))
+        theta, _ = update(theta, np.zeros(2), 0.1, 0.0, np.diag([1.0, 0.0]), cfg, noise)
         # Innovation is +0.2 across the wrap, not -2*pi + 0.2.
         assert np.allclose(theta, 0.1, atol=1e-12)
 
     def test_updated_phases_wrapped(self):
         cfg = FilterConfig(n_ensemble=2, r_phi=0.0, r_s=0.5)
-        theta, _ = update(np.array([6.0, 6.2]), np.zeros(2), 0.3, 0.0, np.diag([1.0, 0.0]), cfg, substream(0, 1))
+        noise = substream(0, 1).standard_normal((2, 2))
+        theta, _ = update(np.array([6.0, 6.2]), np.zeros(2), 0.3, 0.0, np.diag([1.0, 0.0]), cfg, noise)
         assert np.all((theta >= 0) & (theta < TWO_PI))
 
 
@@ -305,13 +329,56 @@ class TestDenoise:
         z = noisy.samples[0] + rng0.normal(0.0, resolved.r_s, size=20)
         want = [estimate(theta, z)[1]]
         for k in range(1, len(noisy)):
-            rng = substream(resolved.seed, k)
-            theta, z = predict(theta, z, p, float(omega[k]) * (1.0 / noisy.fs), resolved, rng)
+            noise = draw_noise(substream(resolved.seed, k), resolved, 20)
+            theta, z = predict(theta, z, p, float(omega[k]) * (1.0 / noisy.fs), resolved, noise[:2])
             gain = kalman_gain(sample_covariances(theta, z), resolved)
-            theta, z = update(theta, z, float(phase.phases[k]), float(noisy.samples[k]), gain, resolved, rng)
+            theta, z = update(theta, z, float(phase.phases[k]), float(noisy.samples[k]), gain, resolved, noise[2:])
             want.append(estimate(theta, z)[1])
 
         assert np.array_equal(denoise(noisy, peaks, p, cfg).samples, want)
+
+
+def _batch_job(rr, seed, jitter, n_ensemble, n):
+    """A noisy synthetic job of n samples with a slightly perturbed morphology."""
+    base = default_morphology()
+    clean, _, peaks = synthesize(base, rr, 360.0, noise_std=0.0, seed=seed)
+    noisy = Signal(clean.samples[:n] + 0.1 * np.random.default_rng(seed).normal(size=n), 360.0)
+    params = GaussianWaveParams(
+        alpha=base.alpha * (1.0 + jitter),
+        b=base.b * (1.0 + jitter),
+        theta=base.theta + np.where(base.theta == 0.0, 0.0, jitter),
+    )
+    return noisy, RPeaks(peaks.indices[peaks.indices < n]), params, FilterConfig(n_ensemble=n_ensemble, seed=seed)
+
+
+class TestDenoiseBatch:
+    @settings(max_examples=12)
+    @given(data=st.data())
+    def test_rows_equal_lone_runs_in_any_order(self, data):
+        """Every row of a lockstep batch is bit-identical to its job run
+        alone, whatever the other rows are and in whatever order."""
+        n_rows = data.draw(st.integers(1, 4), label="B")
+        n_ensemble = data.draw(st.integers(2, 30), label="N")
+        n = data.draw(st.integers(400, 600), label="samples")
+        jobs = []
+        for row in range(n_rows):
+            rr = data.draw(st.lists(st.floats(0.6, 0.9), min_size=3, max_size=3), label=f"rr{row}")
+            seed = data.draw(st.integers(0, 2**32 - 1), label=f"seed{row}")
+            jitter = data.draw(st.floats(-0.05, 0.05), label=f"jitter{row}")
+            jobs.append(_batch_job(rr, seed, jitter, n_ensemble, n))
+        order = data.draw(st.permutations(range(n_rows)), label="order")
+        batched = denoise_batch([jobs[i] for i in order])
+        for i, out in zip(order, batched):
+            alone = denoise(*jobs[i])
+            assert out.samples.shape == (n,)
+            assert np.all(np.isfinite(out.samples))
+            assert np.array_equal(out.samples, alone.samples)
+
+    def test_unequal_lengths_rejected(self):
+        a = _batch_job([0.8] * 3, 1, 0.0, 5, 500)
+        b = _batch_job([0.8] * 3, 2, 0.0, 5, 450)
+        with pytest.raises(ValueError, match="one signal length"):
+            denoise_batch([a, b])
 
 
 class TestTracerContract:
