@@ -290,6 +290,70 @@ def noise_sigma_estimate(signal: Signal) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _check_batch(primaries, references, taps: int) -> None:
+    for primary in primaries:
+        require_valid(primary)
+    n = len(primaries[0])
+    if any(len(primary) != n for primary in primaries):
+        raise ValueError("a lockstep batch needs one signal length")
+    if len(references) != len(primaries) or any(len(ref) != n for ref in references):
+        raise ValueError("reference must match the primary signal length")
+    if taps < 1:
+        raise ValueError("taps must be at least 1")
+
+
+def _lockstep_arrays(primaries, references, taps: int):
+    """The (n, B) stacked primaries, which the canceller overwrites with its
+    output, and each row's reference window at every sample, newest sample
+    first, as (n, B, 1, taps) row and (n, B, taps, 1) column views of one
+    zero-padded (B, n + taps) buffer.
+
+    The windows run backwards through memory, so numpy sums every dot product
+    with them in its sequential loop, never BLAS: a row's arithmetic is the
+    same for any batch size, and rows never mix.
+    """
+    n = len(primaries[0])
+    out = np.empty((n, len(primaries)))
+    padded = np.zeros((len(references), n + taps))
+    for b, (primary, ref) in enumerate(zip(primaries, references)):
+        out[:, b] = primary.samples
+        padded[b, taps:] = ref.samples
+    # Row b's window at sample k is padded[b, k + taps : k : -1].
+    windows = np.lib.stride_tricks.sliding_window_view(padded, taps, axis=1)[:, 1:, ::-1].transpose(1, 0, 2)
+    return out, windows[:, :, None, :], windows[:, :, :, None]
+
+
+def _signals(out: np.ndarray, primaries) -> list[Signal]:
+    # Called once the windows are freed, so they never coexist with the copies.
+    return [Signal(out[:, b], primary.fs) for b, primary in enumerate(primaries)]
+
+
+def nlms_batch(primaries: list[Signal], references: list[Signal], taps: int, mu: float) -> list[Signal]:
+    """NLMS over equal-length (primary, reference) pairs in lockstep; row b
+    equals a lone run of pair b bit for bit."""
+    _check_batch(primaries, references, taps)
+    if not 0.0 < mu < 2.0:
+        raise ValueError("mu must lie in (0, 2)")
+    return _signals(_nlms_loop(*_lockstep_arrays(primaries, references, taps), mu), primaries)
+
+
+def _nlms_loop(out: np.ndarray, rows: np.ndarray, cols: np.ndarray, mu: float) -> np.ndarray:
+    # The step size mu / (eps + |window|^2) depends on the reference alone.
+    steps = rows @ cols
+    steps += 1e-8
+    np.divide(mu, steps, out=steps)
+    x, w = out.reshape(*out.shape, 1, 1), np.zeros(rows.shape[1:])
+    # A lone run (the `denoise` path) drops the row axes, so its per-sample
+    # values are numpy scalars, whose arithmetic costs far less than a ufunc call.
+    if out.shape[1] == 1:
+        x, rows, cols, steps, w = x[:, 0, 0, 0], rows[:, 0, 0], cols[:, 0, :, 0], steps[:, 0, 0, 0], w[0, 0]
+    for k, (row, col, step) in enumerate(zip(rows, cols, steps)):
+        e = x[k] - w @ col
+        x[k] = e
+        w += step * e * row
+    return out
+
+
 def nlms_denoise(primary: Signal, reference: Signal, taps: int, mu: float) -> Signal:
     """Normalized LMS canceller: subtract the adaptively filtered reference.
 
@@ -297,56 +361,40 @@ def nlms_denoise(primary: Signal, reference: Signal, taps: int, mu: float) -> Si
     the denoised signal when the reference correlates with the contamination
     and not with the ECG.
     """
-    require_valid(primary)
-    if len(reference) != len(primary):
-        raise ValueError("reference must match the primary signal length")
-    if taps < 1:
-        raise ValueError("taps must be at least 1")
-    if not 0.0 < mu < 2.0:
-        raise ValueError("mu must lie in (0, 2)")
-    eps = 1e-8
-    x = primary.samples
-    ref = reference.samples
-    n = len(x)
-    w = np.zeros(taps)
-    out = np.empty(n)
-    padded = np.concatenate([np.zeros(taps - 1), ref])
-    for k in range(n):
-        win = padded[k : k + taps][::-1]
-        e = x[k] - w @ win
-        out[k] = e
-        w = w + (mu / (eps + win @ win)) * e * win
-    return Signal(out, primary.fs)
+    return nlms_batch([primary], [reference], taps, mu)[0]
 
 
-def rls_denoise(primary: Signal, reference: Signal, taps: int, forgetting: float, delta: float) -> Signal:
-    """Recursive least squares canceller with the same topology as NLMS."""
-    require_valid(primary)
-    if len(reference) != len(primary):
-        raise ValueError("reference must match the primary signal length")
-    if taps < 1:
-        raise ValueError("taps must be at least 1")
+def rls_batch(
+    primaries: list[Signal], references: list[Signal], taps: int, forgetting: float, delta: float
+) -> list[Signal]:
+    """RLS over equal-length (primary, reference) pairs in lockstep; row b
+    equals a lone run of pair b bit for bit."""
+    _check_batch(primaries, references, taps)
     if not 0.0 < forgetting <= 1.0:
         raise ValueError("forgetting factor must lie in (0, 1]")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    x = primary.samples
-    ref = reference.samples
-    n = len(x)
-    w = np.zeros(taps)
-    p = delta * np.eye(taps)
-    out = np.empty(n)
-    padded = np.concatenate([np.zeros(taps - 1), ref])
-    lam = forgetting
-    for k in range(n):
-        win = padded[k : k + taps][::-1]
-        pw = p @ win
-        gain = pw / (lam + win @ pw)
-        e = x[k] - w @ win
-        out[k] = e
-        w = w + gain * e
-        p = (p - np.outer(gain, win @ p)) / lam
-    return Signal(out, primary.fs)
+    return _signals(_rls_loop(*_lockstep_arrays(primaries, references, taps), forgetting, delta), primaries)
+
+
+def _rls_loop(out: np.ndarray, rows: np.ndarray, cols: np.ndarray, forgetting: float, delta: float) -> np.ndarray:
+    b, _, taps = rows.shape[1:]
+    w = np.zeros((b, taps, 1))
+    p = np.zeros((b, taps, taps))
+    p[:] = delta * np.eye(taps)
+    for row, col, e in zip(rows, cols, out[:, :, None, None]):
+        pw = p @ col
+        gain = pw / (forgetting + row @ pw)
+        e -= row @ w
+        w += gain * e
+        p -= gain * (row @ p)
+        p /= forgetting
+    return out
+
+
+def rls_denoise(primary: Signal, reference: Signal, taps: int, forgetting: float, delta: float) -> Signal:
+    """Recursive least squares canceller with the same topology as NLMS."""
+    return rls_batch([primary], [reference], taps, forgetting, delta)[0]
 
 
 # ---------------------------------------------------------------------------

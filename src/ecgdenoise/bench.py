@@ -35,13 +35,16 @@ class MethodContext:
 
 @dataclass(frozen=True)
 class Method:
-    """A params dataclass (None for the model-based filters) and a callable
-    (noisy, params, ctx) that looks its filter up in its module at call time,
-    so a rebound module attribute (the per-layer tracer's) is what runs."""
+    """A params dataclass (None for the model-based filters), a callable
+    (noisy, params, ctx) and, for a method that runs equal-length cells in
+    lockstep, a batch callable (noisy signals, params, contexts) -> outputs.
+    Both look their filter up in its module at call time, so a rebound module
+    attribute (the per-layer tracer's) is what runs."""
 
     params: type | None
     run: Callable[[Signal, Any, MethodContext], Signal]
     needs_reference: bool = False
+    batch: Callable[[list[Signal], Any, list[MethodContext]], list[Signal]] | None = None
 
 
 def _model_inputs(noisy: Signal, ctx: MethodContext) -> tuple[RPeaks, GaussianWaveParams, enkf.FilterConfig]:
@@ -53,12 +56,26 @@ def _model_inputs(noisy: Signal, ctx: MethodContext) -> tuple[RPeaks, GaussianWa
 
 # Params field names are the filters' keyword names, so asdict(p) is the call.
 METHODS: dict[str, Method] = {
-    "enkf": Method(None, lambda x, p, c: enkf.denoise(x, *_model_inputs(x, c))),
+    "enkf": Method(
+        None,
+        lambda x, p, c: enkf.denoise(x, *_model_inputs(x, c)),
+        batch=lambda xs, p, cs: enkf.denoise_batch([(x, *_model_inputs(x, c)) for x, c in zip(xs, cs)]),
+    ),
     "ekf": Method(None, lambda x, p, c: baselines.ekf_denoise(x, *_model_inputs(x, c))),
     "sg": Method(baselines.SgParams, lambda x, p, c: baselines.sg_filter(x, **asdict(p))),
     "wavelet": Method(baselines.WaveletParams, lambda x, p, c: baselines.wavelet_denoise(x, **asdict(p))),
-    "nlms": Method(baselines.NlmsParams, lambda x, p, c: baselines.nlms_denoise(x, c.reference, **asdict(p)), True),
-    "rls": Method(baselines.RlsParams, lambda x, p, c: baselines.rls_denoise(x, c.reference, **asdict(p)), True),
+    "nlms": Method(
+        baselines.NlmsParams,
+        lambda x, p, c: baselines.nlms_denoise(x, c.reference, **asdict(p)),
+        True,
+        lambda xs, p, cs: baselines.nlms_batch(xs, [c.reference for c in cs], **asdict(p)),
+    ),
+    "rls": Method(
+        baselines.RlsParams,
+        lambda x, p, c: baselines.rls_denoise(x, c.reference, **asdict(p)),
+        True,
+        lambda xs, p, cs: baselines.rls_batch(xs, [c.reference for c in cs], **asdict(p)),
+    ),
     "tvd": Method(
         baselines.TvdParams,
         lambda x, p, c: baselines.tvd_denoise(x, 0.2 * baselines.noise_sigma_estimate(x) if p.lam is None else p.lam),
@@ -67,13 +84,15 @@ METHODS: dict[str, Method] = {
 DEFAULT_LEVELS = (-6.0, 0.0, 6.0, 12.0, 18.0, 24.0)
 
 
+def _default_params(method: Method):
+    return None if method.params is None else method.params()
+
+
 def run_method(name: str, noisy: Signal, ctx: MethodContext, params=None) -> Signal:
     """Denoise with one table entry (params default to its dataclass defaults).
     Non-finite output is an error, never a plausible-looking result."""
     method = METHODS[name]
-    if params is None and method.params is not None:
-        params = method.params()
-    denoised = method.run(noisy, params, ctx)
+    denoised = method.run(noisy, _default_params(method) if params is None else params, ctx)
     require_valid(denoised, f"{name} output")
     return denoised
 
@@ -201,10 +220,16 @@ def run_cell(
     seed: int,
     plan: BenchPlan,
 ) -> metrics.MetricReport:
-    mixdat = metrics.mix(clean, noise, level)
-    noisy = mixdat.noisy
-    ctx = MethodContext(reference=mixdat.scaled_noise, peaks=peaks, seed=seed, n_ensemble=plan.n_ensemble)
+    noisy, ctx = _mix_cell(clean, peaks, noise, level, seed, plan)
     return _score(clean, noisy, run_method(method, noisy, ctx), plan)
+
+
+def _mix_cell(
+    clean: Signal, peaks: RPeaks, noise: Signal, level: float, seed: int, plan: BenchPlan
+) -> tuple[Signal, MethodContext]:
+    mixdat = metrics.mix(clean, noise, level)
+    ctx = MethodContext(reference=mixdat.scaled_noise, peaks=peaks, seed=seed, n_ensemble=plan.n_ensemble)
+    return mixdat.noisy, ctx
 
 
 def plan_cells(plan: BenchPlan) -> list[tuple[str, str, float]]:
@@ -217,34 +242,40 @@ def plan_cells(plan: BenchPlan) -> list[tuple[str, str, float]]:
     ]
 
 
-# Most enkf cells one lockstep batch holds; each prepared cell keeps its
-# noisy signal and per-sample filter inputs until the batch is scored.
+# Most cells one lockstep batch holds; each keeps its noisy signal and
+# reference (and, for enkf, its per-sample filter inputs) until the batch is scored.
 BATCH_ROWS = 8
 
 
 def run_bench(plan: BenchPlan, data_root: Path) -> list[BenchCell]:
     """Execute every (record, method, level) cell; failures become failed rows.
 
-    enkf cells of equal length run in lockstep batches of up to BATCH_ROWS
-    (enkf.denoise_batch, bit-identical to one cell at a time); every other
-    cell streams one at a time.
+    Cells of a method with a batch callable (enkf, nlms, rls) run in
+    lockstep batches of up to BATCH_ROWS cells of one length, bit-identical
+    to one cell at a time; every other cell then streams one at a time.
+    The batches go first because their stacked buffers are the run's
+    largest: allocated before the streaming cells have churned the heap,
+    they leave the peak RSS near the streaming path's.
     """
     loaded = {rid: _trim(*load_record(data_root, rid, plan.channel), plan.duration_s) for rid in plan.records}
     noise = _load_noise(plan, data_root, loaded[plan.records[0]][0].fs)
     coords = plan_cells(plan)
-    cells: dict[int, BenchCell] = {}
-    batches: dict[int, list[list[int]]] = {}  # cell indices by length, in plan order
+    alone: list[int] = []
+    batches: dict[tuple[str, int], list[list[int]]] = {}  # cell indices by method and length, in plan order
     for i, (record_id, method, _) in enumerate(coords):
-        if method == "enkf":
-            groups = batches.setdefault(len(loaded[record_id][0]), [[]])
-            if len(groups[-1]) == BATCH_ROWS:
-                groups.append([])
-            groups[-1].append(i)
-        else:
-            cells[i] = _run_alone(coords[i], loaded, noise, plan)
-    for groups in batches.values():
+        if METHODS[method].batch is None:
+            alone.append(i)
+            continue
+        groups = batches.setdefault((method, len(loaded[record_id][0])), [[]])
+        if len(groups[-1]) == BATCH_ROWS:
+            groups.append([])
+        groups[-1].append(i)
+    cells: dict[int, BenchCell] = {}
+    for (method, _), groups in batches.items():
         for batch in groups:
-            cells.update(_run_enkf_batch({i: coords[i] for i in batch}, loaded, noise, plan))
+            cells.update(_run_batch(METHODS[method], {i: coords[i] for i in batch}, loaded, noise, plan))
+    for i in alone:
+        cells[i] = _run_alone(coords[i], loaded, noise, plan)
     return [cells[i] for i in range(len(coords))]
 
 
@@ -259,45 +290,33 @@ def _run_alone(coord: tuple[str, str, float], loaded, noise: Signal, plan: Bench
     return BenchCell(record_id, plan.channel, method, level, rep, seed, time.perf_counter() - t0, err)
 
 
-def _run_enkf_batch(
-    batch: dict[int, tuple[str, str, float]], loaded, noise: Signal, plan: BenchPlan
+def _run_batch(
+    method: Method, batch: dict[int, tuple[str, str, float]], loaded, noise: Signal, plan: BenchPlan
 ) -> dict[int, BenchCell]:
-    """Mix and prepare each enkf cell, filter them in lockstep, score each row.
+    """Mix each cell of the batch, make one call to the method's batch callable, score each row.
 
-    A cell that fails to prepare, and every cell of a batch that raises,
-    reruns alone, so only a faulty cell becomes a failed row, with the error
-    a lone run gives.  A batched cell's wall time is its own preparation and
-    scoring plus an equal share of the batch's filter time.
+    If mixing or the call raises, every cell reruns alone, so only a faulty
+    cell becomes a failed row, with the error a lone run gives.  A batched
+    cell's wall time is an equal share of the mixing and the call plus its
+    own scoring.
     """
-    out: dict[int, BenchCell] = {}
-    rows = []  # (index, seed, noisy signal, filter job, own seconds)
-    for i, (record_id, _, level) in batch.items():
-        seed = cell_seed(plan.seed, *batch[i])
-        t0 = time.perf_counter()
-        try:
-            noisy = metrics.mix(loaded[record_id][0], noise, level).noisy
-            ctx = MethodContext(peaks=loaded[record_id][1], seed=seed, n_ensemble=plan.n_ensemble)
-            rows.append((i, seed, noisy, (noisy, *_model_inputs(noisy, ctx)), time.perf_counter() - t0))
-        except Exception:
-            out[i] = _run_alone(batch[i], loaded, noise, plan)
-    if not rows:
-        return out
+    seeds = {i: cell_seed(plan.seed, *coord) for i, coord in batch.items()}
     t0 = time.perf_counter()
     try:
-        outputs = enkf.denoise_batch([job for _, _, _, job, _ in rows])
+        mixed = [_mix_cell(*loaded[rid], noise, level, seeds[i], plan) for i, (rid, _, level) in batch.items()]
+        outputs = method.batch([noisy for noisy, _ in mixed], _default_params(method), [ctx for _, ctx in mixed])
     except Exception:
-        return out | {i: _run_alone(batch[i], loaded, noise, plan) for i, *_ in rows}
-    share = (time.perf_counter() - t0) / len(rows)
-    for (i, seed, noisy, _, own), denoised in zip(rows, outputs):
-        record_id, method, level = batch[i]
+        return {i: _run_alone(coord, loaded, noise, plan) for i, coord in batch.items()}
+    share = (time.perf_counter() - t0) / len(batch)
+    out: dict[int, BenchCell] = {}
+    for (i, (record_id, name, level)), (noisy, _), denoised in zip(batch.items(), mixed, outputs):
         t0 = time.perf_counter()
         try:
-            require_valid(denoised, f"{method} output")
+            require_valid(denoised, f"{name} output")
             rep, err = _score(loaded[record_id][0], noisy, denoised, plan), None
         except Exception as exc:
             rep, err = None, f"{type(exc).__name__}: {exc}"
-        wall_time = own + share + time.perf_counter() - t0
-        out[i] = BenchCell(record_id, plan.channel, method, level, rep, seed, wall_time, err)
+        out[i] = BenchCell(record_id, plan.channel, name, level, rep, seeds[i], share + time.perf_counter() - t0, err)
     return out
 
 

@@ -4,6 +4,7 @@ noise mixer used by the noise-stress protocol."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,9 @@ class UndefinedMetricError(ValueError):
     """Metric is undefined for this input (zero-energy or constant signal)."""
 
 
+_TINY = sys.float_info.min  # smallest normal double
+
+
 def _pair(clean: Signal, other: Signal) -> tuple[np.ndarray, np.ndarray]:
     if len(clean) != len(other):
         raise ValueError(f"length mismatch: {len(clean)} vs {len(other)}")
@@ -24,7 +28,9 @@ def _pair(clean: Signal, other: Signal) -> tuple[np.ndarray, np.ndarray]:
 def snr(clean: Signal, denoised: Signal) -> float:
     """10*log10 of signal energy over error energy, in dB.
 
-    An exactly error-free input returns +inf.
+    An exactly error-free input returns +inf.  An error energy or energy
+    ratio outside the normal double range (an underflowed or subnormal
+    error energy, a subnormal or overflowing ratio) is taken in logs.
     """
     x, y = _pair(clean, denoised)
     sig = float(x @ x)
@@ -32,9 +38,23 @@ def snr(clean: Signal, denoised: Signal) -> float:
         raise UndefinedMetricError("SNR undefined for an all-zero reference")
     err = x - y
     noise = float(err @ err)
-    if noise == 0.0:
+    if _TINY <= noise < math.inf and _TINY <= sig / noise < math.inf:
+        return 10.0 * math.log10(sig / noise)
+    norm = _error_norm(err, noise)
+    if norm == 0.0:
         return math.inf
-    return 10.0 * math.log10(sig / noise)
+    return 10.0 * math.log10(sig) - 20.0 * math.log10(norm)
+
+
+def _error_norm(err: np.ndarray, energy: float) -> float:
+    """sqrt(err @ err), from max-scaled samples where the energy left the normal range."""
+    if _TINY <= energy < math.inf:
+        return math.sqrt(energy)
+    peak = float(np.max(np.abs(err)))
+    if peak == 0.0:
+        return 0.0
+    unit = err / peak
+    return peak * math.sqrt(float(unit @ unit))
 
 
 def rmse(clean: Signal, denoised: Signal) -> float:
@@ -46,14 +66,18 @@ def rmse(clean: Signal, denoised: Signal) -> float:
 def prd(clean: Signal, denoised: Signal) -> float:
     """Percentage root difference: root of error energy over signal energy, times 100.
 
-    No mean subtraction, so values above 100 are possible.
+    No mean subtraction, so values above 100 are possible.  Out of the normal
+    double range the two roots are taken apart, as in snr.
     """
     x, y = _pair(clean, denoised)
     sig = float(x @ x)
     if sig == 0.0:
         raise UndefinedMetricError("PRD undefined for an all-zero reference")
     err = x - y
-    return 100.0 * float(np.sqrt((err @ err) / sig))
+    noise = float(err @ err)
+    if _TINY <= noise < math.inf and _TINY <= noise / sig < math.inf:
+        return 100.0 * math.sqrt(noise / sig)
+    return 100.0 * (_error_norm(err, noise) / math.sqrt(sig))
 
 
 def corr(clean: Signal, denoised: Signal) -> float:

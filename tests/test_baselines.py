@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ecgdenoise import bench
 from ecgdenoise.baselines import (
@@ -11,8 +12,10 @@ from ecgdenoise.baselines import (
     _DB_H,
     ConditioningError,
     ekf_denoise,
+    nlms_batch,
     nlms_denoise,
     noise_sigma_estimate,
+    rls_batch,
     rls_denoise,
     sg_filter,
     tvd_denoise,
@@ -73,6 +76,39 @@ def matrix_ekf(signal, r_peaks, params, cfg):
                 raise ConditioningError(f"covariance lost positive definiteness at sample {k}")
         out[k] = x[1]
     return Signal(out, signal.fs)
+
+
+def loop_nlms(primary, reference, taps, mu):
+    """The per-sample NLMS loop: the reference for the lockstep nlms_batch."""
+    eps = 1e-8
+    x = primary.samples
+    w = np.zeros(taps)
+    out = np.empty(len(x))
+    padded = np.concatenate([np.zeros(taps - 1), reference.samples])
+    for k in range(len(x)):
+        win = padded[k : k + taps][::-1]
+        e = x[k] - w @ win
+        out[k] = e
+        w = w + (mu / (eps + win @ win)) * e * win
+    return out
+
+
+def loop_rls(primary, reference, taps, forgetting, delta):
+    """The per-sample RLS loop: the reference for the lockstep rls_batch."""
+    x = primary.samples
+    w = np.zeros(taps)
+    p = delta * np.eye(taps)
+    out = np.empty(len(x))
+    padded = np.concatenate([np.zeros(taps - 1), reference.samples])
+    for k in range(len(x)):
+        win = padded[k : k + taps][::-1]
+        pw = p @ win
+        gain = pw / (forgetting + win @ pw)
+        e = x[k] - w @ win
+        out[k] = e
+        w = w + gain * e
+        p = (p - np.outer(gain, win @ p)) / forgetting
+    return out
 
 
 class TestEkf:
@@ -271,6 +307,41 @@ class TestAdaptive:
         rl = rls_denoise(primary, sig(ref), taps=8, forgetting=0.999, delta=100.0)
         q = slice(3 * len(clean) // 4, None)
         assert self._snr(clean[q], rl.samples[q]) >= self._snr(clean[q], nl.samples[q])
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_batch_rows_equal_reference_loop_in_any_order(self, data):
+        """Every row of nlms_batch / rls_batch, under any row order, equals
+        the per-sample loop run on that row alone, bit for bit."""
+        b = data.draw(st.integers(1, 5), label="rows")
+        n = data.draw(st.integers(1, 300), label="n")
+        taps = data.draw(st.integers(1, 20), label="taps")
+        mu = data.draw(st.floats(0.0, 2.0, exclude_min=True, exclude_max=True), label="mu")
+        forgetting = data.draw(st.floats(0.0, 1.0, exclude_min=True), label="forgetting")
+        delta = data.draw(st.floats(0.0, 1e6, exclude_min=True), label="delta")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        primaries = [sig(rng.normal(size=n)) for _ in range(b)]
+        references = [sig(rng.uniform(0.1, 3.0) * rng.normal(size=n)) for _ in range(b)]
+        order = data.draw(st.permutations(range(b)), label="order")
+        rows = lambda xs: [xs[i] for i in order]
+        with np.errstate(all="ignore"):  # a tiny forgetting factor overflows P, in both loops alike
+            nl = nlms_batch(rows(primaries), rows(references), taps, mu)
+            rl = rls_batch(rows(primaries), rows(references), taps, forgetting, delta)
+            for row, i in enumerate(order):
+                assert np.array_equal(nl[row].samples, loop_nlms(primaries[i], references[i], taps, mu))
+                want = loop_rls(primaries[i], references[i], taps, forgetting, delta)
+                assert np.array_equal(rl[row].samples, want, equal_nan=True)
+
+    def test_batch_rejects_unequal_lengths_and_mismatched_references(self):
+        a, b = sig(np.ones(10)), sig(np.ones(11))
+        with pytest.raises(ValueError, match="one signal length"):
+            nlms_batch([a, b], [a, b], 4, 0.5)
+        with pytest.raises(ValueError, match="one signal length"):
+            rls_batch([a, b], [a, b], 4, 0.999, 100.0)
+        with pytest.raises(ValueError, match="reference must match"):
+            nlms_batch([a, a], [a, sig(np.ones(9))], 4, 0.5)
+        with pytest.raises(ValueError, match="reference must match"):
+            rls_batch([a, a], [a], 4, 0.999, 100.0)
 
     def test_parameter_validation(self):
         y = sig(np.zeros(50))

@@ -162,6 +162,47 @@ class TestBenchRun:
         assert sum(r.startswith(("118,", "119,")) for r in rows) == 4
         assert all(c.wall_time > 0 for c in cells)
 
+    def test_failed_canceller_row_is_isolated(self, data_root, monkeypatch):
+        """A lockstep nlms row that comes back non-finite fails alone; its
+        batch-mates' rows equal those of a run without the fault."""
+        plan = bench.BenchPlan(records=("118", "119"), methods=("nlms",), snr_levels=(12.0, 18.0), duration_s=4.0)
+        clean_run = bench.run_bench(plan, data_root)
+        nlms_batch = baselines.nlms_batch
+
+        def faulty(primaries, references, taps, mu):
+            out = nlms_batch(primaries, references, taps, mu)
+            samples = out[1].samples.copy()
+            samples[7] = np.nan
+            out[1] = Signal(samples, out[1].fs)
+            return out
+
+        monkeypatch.setattr(baselines, "nlms_batch", faulty)
+        cells = bench.run_bench(plan, data_root)
+        rows = bench.table_csv(cells, plan).splitlines()
+        want = bench.table_csv(clean_run, plan).splitlines()
+        bad = [r for r in rows if r.startswith("118,0,nlms,18,")]  # row 1 of the one batch, in plan order
+        assert len(bad) == 1
+        assert bad[0].endswith(",failed: ValueError: invalid nlms output: non-finite at index 7")
+        for row in rows:
+            if row.startswith(("118,0,nlms,12,", "119,")):
+                assert row in want
+        assert sum(r.startswith(("118,", "119,")) for r in rows) == 4
+        assert all(c.wall_time > 0 for c in cells)
+
+    def test_batched_table_equals_cells_run_alone(self, data_root, monkeypatch):
+        plan = bench.BenchPlan(
+            records=("118", "119"),
+            methods=("enkf", "nlms", "rls"),
+            snr_levels=(12.0, 18.0),
+            duration_s=4.0,
+            n_ensemble=20,
+        )
+        batched = bench.table_csv(bench.run_bench(plan, data_root), plan)
+        monkeypatch.setattr(bench, "BATCH_ROWS", 1)
+        alone = bench.table_csv(bench.run_bench(plan, data_root), plan)
+        assert batched == alone
+        assert batched.count(",ok\n") == 12 + 6  # every cell and every aggregate
+
     def test_noise_csv_read_at_the_record_rate(self, data_root, tmp_path):
         plan = lambda path: bench.BenchPlan(records=("122",), methods=("sg",), snr_levels=(12.0,), noise=str(path))
         timed = tmp_path / "noise250.csv"
