@@ -273,6 +273,8 @@ def wavelet_denoise(
         if threshold is None:
             raise ValueError("fixed threshold rule requires a threshold value")
         t = float(threshold)
+        if not t >= 0:
+            raise ValueError(f"threshold must be non-negative, got {threshold}")
     else:
         raise ValueError(f"unknown threshold rule: {threshold_rule!r}")
     shrunk = [np.sign(d) * np.maximum(np.abs(d) - t, 0.0) for d in details]
@@ -333,7 +335,7 @@ def nlms_batch(primaries: list[Signal], references: list[Signal], taps: int, mu:
     equals a lone run of pair b bit for bit."""
     _check_batch(primaries, references, taps)
     if not 0.0 < mu < 2.0:
-        raise ValueError("mu must lie in (0, 2)")
+        raise ValueError(f"mu must lie in (0, 2), got {mu}")
     return _signals(_nlms_loop(*_lockstep_arrays(primaries, references, taps), mu), primaries)
 
 
@@ -371,9 +373,9 @@ def rls_batch(
     equals a lone run of pair b bit for bit."""
     _check_batch(primaries, references, taps)
     if not 0.0 < forgetting <= 1.0:
-        raise ValueError("forgetting factor must lie in (0, 1]")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+        raise ValueError(f"forgetting factor must lie in (0, 1], got {forgetting}")
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta}")
     return _signals(_rls_loop(*_lockstep_arrays(primaries, references, taps), forgetting, delta), primaries)
 
 
@@ -398,87 +400,83 @@ def rls_denoise(primary: Signal, reference: Signal, taps: int, forgetting: float
 
 
 # ---------------------------------------------------------------------------
-# Total variation denoising (exact, taut string)
+# Total variation denoising (exact, Condat's direct algorithm)
 # ---------------------------------------------------------------------------
 
 
 def tvd_denoise(signal: Signal, lam: float) -> Signal:
     """Exact minimizer of 0.5*||y - x||^2 + lam * sum |x[k+1] - x[k]|.
 
-    Computed directly as the derivative of the taut string through the
-    half-width-lam tube around the running sum of y, pinned at both ends.
-    Non-iterative; optimality is checkable through the KKT conditions on the
-    running antiderivative of (y - x).
+    Computed by Condat's direct algorithm (IEEE SPL 20(11), 2013): one
+    forward pass that grows the current segment while some constant value
+    keeps the running sum of (y - x) inside [-lam, lam], and emits the
+    segment when it cannot.  Non-iterative; optimality is checkable through
+    the KKT conditions on that running sum.
     """
     require_valid(signal)
-    if lam < 0:
-        raise ValueError("lambda must be non-negative")
+    if not lam >= 0:
+        raise ValueError(f"lam must be non-negative, got {lam}")
     y = signal.samples
     if lam == 0.0 or len(y) == 1:
         return Signal(y.copy(), signal.fs)
-    return Signal(_taut_string(y, lam), signal.fs)
+    # The constant mean is optimal once lam bounds every partial sum of
+    # (y - mean); this also keeps an infinite or overflowing lam out of the loop.
+    mean = y.mean()
+    if lam >= np.abs(np.cumsum(y - mean)).max():
+        return Signal(np.full(len(y), mean), signal.fs)
+    return Signal(np.array(_condat(y.tolist(), lam)), signal.fs)
 
 
-def _taut_string(y: np.ndarray, lam: float) -> np.ndarray:
-    n = y.shape[0]
-    r = np.concatenate([[0.0], np.cumsum(y)])
-    upper = r + lam
-    lower = r - lam
-    upper[0] = lower[0] = 0.0
-    upper[n] = lower[n] = r[n]
-
-    x = np.empty(n)
-    anchor = 0
-    s_anchor = 0.0
-    # Hulls over the open window (anchor, k]; element 0 is the anchor point.
-    up_i = [0]
-    up_v = [0.0]
-    lo_i = [0]
-    lo_v = [0.0]
-
-    def slope(i0, v0, i1, v1):
-        return (v1 - v0) / (i1 - i0)
-
-    def push(idx_list, val_list, i, v, convex):
-        while len(idx_list) >= 2:
-            s_last = slope(idx_list[-2], val_list[-2], idx_list[-1], val_list[-1])
-            s_new = slope(idx_list[-1], val_list[-1], i, v)
-            if (convex and s_last >= s_new) or (not convex and s_last <= s_new):
-                idx_list.pop()
-                val_list.pop()
-            else:
-                break
-        idx_list.append(i)
-        val_list.append(v)
-
-    for k in range(1, n + 1):
-        push(up_i, up_v, k, upper[k], convex=True)
-        push(lo_i, lo_v, k, lower[k], convex=False)
-        while len(up_i) >= 2 and len(lo_i) >= 2:
-            su = slope(up_i[0], up_v[0], up_i[1], up_v[1])
-            sl = slope(lo_i[0], lo_v[0], lo_i[1], lo_v[1])
-            if sl <= su:
-                break
-            # The string bends at the earlier first vertex; emit that stretch.
-            if up_i[1] <= lo_i[1]:
-                j, v, s = up_i[1], up_v[1], su
-                bent_upper = True
-            else:
-                j, v, s = lo_i[1], lo_v[1], sl
-                bent_upper = False
-            x[anchor:j] = s
-            anchor, s_anchor = j, v
-            if bent_upper:
-                up_i, up_v = up_i[1:], up_v[1:]
-                lo_i, lo_v = [anchor], [s_anchor]
-                for i in range(anchor + 1, k + 1):
-                    push(lo_i, lo_v, i, lower[i], convex=False)
-            else:
-                lo_i, lo_v = lo_i[1:], lo_v[1:]
-                up_i, up_v = [anchor], [s_anchor]
-                for i in range(anchor + 1, k + 1):
-                    push(up_i, up_v, i, upper[i], convex=True)
-
-    if anchor < n:
-        x[anchor:n] = (r[n] - s_anchor) / (n - anchor)
-    return x
+def _condat(y: list[float], lam: float) -> list[float]:
+    # Segment [k0, k] is open; x on it lies in [vmin, vmax].  umin and umax are
+    # the running sums of (y - vmin) and (y - vmax), clipped at lam and -lam;
+    # kminus and kplus are the last samples where those clips moved vmin and
+    # vmax.  A sum leaving [-lam, lam] ends the segment at kminus or kplus with
+    # a jump, and the scan restarts just after it.
+    x: list[float] = []
+    last = len(y) - 1
+    k = k0 = kminus = kplus = 0
+    umin, umax = lam, -lam
+    vmin, vmax = y[0] - lam, y[0] + lam
+    while True:
+        while k < last:
+            yk = y[k + 1]
+            umin += yk - vmin
+            if umin < -lam:  # vmin too high: negative jump after kminus
+                x += [vmin] * (kminus + 1 - k0)
+                k = k0 = kminus = kplus = kminus + 1
+                vmin = y[k]
+                vmax = vmin + 2.0 * lam
+                umin, umax = lam, -lam
+                continue
+            umax += yk - vmax
+            if umax > lam:  # vmax too low: positive jump after kplus
+                x += [vmax] * (kplus + 1 - k0)
+                k = k0 = kminus = kplus = kplus + 1
+                vmax = y[k]
+                vmin = vmax - 2.0 * lam
+                umin, umax = lam, -lam
+                continue
+            k += 1
+            if umin >= lam:
+                kminus = k
+                vmin += (umin - lam) / (k - k0 + 1)
+                umin = lam
+            if umax <= -lam:
+                kplus = k
+                vmax += (umax + lam) / (k - k0 + 1)
+                umax = -lam
+        # At the right end the running sum must close at 0.
+        if umin < 0.0:
+            x += [vmin] * (kminus + 1 - k0)
+            k = k0 = kminus = kminus + 1
+            vmin = y[k]
+            umin, umax = lam, vmin + lam - vmax
+        elif umax > 0.0:
+            x += [vmax] * (kplus + 1 - k0)
+            k = k0 = kplus = kplus + 1
+            vmax = y[k]
+            umin, umax = vmax - lam - vmin, -lam
+        else:
+            x += [vmin + umin / (k - k0 + 1)] * (len(y) - k0)
+            return x

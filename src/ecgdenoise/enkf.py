@@ -14,7 +14,6 @@ phases are re-wrapped to [0, 2*pi) after each update.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
@@ -42,8 +41,7 @@ class FilterConfig:
 
     q_z, r_phi and r_s may be None, in which case they are resolved from the
     fitted morphology and the first two seconds of the input (see
-    :func:`resolve_config`).  All defaults are explicit after resolution and
-    appear in the serialized form.
+    :func:`resolve_config`).  All defaults are explicit after resolution.
     """
 
     n_ensemble: int = 100
@@ -59,28 +57,10 @@ class FilterConfig:
             raise ValueError("ensemble size must be at least 2")
         for name in ("q_theta", "q_z", "q_z_activity", "r_phi", "r_s"):
             v = getattr(self, name)
-            if v is not None and v < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if v is not None and not v >= 0:
+                raise ValueError(f"{name} must be non-negative, got {v}")
         if self.r_phi == 0.0 and self.r_s == 0.0:
             raise ValueError("r_phi and r_s cannot both be zero")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n_ensemble": self.n_ensemble,
-                "q_theta": self.q_theta,
-                "q_z": self.q_z,
-                "q_z_activity": self.q_z_activity,
-                "r_phi": self.r_phi,
-                "r_s": self.r_s,
-                "seed": self.seed,
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "FilterConfig":
-        return cls(**json.loads(text))
 
 
 def substream(master_seed: int, *key) -> np.random.Generator:

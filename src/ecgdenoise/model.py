@@ -128,12 +128,6 @@ def wave_increment_dtheta(theta, params: GaussianWaveParams, phase_step: float):
     return -np.sum(params.alpha * (phase_step / b2) * e * (1.0 - (d * d) / b2), axis=-1)
 
 
-def transition(theta: float, z: float, params: GaussianWaveParams, phase_step: float, eta: float) -> tuple[float, float]:
-    """Advance one sample: phase rotates by phase_step = omega*delta, z accumulates the wave derivative."""
-    dz = wave_increment(theta, params, phase_step)
-    return float(wrap_phase(theta + phase_step)), float(z + dz + eta)
-
-
 def synthesize(
     params: GaussianWaveParams,
     rr_intervals,

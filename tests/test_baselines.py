@@ -31,6 +31,7 @@ from ecgdenoise.model import (
     synthesize,
     wave_increment,
     wave_increment_dtheta,
+    wave_sum,
 )
 
 
@@ -40,6 +41,74 @@ def sig(xs, fs=360.0):
 
 def tv_objective(y, x, lam):
     return 0.5 * float(np.sum((y - x) ** 2)) + lam * float(np.sum(np.abs(np.diff(x))))
+
+
+def taut_string(y, lam):
+    """Exact TV denoising as the derivative of the taut string through the
+    half-width-lam tube around the running sum of y, pinned at both ends:
+    the reference for tvd_denoise."""
+    n = y.shape[0]
+    r = np.concatenate([[0.0], np.cumsum(y)])
+    upper = r + lam
+    lower = r - lam
+    upper[0] = lower[0] = 0.0
+    upper[n] = lower[n] = r[n]
+
+    x = np.empty(n)
+    anchor = 0
+    s_anchor = 0.0
+    # Hulls over the open window (anchor, k]; element 0 is the anchor point.
+    up_i = [0]
+    up_v = [0.0]
+    lo_i = [0]
+    lo_v = [0.0]
+
+    def slope(i0, v0, i1, v1):
+        return (v1 - v0) / (i1 - i0)
+
+    def push(idx_list, val_list, i, v, convex):
+        while len(idx_list) >= 2:
+            s_last = slope(idx_list[-2], val_list[-2], idx_list[-1], val_list[-1])
+            s_new = slope(idx_list[-1], val_list[-1], i, v)
+            if (convex and s_last >= s_new) or (not convex and s_last <= s_new):
+                idx_list.pop()
+                val_list.pop()
+            else:
+                break
+        idx_list.append(i)
+        val_list.append(v)
+
+    for k in range(1, n + 1):
+        push(up_i, up_v, k, upper[k], convex=True)
+        push(lo_i, lo_v, k, lower[k], convex=False)
+        while len(up_i) >= 2 and len(lo_i) >= 2:
+            su = slope(up_i[0], up_v[0], up_i[1], up_v[1])
+            sl = slope(lo_i[0], lo_v[0], lo_i[1], lo_v[1])
+            if sl <= su:
+                break
+            # The string bends at the earlier first vertex; emit that stretch.
+            if up_i[1] <= lo_i[1]:
+                j, v, s = up_i[1], up_v[1], su
+                bent_upper = True
+            else:
+                j, v, s = lo_i[1], lo_v[1], sl
+                bent_upper = False
+            x[anchor:j] = s
+            anchor, s_anchor = j, v
+            if bent_upper:
+                up_i, up_v = up_i[1:], up_v[1:]
+                lo_i, lo_v = [anchor], [s_anchor]
+                for i in range(anchor + 1, k + 1):
+                    push(lo_i, lo_v, i, lower[i], convex=False)
+            else:
+                lo_i, lo_v = lo_i[1:], lo_v[1:]
+                up_i, up_v = [anchor], [s_anchor]
+                for i in range(anchor + 1, k + 1):
+                    push(up_i, up_v, i, upper[i], convex=True)
+
+    if anchor < n:
+        x[anchor:n] = (r[n] - s_anchor) / (n - anchor)
+    return x
 
 
 def matrix_ekf(signal, r_peaks, params, cfg):
@@ -269,6 +338,11 @@ class TestWavelet:
         with pytest.raises(ValueError, match="too short"):
             wavelet_denoise(sig(np.zeros(8)), levels=4)
 
+    @pytest.mark.parametrize("bad", [-0.1, float("nan")])
+    def test_negative_or_nan_fixed_threshold_rejected_by_name(self, bad):
+        with pytest.raises(ValueError, match="^threshold must be non-negative"):
+            wavelet_denoise(sig(np.zeros(64)), levels=2, threshold_rule="fixed", threshold=bad)
+
 
 class TestAdaptive:
     def _scenario(self):
@@ -343,6 +417,19 @@ class TestAdaptive:
         with pytest.raises(ValueError, match="reference must match"):
             rls_batch([a, a], [a], 4, 0.999, 100.0)
 
+    @pytest.mark.parametrize(
+        "run, message",
+        [
+            (lambda y: nlms_denoise(y, y, 8, float("nan")), r"^mu must lie in \(0, 2\), got nan$"),
+            (lambda y: rls_denoise(y, y, 8, float("nan"), 100.0), r"^forgetting factor must lie in \(0, 1\], got nan$"),
+            (lambda y: rls_denoise(y, y, 8, 0.999, float("nan")), r"^delta must be positive, got nan$"),
+        ],
+        ids=["mu", "forgetting", "delta"],
+    )
+    def test_nan_parameter_rejected_by_name(self, run, message):
+        with pytest.raises(ValueError, match=message):
+            run(sig(np.zeros(50)))
+
     def test_parameter_validation(self):
         y = sig(np.zeros(50))
         with pytest.raises(ValueError, match="mu"):
@@ -403,6 +490,57 @@ class TestTvd:
                 z = z - (0.05 / np.sqrt(t)) * g
                 best = min(best, tv_objective(y, z, lam))
             assert tv_objective(y, x, lam) <= best + 1e-6
+
+    def test_infinite_lambda_gives_mean(self):
+        y = np.random.default_rng(4).normal(size=40)
+        out = tvd_denoise(sig(y), float("inf")).samples
+        assert np.abs(out - y.mean()).max() < 1e-12
+
+    def test_nan_lambda_rejected_by_name(self):
+        with pytest.raises(ValueError, match="^lam must be non-negative, got nan$"):
+            tvd_denoise(sig([1.0, 2.0]), float("nan"))
+
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_kkt_and_objective_against_taut_string(self, data):
+        """On ECG-like, ramp-plus-noise, constant-run and random-walk inputs
+        and any lam from 0 to far above the signal's range: the running sum
+        u of (y - x) stays in [-lam, lam], closes at 0 and sits at -lam / +lam
+        at every upward / downward jump of x, and the objective is not above
+        the taut string's.  Samples are not compared: on long inputs with a
+        large running sum the taut string itself loses digits."""
+        n = data.draw(st.integers(1, 2000), label="n")
+        kind = data.draw(st.sampled_from(["ecg", "ramp", "runs", "walk"]), label="kind")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        noise = 10 ** rng.uniform(-3, 1) * rng.normal(size=n)
+        if kind == "ecg":
+            beat = int(rng.integers(150, 400))
+            y = wave_sum(TWO_PI * (np.arange(n) % beat) / beat, default_morphology()) + noise
+        elif kind == "ramp":
+            y = np.linspace(0.0, 10 ** rng.uniform(-2, 4), n) + noise
+        elif kind == "runs":
+            y = np.repeat(rng.choice(3 * rng.normal(size=4), size=n), rng.integers(1, 50, size=n))[:n]
+        else:
+            y = np.cumsum(noise)
+        y = y + data.draw(st.sampled_from([0.0, -100.0, 1e3]), label="offset")
+        decade = data.draw(st.sampled_from([None, -4, -3, -2, -1, 0, 1, 2, 3, 4, 5]), label="log10(lam / range)")
+        lam = 0.0 if decade is None else 10 ** (decade + rng.uniform()) * max(np.ptp(y), 1e-3)
+
+        x = tvd_denoise(sig(y), lam).samples
+        assert x.shape == y.shape
+        assert np.all(np.isfinite(x))
+        u = np.cumsum(y - x)
+        tol = 1e-12 * (np.abs(y).sum() + lam)  # rounding grows with the running sum
+        assert np.all(np.abs(u) <= lam + tol)
+        assert abs(u[-1]) <= tol
+        jumps = np.diff(x)
+        assert np.all(np.abs(u[:-1][jumps > 0] + lam) <= tol)
+        assert np.all(np.abs(u[:-1][jumps < 0] - lam) <= tol)
+        ref = taut_string(y, lam) if lam > 0 and n > 1 else y
+        want = tv_objective(y, ref, lam)
+        # The floor covers constant y, where the reference's objective is 0
+        # and the mean carries one rounding.
+        assert tv_objective(y, x, lam) <= want + 1e-12 * want + 1e-24 * float(y @ y)
 
 
 class TestCommonInvariants:

@@ -31,7 +31,8 @@ from ecgdenoise.enkf import (
     substream,
     update,
 )
-from ecgdenoise.model import GaussianWaveParams, default_morphology, synthesize, transition
+from ecgdenoise.model import GaussianWaveParams, default_morphology, synthesize
+from references import transition
 
 
 def brute_force_covariances(theta, z):
@@ -59,11 +60,11 @@ class TestFilterConfig:
         with pytest.raises(ValueError, match="both"):
             FilterConfig(r_phi=0.0, r_s=0.0)
 
-    def test_json_round_trip_with_explicit_defaults(self):
-        cfg = FilterConfig(n_ensemble=50, q_theta=0.02, q_z=0.01, r_phi=0.1, r_s=0.2, seed=7)
-        doc = cfg.to_json()
-        assert '"n_ensemble": 50' in doc
-        assert FilterConfig.from_json(doc) == cfg
+    @pytest.mark.parametrize("name", ["q_theta", "q_z", "q_z_activity", "r_phi", "r_s"])
+    @pytest.mark.parametrize("bad", [-0.1, float("nan")])
+    def test_rejects_negative_or_nan_noise_level_by_name(self, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be non-negative"):
+            FilterConfig(**{name: bad})
 
 
 class TestSubstream:

@@ -20,10 +20,10 @@ from ecgdenoise.model import (
     mean_beat,
     observed_phase,
     synthesize,
-    transition,
     wave_increment,
     wave_sum,
 )
+from references import transition
 
 
 def flat_params():
