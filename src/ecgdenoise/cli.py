@@ -108,7 +108,7 @@ def cmd_synth(args) -> int:
     signal, phase, peaks = synthesize(params, rr, fs=fs, noise_std=noise_std, seed=seed)
     out = Path(args.out_dir)
     _write(out / "signal.csv", wfdbio.write_csv(signal))
-    _write(out / "phase.csv", "phase_rad\n" + "\n".join(f"{v:.17g}" for v in phase.phases) + "\n")
+    _write(out / "phase.csv", wfdbio.format_rows(phase.phases, head=b"phase_rad\n"))
     _write(out / "peaks.csv", "sample\n" + "\n".join(str(int(i)) for i in peaks.indices) + "\n")
     print(
         f"synthesized {len(signal)} samples at {fs:g} Hz: {len(peaks)} beats, "
@@ -136,7 +136,7 @@ def cmd_fit(args) -> int:
         fitted = fit_params(template, objective_trace=trace)
     except FitDivergenceError as exc:
         trace_path = Path(args.out or "fit").with_suffix(".trace.txt")
-        _write(trace_path, "\n".join(f"{v:.17g}" for v in trace) + "\n")
+        _write(trace_path, wfdbio.format_rows(trace) or b"\n")  # an empty trace is one empty line
         print(f"error: {exc}; objective trace written to {trace_path}", file=sys.stderr)
         return 1
     doc = json.dumps(fitted.to_dict(), indent=2)

@@ -8,6 +8,7 @@ belongs to the CLI layer.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -296,35 +297,31 @@ def assemble_record(
     return AnnotatedRecord(header=header, channels=channels, r_peaks=peaks)
 
 
+CSV_BLOCK_ROWS = 16_384  # rows formatted by one % operation
+_PLAIN = b"0123456789.eE+-,\r\n"  # finite numbers, commas and line breaks
+
+
 def read_csv(data: bytes | str, fs: float) -> Signal:
     """Read a one-sample-per-row CSV with header "mv" or "t,mv".
 
     A "t" column must put data row k (from 0) at t_0 + k/fs within 1 us, so a
     file sampled at another rate is rejected rather than relabelled as fs.
+
+    A file whose first line is "mv" or "t,mv" and whose other bytes are all
+    in _PLAIN, as write_csv writes finite samples, is parsed by np.loadtxt.
+    Any other file, and any that np.loadtxt rejects, goes through a per-row
+    loop that accepts what Python's float accepts and names the first bad
+    row.  Both parse a plain cell with CPython's string-to-double, so both
+    give the same floats.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    lines = [ln.strip() for ln in data.splitlines() if ln.strip()]
-    if not lines:
-        raise CsvParseError("empty CSV")
-    header = [c.strip().lower() for c in lines[0].split(",")]
-    if header not in (["mv"], ["t", "mv"]):
-        raise CsvParseError(f'unrecognized CSV header {lines[0]!r}; expected "mv" or "t,mv"')
-    width = len(header)
-    timed = width == 2
-    values = np.empty(len(lines) - 1)
-    times = np.empty(len(lines) - 1)
-    for k, ln in enumerate(lines[1:]):
-        cells = ln.split(",")
-        if len(cells) != width:
-            raise CsvParseError(f"row {k + 1}: expected {width} cells, got {len(cells)}")
-        try:
-            values[k] = float(cells[-1])
-            if timed:
-                times[k] = float(cells[0])
-        except ValueError:
-            raise CsvParseError(f"row {k + 1}: non-numeric value in {ln!r}") from None
-    if timed and len(times):
+    if isinstance(data, str) and data.isascii():
+        data = data.encode("ascii")
+    table = _read_plain(data) if isinstance(data, bytes) else None
+    if table is None:
+        table = _read_rows(data.decode("utf-8") if isinstance(data, bytes) else data)
+    values = table[:, -1]
+    if table.shape[1] == 2 and len(table):
+        times = table[:, 0]
         off = np.abs((times - times[0]) - np.arange(len(times)) / fs)
         bad = np.flatnonzero(~(off <= 1e-6))  # NaN counts as bad
         if bad.size:
@@ -337,16 +334,67 @@ def read_csv(data: bytes | str, fs: float) -> Signal:
     return Signal(values, fs)
 
 
+def _read_plain(data: bytes) -> np.ndarray | None:
+    """The (rows, cells) table of a plain file, or None for read_csv's loop."""
+    head, _, body = data.partition(b"\n")
+    width = {b"mv": 1, b"t,mv": 2}.get(head.rstrip(b"\r"))
+    if width is None or body.translate(None, _PLAIN):
+        return None
+    if not body.strip(b"\r\n"):  # np.loadtxt warns on an empty file
+        return np.empty((0, width))
+    try:
+        table = np.loadtxt(io.BytesIO(body), delimiter=",", comments=None, ndmin=2)
+    except ValueError:  # a bad cell or a changed cell count
+        return None
+    return table if table.shape[1] == width else None
+
+
+def _read_rows(text: str) -> np.ndarray:
+    """Parse row by row; the error names the first bad row."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise CsvParseError("empty CSV")
+    header = [c.strip().lower() for c in lines[0].split(",")]
+    if header not in (["mv"], ["t", "mv"]):
+        raise CsvParseError(f'unrecognized CSV header {lines[0]!r}; expected "mv" or "t,mv"')
+    width = len(header)
+    table = np.empty((len(lines) - 1, width))
+    for k, ln in enumerate(lines[1:]):
+        cells = ln.split(",")
+        if len(cells) != width:
+            raise CsvParseError(f"row {k + 1}: expected {width} cells, got {len(cells)}")
+        try:
+            table[k] = [float(c) for c in cells]
+        except ValueError:
+            raise CsvParseError(f"row {k + 1}: non-numeric value in {ln!r}") from None
+    return table
+
+
 def write_csv(signal: Signal, with_time: bool = True) -> bytes:
     """Serialize a Signal; samples carry 17 significant digits so a
     write-then-read round trip is exact."""
-    out = []
     if with_time:
-        out.append("t,mv")
-        for k, v in enumerate(signal.samples):
-            out.append(f"{k / signal.fs:.9f},{v:.17g}")
-    else:
-        out.append("mv")
-        for v in signal.samples:
-            out.append(f"{v:.17g}")
-    return ("\n".join(out) + "\n").encode("utf-8")
+        return format_rows(signal.samples, signal.fs, head=b"t,mv\n")
+    return format_rows(signal.samples, head=b"mv\n")
+
+
+def format_rows(values: np.ndarray | list[float], fs: float | None = None, head: bytes = b"") -> bytes:
+    """head, then one line of "%.17g" text per value, which reads back as the
+    same float; with fs, each line starts with the time k/fs as "%.9f,".
+
+    Each block of CSV_BLOCK_ROWS lines is one % operation over the repeated
+    line format, so no line or Python float exists for all values at once.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    line = "%.17g\n" if fs is None else "%.9f,%.17g\n"
+    blocks = [head]
+    for a in range(0, len(values), CSV_BLOCK_ROWS):
+        b = min(a + CSV_BLOCK_ROWS, len(values))
+        cells = values[a:b].tolist()
+        if fs is not None:
+            timed = [0.0] * (2 * len(cells))
+            timed[0::2] = (np.arange(a, b) / fs).tolist()  # k / fs bit for bit, for k < 2**53
+            timed[1::2] = cells
+            cells = timed
+        blocks.append((line * (b - a) % tuple(cells)).encode("ascii"))
+    return b"".join(blocks)

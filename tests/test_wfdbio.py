@@ -6,13 +6,16 @@ implementations of the same bit layouts must agree exactly.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import wfdbgen
 from ecgdenoise import wfdbio
 from ecgdenoise.core import Signal
+from references import read_csv_rows, write_csv_rows
 
 
 class TestReadHeader:
@@ -203,3 +206,152 @@ class TestCsv:
     def test_bad_header(self):
         with pytest.raises(wfdbio.CsvParseError, match="header"):
             wfdbio.read_csv(b"volts\n1.0\n", fs=360.0)
+
+
+BLOCK = wfdbio.CSV_BLOCK_ROWS
+# Extremes a float's text must survive: signed zero, subnormals, the smallest
+# normal, the largest magnitudes.
+EXTREME = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1.7e308, -1.7e308]
+
+
+def _outcome(read, data, fs=360.0):
+    try:
+        sig = read(data, fs)
+    except Exception as exc:  # the exact type and message are what is compared
+        return type(exc), str(exc)
+    return sig.samples.tobytes(), sig.samples.flags.c_contiguous
+
+
+def _assert_reads_like_rows(data, fs=360.0):
+    expect = _outcome(read_csv_rows, data, fs)
+    assert _outcome(wfdbio.read_csv, data, fs) == expect
+    if isinstance(data, bytes) and data.isascii():
+        assert _outcome(wfdbio.read_csv, data.decode("ascii"), fs) == expect
+
+
+class TestCsvCodec:
+    """write_csv and read_csv against the one-row-at-a-time references."""
+
+    @settings(max_examples=40)
+    @given(
+        n=st.integers(0, 2 * BLOCK + 2),
+        pool=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=16),
+        seed=st.integers(0, 2**32 - 1),
+        fs=st.sampled_from([360.0, 250.0, 128.0, 1000.0, 0.3]),
+    )
+    @example(n=BLOCK, pool=[], seed=0, fs=360.0)
+    @example(n=BLOCK + 1, pool=[], seed=1, fs=0.3)
+    @example(n=2 * BLOCK, pool=[], seed=2, fs=128.0)
+    @example(n=2 * BLOCK + 1, pool=[1e300], seed=3, fs=1000.0)
+    def test_write_matches_reference_bytes(self, n, pool, seed, fs):
+        rng = np.random.default_rng(seed)
+        choices = np.array(pool + EXTREME + rng.normal(size=8).tolist())
+        samples = np.where(rng.random(n) < 0.5, rng.choice(choices, n), rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, n))
+        sig = Signal(samples, fs)
+        for with_time in (True, False):
+            assert wfdbio.write_csv(sig, with_time=with_time) == write_csv_rows(sig, with_time=with_time)
+        head = sig.samples[:50].tolist()
+        if head:  # the list form the fit trace uses
+            assert wfdbio.format_rows(head) == ("\n".join(f"{v:.17g}" for v in head) + "\n").encode()
+
+    def test_write_keeps_non_finite_text(self):
+        sig = Signal(np.array([np.nan, np.inf, -np.inf, 1.0]), 360.0)
+        for with_time in (True, False):
+            assert wfdbio.write_csv(sig, with_time=with_time) == write_csv_rows(sig, with_time=with_time)
+        assert wfdbio.format_rows([]) == b""
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            # cells Python's float accepts and a strtod may not
+            b"mv\n1_0\n",
+            b"mv\n inf\n",
+            b"mv\nnan\n",
+            b"mv\n-Infinity\n",
+            b"mv\n1e400\n",
+            b"mv\n-1e400\n",
+            b"mv\n1e-400\n",
+            b"mv\n0x10\n",
+            "mv\n\uff11\n".encode(),  # a full-width digit one
+            "mv\n\u00a01\n".encode(),  # a no-break space
+            b"mv\n1\x00\n",
+            b"mv\n\xff\n",
+            b"t,mv\n0, 1\n",
+            b"t,mv\n0 ,1\n",
+            # line breaks and blank lines
+            b"t,mv\r\n0,1\r\n0.002777778,2\r\n",
+            b"mv\r1\r2\r",
+            b"mv\n1\x0c2\x0c",
+            b"mv\n1\x0b2\n",
+            b"mv\n1\x1c2\n",
+            b"\n\nmv\n\n1\n\n\n2\n\n",
+            b"mv\n1\n   \n2\n",
+            # headers
+            b"T , MV\n0,1\n",
+            b"MV\n1\n",
+            b"t,mv\n",
+            b"mv",
+            b"t,mv\r",
+            b"\n \n",
+            b"",
+            b"volts\n1\n",
+            b"t,mv,x\n0,1,2\n",
+            # cell counts: the comma total of the first file is right, its rows are not
+            b"t,mv\n0\n0,1,2\n",
+            b"t,mv\n0,1,2\n0\n",
+            b"mv\n1,2\n3,4\n",
+            b"t,mv\n0\n",
+            b"t,mv\n0,1\n1\n",
+            # empty and malformed cells
+            b"mv\n,\n",
+            b"t,mv\n0,\n",
+            b"t,mv\n,1\n",
+            b"mv\n-\n",
+            b"mv\n.\n",
+            b"mv\n1e\n",
+            b"mv\n1.5e+\n",
+            b"mv\n--1\n",
+            b"mv\n1-\n",
+            b"mv\n1.2.3\n",
+            b"mv\n+1\n.5\n1.\n1E5\n",
+            b"mv\n1\n2\nx\n",
+            # the t column
+            b"t,mv\n0,1\n0.5,2\n",
+            b"t,mv\n0,1\nnan,2\n",
+            b"t,mv\n5,1\n5,2\n",
+            b"t,mv\n1e400,1\n1e400,2\n",
+        ],
+    )
+    def test_read_matches_reference_on_edge_table(self, data):
+        _assert_reads_like_rows(data)
+
+    @settings(max_examples=300)
+    @given(
+        head=st.sampled_from(["t,mv\n", "mv\n", "t,mv\r\n", "mv\r", "T,MV\n", "\nmv\n"]),
+        body=st.text(alphabet="0123456789.eE+-,\r\n", max_size=60),
+    )
+    def test_read_matches_reference_on_plain_text(self, head, body):
+        _assert_reads_like_rows((head + body).encode("ascii"), fs=1.0)
+
+    @pytest.mark.parametrize("data", [b"t,mv\n", b"mv\n\r\n\n"])
+    def test_header_only_reads_without_warning(self, data):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(wfdbio.read_csv(data, fs=360.0)) == 0
+
+    def test_written_files_take_the_plain_path(self):
+        sig = Signal(np.array(EXTREME + [1.5, -2.25]), 360.0)
+        for with_time in (True, False):
+            table = wfdbio._read_plain(wfdbio.write_csv(sig, with_time=with_time))
+            assert table is not None and np.array_equal(table[:, -1], sig.samples)
+
+    def test_full_length_round_trip(self):
+        n = 30 * 60 * 360
+        rng = np.random.default_rng(30)
+        sig = Signal(np.cumsum(rng.normal(size=n)) * 1e-3 + rng.normal(size=n) * 0.05, 360.0)
+        data = wfdbio.write_csv(sig)
+        assert data.startswith(b"t,mv\n0.000000000,") and data.count(b"\n") == n + 1
+        back = wfdbio.read_csv(data, fs=360.0)  # its t check passes
+        assert back.samples.tobytes() == sig.samples.tobytes()
+        with pytest.raises(wfdbio.CsvParseError, match=r"row 2: .* at 250 Hz; the t column runs at 360 Hz"):
+            wfdbio.read_csv(data, fs=250.0)
