@@ -2,7 +2,7 @@
 model, six classical baseline filters, calibrated noise mixing, and a
 benchmark harness for PhysioNet-style records."""
 
-from .core import PhaseSeries, RPeaks, Signal, slice_signal, validate
+from .core import RPeaks, Signal, slice_signal, validate
 from .enkf import FilterConfig, denoise
 from .metrics import MetricReport, NoisyMix, calibrate_gain, corr, mix, prd, report, rmse, snr
 from .model import GaussianWaveParams, default_morphology, detect_r_peaks, fit_params, mean_beat, observed_phase, synthesize
@@ -12,7 +12,6 @@ __all__ = [
     "GaussianWaveParams",
     "MetricReport",
     "NoisyMix",
-    "PhaseSeries",
     "RPeaks",
     "Signal",
     "calibrate_gain",

@@ -80,13 +80,13 @@ def ekf_denoise(
     # filter's transition semantics, including the activity-scaled eta std.
     q_theta2, r_phi2, r_s2 = cfg.q_theta**2, cfg.r_phi**2, cfg.r_s**2
     q_z, q_z_activity = cfg.q_z, cfg.q_z_activity
-    x0, x1 = float(phase.phases[0]), float(signal.samples[0])
+    x0, x1 = float(phase[0]), float(signal.samples[0])
     a, c, d = max(r_phi2, 1e-12), 0.0, max(r_s2, 1e-12)
 
     out = np.empty(len(signal))
     out_floats = memoryview(out)  # memoryviews read and write plain floats, without per-sample lists
     out_floats[0] = x1
-    observed = zip(memoryview(omega)[1:], memoryview(phase.phases)[1:], memoryview(signal.samples)[1:])
+    observed = zip(memoryview(omega)[1:], memoryview(phase)[1:], memoryview(signal.samples)[1:])
     for k, (w, y_phi, y_s) in enumerate(observed, start=1):
         step = w / fs
         dz = j = 0.0

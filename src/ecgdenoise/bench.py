@@ -184,7 +184,8 @@ def load_record(root: Path, name: str, channel: int = 0) -> tuple[Signal, RPeaks
     return record.channels[channel], record.r_peaks
 
 
-def _trim(signal: Signal, peaks: RPeaks, duration_s: float | None) -> tuple[Signal, RPeaks]:
+def trim(signal: Signal, peaks: RPeaks, duration_s: float | None) -> tuple[Signal, RPeaks]:
+    """The first duration_s seconds (rounded to whole samples) and their peaks; None keeps all."""
     if duration_s is None:
         return signal, peaks
     n = min(int(round(duration_s * signal.fs)), len(signal))
@@ -192,15 +193,14 @@ def _trim(signal: Signal, peaks: RPeaks, duration_s: float | None) -> tuple[Sign
     return slice_signal(signal, 0, n), RPeaks(kept)
 
 
-def fit_record_morphology(noisy: Signal, peaks: RPeaks, n_bins: int = 64) -> GaussianWaveParams:
+def fit_record_morphology(noisy: Signal, peaks: RPeaks) -> GaussianWaveParams:
     """Fit the Gaussian-wave morphology from the phase-binned mean beat.
 
     Binning across all beats averages the additive noise away, so the fit is
     performed on the contaminated signal the filters actually see.
     """
     phase = observed_phase(peaks, len(noisy))
-    template = mean_beat(noisy, phase, n_bins=n_bins)
-    return fit_params(template)
+    return fit_params(mean_beat(noisy, phase))
 
 
 def _score(clean: Signal, noisy: Signal, denoised: Signal, plan: BenchPlan) -> metrics.MetricReport:
@@ -257,7 +257,7 @@ def run_bench(plan: BenchPlan, data_root: Path) -> list[BenchCell]:
     largest: allocated before the streaming cells have churned the heap,
     they leave the peak RSS near the streaming path's.
     """
-    loaded = {rid: _trim(*load_record(data_root, rid, plan.channel), plan.duration_s) for rid in plan.records}
+    loaded = {rid: trim(*load_record(data_root, rid, plan.channel), plan.duration_s) for rid in plan.records}
     noise = _load_noise(plan, data_root, loaded[plan.records[0]][0].fs)
     coords = plan_cells(plan)
     alone: list[int] = []

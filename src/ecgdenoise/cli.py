@@ -108,7 +108,7 @@ def cmd_synth(args) -> int:
     signal, phase, peaks = synthesize(params, rr, fs=fs, noise_std=noise_std, seed=seed)
     out = Path(args.out_dir)
     _write(out / "signal.csv", wfdbio.write_csv(signal))
-    _write(out / "phase.csv", wfdbio.format_rows(phase.phases, head=b"phase_rad\n"))
+    _write(out / "phase.csv", wfdbio.format_rows(phase, head=b"phase_rad\n"))
     _write(out / "peaks.csv", "sample\n" + "\n".join(str(int(i)) for i in peaks.indices) + "\n")
     print(
         f"synthesized {len(signal)} samples at {fs:g} Hz: {len(peaks)} beats, "
@@ -120,10 +120,7 @@ def cmd_synth(args) -> int:
 def cmd_fit(args) -> int:
     signal, peaks = _load_input(args, args.input)
     if args.seconds is not None:
-        n = min(int(args.seconds * signal.fs), len(signal))
-        signal = Signal(signal.samples[:n], signal.fs)
-        if peaks is not None:
-            peaks = RPeaks(peaks.indices[peaks.indices < n])
+        signal, peaks = bench.trim(signal, RPeaks([]) if peaks is None else peaks, args.seconds)
     if peaks is None or len(peaks) < 2:
         peaks = detect_r_peaks(signal)
     if len(peaks) < 10:

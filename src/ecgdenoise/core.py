@@ -1,9 +1,10 @@
 """Shared domain types and elementary signal utilities.
 
-Everything downstream trades in three value types: a uniformly sampled
-waveform (:class:`Signal`), R-wave fiducial indices (:class:`RPeaks`) and a
-per-sample beat phase (:class:`PhaseSeries`).  All three are immutable after
-construction; every operation here is a pure function.
+Everything downstream trades in two value types: a uniformly sampled
+waveform (:class:`Signal`) and R-wave fiducial indices (:class:`RPeaks`).
+Both are immutable after construction; a per-sample beat phase is a plain
+float64 array (see :func:`ecgdenoise.model.observed_phase`).  Every
+operation here is a pure function.
 """
 
 from __future__ import annotations
@@ -105,20 +106,6 @@ class RPeaks:
                 raise ValueError(
                     f"peaks {idx[k]} and {idx[k + 1]} violate the {REFRACTORY_S:.1f} s refractory floor"
                 )
-
-
-@dataclass(frozen=True)
-class PhaseSeries:
-    """Per-sample beat phase in [0, 2*pi), zero exactly at each R peak."""
-
-    phases: np.ndarray
-
-    def __post_init__(self):
-        ph = np.asarray(self.phases, dtype=np.float64)
-        object.__setattr__(self, "phases", _as_readonly(ph))
-
-    def __len__(self) -> int:
-        return self.phases.shape[0]
 
 
 def validate(signal: Signal) -> str | None:

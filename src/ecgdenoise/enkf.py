@@ -19,8 +19,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core import PhaseSeries, RPeaks, Signal, TWO_PI, require_valid, wrap_centered, wrap_phase
-from .model import GaussianWaveParams, observed_phase, wave_increment, wave_sum
+from .core import RPeaks, Signal, TWO_PI, require_valid, wrap_centered, wrap_phase
+from .model import GaussianWaveParams, beat_intervals, observed_phase, wave_increment, wave_sum
 
 
 class DegenerateEnsembleError(ValueError):
@@ -209,29 +209,10 @@ def estimate(theta: np.ndarray, z: np.ndarray):
     return circular_mean(theta), np.add.reduce(z, axis=-1) / z.shape[-1]
 
 
-def beat_angular_velocities(r_peaks: RPeaks, length: int, fs: float) -> np.ndarray:
-    """Per-sample angular velocity from the R-R interval surrounding each sample."""
-    idx = r_peaks.indices
-    if idx.size < 2:
-        raise ValueError("need at least 2 R peaks")
-    omega = np.empty(length)
-    first_rr = (idx[1] - idx[0]) / fs
-    last_rr = (idx[-1] - idx[-2]) / fs
-    omega[: min(int(idx[0]), length)] = TWO_PI / first_rr
-    for j in range(idx.size - 1):
-        a, b = int(idx[j]), int(idx[j + 1])
-        if a >= length:
-            break
-        omega[a : min(b, length)] = TWO_PI / ((b - a) / fs)
-    if idx[-1] < length:
-        omega[int(idx[-1]) :] = TWO_PI / last_rr
-    return omega
-
-
 def resolve_config(
     cfg: FilterConfig,
     signal: Signal,
-    phase: PhaseSeries,
+    phase: np.ndarray,
     params: GaussianWaveParams,
     omega: np.ndarray,
 ) -> FilterConfig:
@@ -251,11 +232,11 @@ def resolve_config(
         grid = np.linspace(0.0, TWO_PI, 512, endpoint=False)
         q_z = 0.1 * float(np.mean(np.abs(wave_increment(grid, params, mean_step))))
     if r_s is None:
-        resid = signal.samples[head] - wave_sum(phase.phases[head], params)
+        resid = signal.samples[head] - wave_sum(phase[head], params)
         resid = resid - resid.mean()  # the isoelectric offset is not noise
         r_s = max(float(np.std(resid)), 1e-6)
     if r_phi is None:
-        dphi = wrap_centered(np.diff(phase.phases[head]))
+        dphi = wrap_centered(np.diff(phase[head]))
         r_phi = max(float(np.std(dphi - omega[head][:-1] / fs)), 1e-3)
     return replace(cfg, q_z=q_z, r_phi=r_phi, r_s=r_s)
 
@@ -265,13 +246,16 @@ def prepare_inputs(
     r_peaks: RPeaks,
     params: GaussianWaveParams,
     cfg: FilterConfig,
-) -> tuple[PhaseSeries, np.ndarray, FilterConfig]:
+) -> tuple[np.ndarray, np.ndarray, FilterConfig]:
     """Front end shared with the EKF: validate the inputs, then return the
-    observed phase, per-sample angular velocity and resolved configuration."""
+    observed phase, per-sample angular velocity and resolved configuration.
+    Both per-sample arrays come from each sample's R-R interval (see
+    :func:`ecgdenoise.model.beat_intervals`): omega is 2*pi over its length
+    in seconds."""
     require_valid(signal)
     r_peaks.check_against(len(signal), signal.fs)
     phase = observed_phase(r_peaks, len(signal))
-    omega = beat_angular_velocities(r_peaks, len(signal), signal.fs)
+    omega = TWO_PI / (beat_intervals(r_peaks, len(signal))[1] / signal.fs)
     return phase, omega, resolve_config(cfg, signal, phase, params, omega)
 
 
@@ -313,7 +297,7 @@ def denoise_batch(jobs) -> list[Signal]:
     morphology = SimpleNamespace(
         **{f: np.stack([getattr(job[2], f) for job in jobs], axis=1)[..., None] for f in ("alpha", "b", "theta")}
     )
-    rows = [(c, phase.phases, sig.samples, omega, 1.0 / sig.fs) for (phase, omega, c), sig in zip(inputs, signals)]
+    rows = [(c, phase, sig.samples, omega, 1.0 / sig.fs) for (phase, omega, c), sig in zip(inputs, signals)]
 
     theta = np.empty((len(jobs), size))
     z = np.empty((len(jobs), size))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    PhaseSeries,
+    REFRACTORY_S,
     RPeaks,
     Signal,
     TWO_PI,
@@ -23,8 +23,6 @@ from .core import (
     wrap_centered,
     wrap_phase,
 )
-
-WAVE_NAMES = ("P", "Q", "R", "S", "T")
 
 
 class InsufficientFiducialsError(ValueError):
@@ -134,10 +132,10 @@ def synthesize(
     fs: float,
     noise_std: float = 0.0,
     seed: int = 0,
-) -> tuple[Signal, PhaseSeries, RPeaks]:
+) -> tuple[Signal, np.ndarray, RPeaks]:
     """Generate a synthetic ECG by iterating the transition over the given beats.
 
-    rr_intervals: beat durations in seconds, each > 0.2 s.  The angular
+    rr_intervals: beat durations in seconds, each above REFRACTORY_S.  The angular
     velocity is 2*pi / rr for the current beat; the state noise eta is drawn
     i.i.d. Gaussian(0, noise_std^2) from a generator seeded with `seed`, so
     identical arguments give bit-identical output.
@@ -148,12 +146,14 @@ def synthesize(
     rr = np.asarray(rr_intervals, dtype=np.float64)
     if rr.ndim != 1 or rr.size == 0:
         raise ValueError("rr_intervals must be a non-empty 1-D sequence")
-    if np.any(rr <= 0.2):
-        raise ValueError("every R-R interval must exceed the 0.2 s refractory floor")
+    if np.any(rr <= REFRACTORY_S):
+        raise ValueError(f"every R-R interval must exceed the {REFRACTORY_S:g} s refractory floor")
     if not fs > 0:
         raise ValueError("fs must be positive")
 
     n = int(round(fs * float(rr.sum())))
+    if n == 0:
+        raise ValueError(f"{rr.sum():g} s of beats at {fs:g} Hz round to 0 samples")
     rng = np.random.default_rng(seed)
     eta = rng.normal(0.0, noise_std, size=n) if noise_std > 0 else np.zeros(n)
 
@@ -179,42 +179,36 @@ def synthesize(
             beat = min(beat + 1, rr.size - 1)
             beat_len = rr[beat] * fs
 
-    return (
-        Signal(z, fs),
-        PhaseSeries(phase),
-        RPeaks(np.asarray(peaks, dtype=np.int64)),
-    )
+    return Signal(z, fs), phase, RPeaks(np.asarray(peaks, dtype=np.int64))
 
 
-def observed_phase(r_peaks: RPeaks, length: int) -> PhaseSeries:
-    """Linear time-wrapping of each R-R interval onto [0, 2*pi).
+def beat_intervals(r_peaks: RPeaks, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """The R-R interval of each sample 0..length-1: its start peak and its
+    length, both in samples.
 
-    Phase is exactly 0 at every peak, linear in the sample index up to 2*pi
-    at the next peak.  Before the first peak and after the last the nearest
-    interval is extrapolated, then wrapped.
+    A sample belongs to the interval between the last peak at or before it
+    and the next peak.  Before the first peak the first interval is
+    extrapolated, counted from the first peak; from the last peak on, the
+    last interval, counted from the last peak.  Phase and angular velocity
+    both follow this one rule (Sameni et al., IEEE TBME 2007).
     """
     idx = r_peaks.indices
     if idx.size < 2:
         raise InsufficientFiducialsError("need at least 2 R peaks to define a phase")
-    k = np.arange(length, dtype=np.float64)
-    phases = np.empty(length)
+    j = np.searchsorted(idx, np.arange(length), side="right") - 1
+    return idx[np.clip(j, 0, idx.size - 1)], np.diff(idx)[np.clip(j, 0, idx.size - 2)]
 
-    first, last = int(idx[0]), int(idx[-1])
-    first_rr = float(idx[1] - idx[0])
-    last_rr = float(idx[-1] - idx[-2])
-    if first > 0:
-        head = slice(0, min(first, length))
-        phases[head] = wrap_phase(TWO_PI * (k[head] - first) / first_rr)
-    for j in range(idx.size - 1):
-        a, bnd = int(idx[j]), int(idx[j + 1])
-        if a >= length:
-            break
-        seg = slice(a, min(bnd, length))
-        phases[seg] = TWO_PI * (k[seg] - a) / (bnd - a)
-    if last < length:
-        tail = slice(last, length)
-        phases[tail] = wrap_phase(TWO_PI * (k[tail] - last) / last_rr)
-    return PhaseSeries(phases)
+
+def observed_phase(r_peaks: RPeaks, length: int) -> np.ndarray:
+    """Linear time-wrapping of each R-R interval onto [0, 2*pi), one float64
+    per sample.
+
+    Phase is exactly 0 at every peak, linear in the sample index up to 2*pi
+    at the next peak.  Before the first peak and after the last the nearest
+    interval is extrapolated, then wrapped (see :func:`beat_intervals`).
+    """
+    start, span = beat_intervals(r_peaks, length)
+    return wrap_phase(TWO_PI * (np.arange(length, dtype=np.float64) - start) / span)
 
 
 @dataclass(frozen=True)
@@ -230,12 +224,8 @@ class BeatTemplate:
     mean: np.ndarray
     std: np.ndarray
 
-    @property
-    def n_bins(self) -> int:
-        return self.centers.shape[0]
 
-
-def mean_beat(signal: Signal, phase: PhaseSeries, n_bins: int = 64) -> BeatTemplate:
+def mean_beat(signal: Signal, phase: np.ndarray, n_bins: int = 64) -> BeatTemplate:
     """Average the signal into n_bins uniform phase bins.
 
     Every bin must receive at least one sample; an unfilled bin means the
@@ -246,7 +236,7 @@ def mean_beat(signal: Signal, phase: PhaseSeries, n_bins: int = 64) -> BeatTempl
         raise ValueError("n_bins must be at least 16")
     if len(phase) != len(signal):
         raise ValueError("phase and signal must have equal length")
-    which = np.minimum((phase.phases / TWO_PI * n_bins).astype(np.int64), n_bins - 1)
+    which = np.minimum((phase / TWO_PI * n_bins).astype(np.int64), n_bins - 1)
     counts = np.bincount(which, minlength=n_bins)
     if np.any(counts == 0):
         raise BinCoverageError(f"phase bin {int(np.argmax(counts == 0))} of {n_bins} received no samples")
@@ -254,7 +244,7 @@ def mean_beat(signal: Signal, phase: PhaseSeries, n_bins: int = 64) -> BeatTempl
     means = sums / counts
     sq = np.bincount(which, weights=signal.samples**2, minlength=n_bins)
     var = np.maximum(sq / counts - means**2, 0.0)
-    centers = np.bincount(which, weights=phase.phases, minlength=n_bins) / counts
+    centers = np.bincount(which, weights=phase, minlength=n_bins) / counts
     return BeatTemplate(centers=centers, mean=means, std=np.sqrt(var))
 
 
@@ -276,6 +266,8 @@ def _unpack(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]
 _ORDER_PENALTY = 10.0
 _ORDER_MARGIN = 0.05  # rad; waves closer than this start paying
 _AMP_PENALTY = 10.0
+_MAX_ITER = 200  # Levenberg-Marquardt iterations
+_REL_TOL = 1e-8  # converged once an accepted step lowers the objective by less than this fraction
 
 
 def _fit_residuals(
@@ -324,8 +316,6 @@ def _fit_jacobian(vec: np.ndarray, centers: np.ndarray, amp_cap: float) -> np.nd
 def fit_params(
     template: BeatTemplate,
     init: GaussianWaveParams | None = None,
-    max_iter: int = 200,
-    rel_tol: float = 1e-8,
     objective_trace: list | None = None,
 ) -> GaussianWaveParams:
     """Fit wave amplitudes, widths and centers to a binned mean beat.
@@ -368,7 +358,7 @@ def fit_params(
             objective_trace.append(obj)
 
     lam = 1e-3
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         jac = _fit_jacobian(vec, centers, amp_cap)
         jtj = jac.T @ jac
         jtr = jac.T @ res
@@ -391,7 +381,7 @@ def fit_params(
                     objective_trace.append(obj)
                 lam = max(lam * 0.3, 1e-12)
                 stepped = True
-                if rel < rel_tol:
+                if rel < _REL_TOL:
                     stepped = False  # converged
                 break
             lam *= 10.0
@@ -436,7 +426,7 @@ def detect_r_peaks(signal: Signal) -> RPeaks:
 
     Band-pass (5-15 Hz linear-phase FIR), differentiate, square, integrate
     over a 150 ms window, then pick peaks of the envelope with an adaptive
-    dual threshold and a 0.2 s refractory period.  Each accepted envelope
+    dual threshold and a REFRACTORY_S refractory period.  Each accepted envelope
     peak is localized at the raw-signal maximum within +-50 ms.
     """
     require_valid(signal)
@@ -454,7 +444,7 @@ def detect_r_peaks(signal: Signal) -> RPeaks:
     win = max(int(round(0.150 * fs)), 1)
     envelope = np.convolve(squared, np.ones(win) / win, mode="same")
 
-    refractory = int(round(0.2 * fs))
+    refractory = int(round(REFRACTORY_S * fs))
     interior = envelope[1:-1]
     raw_cand = np.nonzero((interior >= envelope[:-2]) & (interior > envelope[2:]))[0] + 1
     if raw_cand.size == 0:

@@ -275,7 +275,6 @@ def assemble_record(
     header: RecordHeader,
     dat: bytes,
     atr: bytes | None = None,
-    verify_checksum: bool = True,
 ) -> AnnotatedRecord:
     """Decode a record's signal payload and annotations against its header."""
     n_samples = header.n_samples
@@ -283,15 +282,12 @@ def assemble_record(
         frames_bytes = len(dat)
         n_samples = (frames_bytes * 2) // (3 * header.n_signals)
     adc = decode_212(dat, n_samples, header.n_signals)
-    if verify_checksum:
-        for ch, spec in enumerate(header.signals):
-            if spec.checksum is None:
-                continue
-            got = signal_checksum(adc[:, ch])
-            if got != spec.checksum:
-                raise ChecksumError(
-                    f"channel {ch}: checksum {got} does not match header {spec.checksum}"
-                )
+    for ch, spec in enumerate(header.signals):
+        if spec.checksum is None:
+            continue
+        got = signal_checksum(adc[:, ch])
+        if got != spec.checksum:
+            raise ChecksumError(f"channel {ch}: checksum {got} does not match header {spec.checksum}")
     channels = tuple(to_millivolts(adc, header))
     peaks = read_annotations(atr) if atr is not None else RPeaks(np.empty(0, dtype=np.int64))
     return AnnotatedRecord(header=header, channels=channels, r_peaks=peaks)
@@ -304,8 +300,9 @@ _PLAIN = b"0123456789.eE+-,\r\n"  # finite numbers, commas and line breaks
 def read_csv(data: bytes | str, fs: float) -> Signal:
     """Read a one-sample-per-row CSV with header "mv" or "t,mv".
 
-    A "t" column must put data row k (from 0) at t_0 + k/fs within 1 us, so a
-    file sampled at another rate is rejected rather than relabelled as fs.
+    A "t" column must be finite and put data row k (from 0) at t_0 + k/fs
+    within 1 us, so a file sampled at another rate is rejected rather than
+    relabelled as fs.
 
     A file whose first line is "mv" or "t,mv" and whose other bytes are all
     in _PLAIN, as write_csv writes finite samples, is parsed by np.loadtxt.
@@ -322,11 +319,18 @@ def read_csv(data: bytes | str, fs: float) -> Signal:
     values = table[:, -1]
     if table.shape[1] == 2 and len(table):
         times = table[:, 0]
-        off = np.abs((times - times[0]) - np.arange(len(times)) / fs)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite t or an inf span is a bad row
+            off = np.abs((times - times[0]) - np.arange(len(times)) / fs)
         bad = np.flatnonzero(~(off <= 1e-6))  # NaN counts as bad
         if bad.size:
+            # Every non-finite t is a bad row; searching only the bad rows
+            # keeps a full-size mask out of the common path.
+            nonfinite = bad[~np.isfinite(times[bad])]
+            if nonfinite.size:
+                k = int(nonfinite[0])
+                raise CsvParseError(f"row {k + 1}: t = {times[k]:g} is not a finite time")
             k = int(bad[0])
-            span = float(times[k] - times[0])
+            span = float(times[k]) - float(times[0])
             raise CsvParseError(
                 f"row {k + 1}: t = {times[k]:.9g} s is not sample {k} at {fs:g} Hz; "
                 f"the t column runs at {k / span if span else float('inf'):.6g} Hz"

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ecgdenoise.core import Signal, wrap_phase
+from ecgdenoise.core import RPeaks, Signal, TWO_PI, wrap_phase
 from ecgdenoise.model import GaussianWaveParams, wave_increment
 from ecgdenoise.wfdbio import CsvParseError
 
@@ -14,6 +14,47 @@ def transition(theta: float, z: float, params: GaussianWaveParams, phase_step: f
     """Advance one sample: phase rotates by phase_step = omega*delta, z accumulates the wave derivative."""
     dz = wave_increment(theta, params, phase_step)
     return float(wrap_phase(theta + phase_step)), float(z + dz + eta)
+
+
+def observed_phase_loop(r_peaks: RPeaks, length: int) -> np.ndarray:
+    """``model.observed_phase`` as one Python loop over the R-R intervals."""
+    idx = r_peaks.indices
+    k = np.arange(length, dtype=np.float64)
+    phases = np.empty(length)
+    first, last = int(idx[0]), int(idx[-1])
+    first_rr = float(idx[1] - idx[0])
+    last_rr = float(idx[-1] - idx[-2])
+    if first > 0:
+        head = slice(0, min(first, length))
+        phases[head] = wrap_phase(TWO_PI * (k[head] - first) / first_rr)
+    for j in range(idx.size - 1):
+        a, bnd = int(idx[j]), int(idx[j + 1])
+        if a >= length:
+            break
+        seg = slice(a, min(bnd, length))
+        phases[seg] = TWO_PI * (k[seg] - a) / (bnd - a)
+    if last < length:
+        tail = slice(last, length)
+        phases[tail] = wrap_phase(TWO_PI * (k[tail] - last) / last_rr)
+    return phases
+
+
+def angular_velocity_loop(r_peaks: RPeaks, length: int, fs: float) -> np.ndarray:
+    """The angular velocity of ``enkf.prepare_inputs`` as one Python loop over
+    the R-R intervals."""
+    idx = r_peaks.indices
+    omega = np.empty(length)
+    first_rr = (idx[1] - idx[0]) / fs
+    last_rr = (idx[-1] - idx[-2]) / fs
+    omega[: min(int(idx[0]), length)] = TWO_PI / first_rr
+    for j in range(idx.size - 1):
+        a, b = int(idx[j]), int(idx[j + 1])
+        if a >= length:
+            break
+        omega[a : min(b, length)] = TWO_PI / ((b - a) / fs)
+    if idx[-1] < length:
+        omega[int(idx[-1]) :] = TWO_PI / last_rr
+    return omega
 
 
 def read_csv_rows(data: bytes | str, fs: float) -> Signal:
@@ -41,11 +82,16 @@ def read_csv_rows(data: bytes | str, fs: float) -> Signal:
         except ValueError:
             raise CsvParseError(f"row {k + 1}: non-numeric value in {ln!r}") from None
     if timed and len(times):
-        off = np.abs((times - times[0]) - np.arange(len(times)) / fs)
+        finite = np.isfinite(times)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise CsvParseError(f"row {k + 1}: t = {times[k]:g} is not a finite time")
+        with np.errstate(over="ignore"):  # times 1e308 apart are inf apart: a bad row like any other
+            off = np.abs((times - times[0]) - np.arange(len(times)) / fs)
         bad = np.flatnonzero(~(off <= 1e-6))  # NaN counts as bad
         if bad.size:
             k = int(bad[0])
-            span = float(times[k] - times[0])
+            span = float(times[k]) - float(times[0])
             raise CsvParseError(
                 f"row {k + 1}: t = {times[k]:.9g} s is not sample {k} at {fs:g} Hz; "
                 f"the t column runs at {k / span if span else float('inf'):.6g} Hz"

@@ -117,7 +117,7 @@ def matrix_ekf(signal, r_peaks, params, cfg):
     phase, omega, cfg = prepare_inputs(signal, r_peaks, params, cfg)
     q_theta = np.diag([cfg.q_theta**2, 0.0])
     r = np.diag([cfg.r_phi**2, cfg.r_s**2])
-    x = np.array([phase.phases[0], signal.samples[0]])
+    x = np.array([phase[0], signal.samples[0]])
     p = np.diag([max(cfg.r_phi**2, 1e-12), max(cfg.r_s**2, 1e-12)])
     out = np.empty(len(signal))
     out[0] = x[1]
@@ -134,7 +134,7 @@ def matrix_ekf(signal, r_peaks, params, cfg):
         if not np.isfinite(det) or det <= 0:
             raise ConditioningError(f"innovation covariance not positive definite at sample {k}")
         kgain = p @ (np.array([[s[1, 1], -s[0, 1]], [-s[1, 0], s[0, 0]]]) / det)
-        innov = np.array([float(wrap_centered(phase.phases[k] - x[0])), signal.samples[k] - x[1]])
+        innov = np.array([float(wrap_centered(phase[k] - x[0])), signal.samples[k] - x[1]])
         x = x + kgain @ innov
         x[0] = wrap_phase(x[0])
         p = (eye - kgain) @ p

@@ -276,6 +276,13 @@ class TestCliSynthFit:
         peaks = [int(v) for v in (out / "peaks.csv").read_text().split()[1:]]
         assert all(b - a == 360 for a, b in zip(peaks, peaks[1:]))
 
+    def test_synth_of_zero_samples_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "synth"
+        rc = cli.main(["synth", "--out-dir", str(out), "--fs", "1", "--rr", "0.3", "--beats", "1"])
+        assert rc == 1
+        assert "round to 0 samples" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_synth_missing_config_exits_2(self, tmp_path, capsys):
         rc = cli.main(["synth", "--config", str(tmp_path / "absent.json")])
         assert rc == 2
@@ -321,6 +328,16 @@ class TestCliSynthFit:
         rc = cli.main(["fit", str(synth_dir / "signal.csv"), "--fs", "360"])
         assert rc == 1
         assert "beats" in capsys.readouterr().err
+
+    def test_fit_seconds_trims_like_bench(self, data_root, monkeypatch):
+        # 40.3 s at 360 Hz is 14507.999... samples: truncating keeps 14507,
+        # the bench's rounding keeps 14508.
+        seen = []
+        real = cli.mean_beat
+        monkeypatch.setattr(cli, "mean_beat", lambda signal, *a, **k: seen.append(len(signal)) or real(signal, *a, **k))
+        assert cli.main(["--data-root", str(data_root), "fit", "118", "--seconds", "40.3"]) == 0
+        assert seen == [14508]
+        assert len(bench.trim(*bench.load_record(data_root, "118"), 40.3)[0]) == 14508
 
     def test_fit_record_residual(self, data_root, capsys):
         rc = cli.main(

@@ -18,7 +18,6 @@ from ecgdenoise.enkf import (
     DegenerateEnsembleError,
     FilterConfig,
     SingularInnovationError,
-    beat_angular_velocities,
     circular_mean,
     denoise,
     denoise_batch,
@@ -32,7 +31,7 @@ from ecgdenoise.enkf import (
     update,
 )
 from ecgdenoise.model import GaussianWaveParams, default_morphology, synthesize
-from references import transition
+from references import angular_velocity_loop, observed_phase_loop, transition
 
 
 def brute_force_covariances(theta, z):
@@ -257,15 +256,37 @@ class TestEstimate:
             estimate(np.array([0.0, np.pi]), np.zeros(2))
 
 
+def _clock(peaks, n, fs):
+    """The observed phase and angular velocity the filters get."""
+    phase, omega, _ = prepare_inputs(Signal(np.zeros(n), fs), RPeaks(peaks), default_morphology(), FilterConfig())
+    return phase, omega
+
+
 class TestBeatAngularVelocities:
     def test_constant_rr(self):
-        omega = beat_angular_velocities(RPeaks([0, 100, 200]), 250, 100.0)
+        _, omega = _clock([0, 100, 200], 250, 100.0)
         assert np.allclose(omega, TWO_PI)  # 1 s intervals
 
     def test_extrapolates_edges(self):
-        omega = beat_angular_velocities(RPeaks([100, 200]), 300, 100.0)
+        _, omega = _clock([100, 200], 300, 100.0)
         assert omega[0] == pytest.approx(TWO_PI)
         assert omega[-1] == pytest.approx(TWO_PI)
+
+    @settings(max_examples=100)
+    @given(
+        fs=st.sampled_from([128.0, 250.0, 360.0, 500.0, 1000.0]),
+        first=st.integers(0, 2000),
+        rr=st.lists(st.floats(0.21, 2.0), min_size=1, max_size=6),
+        past_last=st.integers(1, 2000),
+    )
+    def test_matches_interval_loop(self, fs, first, rr, past_last):
+        # Every peak set prepare_inputs accepts: one that starts after sample
+        # 0, at least 0.2 s between peaks, a last peak inside the signal.
+        peaks = RPeaks(first + np.cumsum([0] + np.ceil(np.asarray(rr) * fs).astype(np.int64).tolist()))
+        n = int(peaks.indices[-1]) + past_last
+        phase, omega = _clock(peaks.indices, n, fs)
+        assert np.array_equal(omega, angular_velocity_loop(peaks, n, fs))
+        assert np.array_equal(phase, observed_phase_loop(peaks, n))
 
 
 class TestDenoise:
@@ -326,14 +347,14 @@ class TestDenoise:
 
         phase, omega, resolved = prepare_inputs(noisy, peaks, p, cfg)
         rng0 = substream(resolved.seed, 0)
-        theta = wrap_phase(phase.phases[0] + rng0.normal(0.0, resolved.r_phi, size=20))
+        theta = wrap_phase(phase[0] + rng0.normal(0.0, resolved.r_phi, size=20))
         z = noisy.samples[0] + rng0.normal(0.0, resolved.r_s, size=20)
         want = [estimate(theta, z)[1]]
         for k in range(1, len(noisy)):
             noise = draw_noise(substream(resolved.seed, k), resolved, 20)
             theta, z = predict(theta, z, p, float(omega[k]) * (1.0 / noisy.fs), resolved, noise[:2])
             gain = kalman_gain(sample_covariances(theta, z), resolved)
-            theta, z = update(theta, z, float(phase.phases[k]), float(noisy.samples[k]), gain, resolved, noise[2:])
+            theta, z = update(theta, z, float(phase[k]), float(noisy.samples[k]), gain, resolved, noise[2:])
             want.append(estimate(theta, z)[1])
 
         assert np.array_equal(denoise(noisy, peaks, p, cfg).samples, want)

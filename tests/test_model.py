@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from ecgdenoise.core import Signal, TWO_PI, wrap_centered
+from ecgdenoise.core import RPeaks, Signal, TWO_PI, wrap_centered
 from ecgdenoise.model import (
     BeatTemplate,
     BinCoverageError,
@@ -23,7 +23,7 @@ from ecgdenoise.model import (
     wave_increment,
     wave_sum,
 )
-from references import transition
+from references import observed_phase_loop, transition
 
 
 def flat_params():
@@ -121,50 +121,60 @@ class TestSynthesize:
         a = synthesize(default_morphology(), [0.8] * 3, 360.0, noise_std=0.01, seed=9)
         b = synthesize(default_morphology(), [0.8] * 3, 360.0, noise_std=0.01, seed=9)
         assert np.array_equal(a[0].samples, b[0].samples)
-        assert np.array_equal(a[1].phases, b[1].phases)
+        assert np.array_equal(a[1], b[1])
 
     def test_rejects_short_rr(self):
         with pytest.raises(ValueError, match="refractory"):
             synthesize(default_morphology(), [0.1], 360.0)
 
+    def test_rejects_zero_samples(self):
+        with pytest.raises(ValueError, match="0.3 s of beats at 1 Hz round to 0 samples"):
+            synthesize(default_morphology(), [0.3], 1.0)
+
     def test_phase_in_range(self):
         _, phase, _ = synthesize(default_morphology(), [0.7, 0.9, 0.8], 360.0, 0.02, seed=1)
-        assert np.all(phase.phases >= 0.0)
-        assert np.all(phase.phases < TWO_PI)
+        assert phase.dtype == np.float64
+        assert np.all(phase >= 0.0)
+        assert np.all(phase < TWO_PI)
 
 
 class TestObservedPhase:
     def test_linear_midpoint(self):
-        from ecgdenoise.core import RPeaks
-
         ph = observed_phase(RPeaks([0, 100]), 101)
-        assert ph.phases[50] == pytest.approx(np.pi)
+        assert ph[50] == pytest.approx(np.pi)
 
     def test_wraps_to_zero_at_peak(self):
-        from ecgdenoise.core import RPeaks
-
         ph = observed_phase(RPeaks([0, 100]), 101)
-        assert ph.phases[100] == 0.0
-        assert ph.phases[0] == 0.0
+        assert ph[100] == 0.0
+        assert ph[0] == 0.0
 
     def test_backward_extrapolation(self):
-        from ecgdenoise.core import RPeaks
-
         ph = observed_phase(RPeaks([100, 200]), 201)
-        assert ph.phases[50] == pytest.approx(np.pi)
+        assert ph[50] == pytest.approx(np.pi)
 
     def test_requires_two_peaks(self):
-        from ecgdenoise.core import RPeaks
-
         with pytest.raises(InsufficientFiducialsError):
             observed_phase(RPeaks([10]), 100)
 
-    def test_piecewise_linear_between_fiducials(self):
-        from ecgdenoise.core import RPeaks
+    @settings(max_examples=300)
+    @given(
+        first=st.integers(0, 3000),
+        gaps=st.lists(st.integers(1, 3000), min_size=1, max_size=10),
+        past_last=st.integers(-4000, 4000),
+    )
+    @example(first=0, gaps=[1], past_last=-2)  # an empty signal
+    @example(first=500, gaps=[300, 300], past_last=-1000)  # the signal ends before the first peak
+    def test_matches_interval_loop(self, first, gaps, past_last):
+        # Peak sets that start after sample 0, signals that end before the
+        # last peak (or before the first) and signals that run past it.
+        peaks = RPeaks(first + np.cumsum([0] + gaps))
+        length = max(int(peaks.indices[-1]) + past_last, 0)
+        assert np.array_equal(observed_phase(peaks, length), observed_phase_loop(peaks, length))
 
+    def test_piecewise_linear_between_fiducials(self):
         peaks = RPeaks([0, 97, 201, 300])
         ph = observed_phase(peaks, 301)
-        unwrapped = np.unwrap(ph.phases)
+        unwrapped = np.unwrap(ph)
         for a, b in zip(peaks.indices[:-1], peaks.indices[1:]):
             seg = unwrapped[a : b + 1]
             assert np.abs(np.diff(seg, n=2)).max() < 1e-12
@@ -172,9 +182,7 @@ class TestObservedPhase:
 
 class TestMeanBeat:
     def _dense_phase(self, n):
-        from ecgdenoise.core import PhaseSeries
-
-        return PhaseSeries(np.mod(np.arange(n) * 0.618, 1.0) * TWO_PI * 0.9999)
+        return np.mod(np.arange(n) * 0.618, 1.0) * TWO_PI * 0.9999
 
     def test_constant_signal(self):
         n = 2000
@@ -186,25 +194,18 @@ class TestMeanBeat:
     def test_sine_oracle(self):
         n = 200_000
         rng = np.random.default_rng(0)
-        from ecgdenoise.core import PhaseSeries
-
         phases = rng.uniform(0.0, TWO_PI, size=n)
-        ph = PhaseSeries(phases)
         sig = Signal(np.sin(phases), 360.0)
-        tpl = mean_beat(sig, ph, 64)
+        tpl = mean_beat(sig, phases, 64)
         assert np.abs(tpl.mean - np.sin(tpl.centers)).max() < 0.01
 
     def test_coverage_error(self):
-        from ecgdenoise.core import PhaseSeries
-
-        ph = PhaseSeries(np.linspace(0, np.pi, 100))  # only half the cycle
+        ph = np.linspace(0, np.pi, 100)  # only half the cycle
         with pytest.raises(BinCoverageError, match="bin"):
             mean_beat(Signal(np.zeros(100), 360.0), ph, 64)
 
     def test_min_bins(self):
-        from ecgdenoise.core import PhaseSeries
-
-        ph = PhaseSeries(np.zeros(4))
+        ph = np.zeros(4)
         with pytest.raises(ValueError, match="16"):
             mean_beat(Signal(np.zeros(4), 360.0), ph, 8)
 
@@ -270,7 +271,7 @@ class TestDetectRPeaks:
         from ecgdenoise import bench
 
         sig, truth = bench.load_record(data_root, "118", 0)
-        sig, truth = bench._trim(sig, truth, 60.0)
+        sig, truth = bench.trim(sig, truth, 60.0)
         det = detect_r_peaks(sig).indices
         tol = int(0.05 * sig.fs)
         matched = sum(1 for t in truth.indices if np.abs(det - t).min() <= tol)

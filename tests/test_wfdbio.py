@@ -203,6 +203,23 @@ class TestCsv:
         with pytest.raises(wfdbio.CsvParseError, match="row 1"):
             wfdbio.read_csv(b"mv\nabc\n", fs=360.0)
 
+    @pytest.mark.parametrize(
+        "data, row",
+        [
+            (b"t,mv\n1e400,1\n1e400,2\n", 1),
+            (b"t,mv\n0,1\nnan,2\n", 2),
+            (b"t,mv\n0,1\n-inf,2\n", 2),
+            (b"t,mv\n0,1\n0.5,2\nnan,3\n", 3),  # named before the off-rate row 2
+        ],
+    )
+    def test_non_finite_time_named_by_row(self, data, row):
+        with pytest.raises(wfdbio.CsvParseError, match=rf"^row {row}: t = \S+ is not a finite time$"):
+            wfdbio.read_csv(data, fs=360.0)
+
+    def test_time_span_overflow_is_a_bad_row(self):
+        with pytest.raises(wfdbio.CsvParseError, match=r"^row 2: .* the t column runs at 0 Hz$"):
+            wfdbio.read_csv(b"t,mv\n-1.7e308,1\n1.7e308,2\n", fs=360.0)
+
     def test_bad_header(self):
         with pytest.raises(wfdbio.CsvParseError, match="header"):
             wfdbio.read_csv(b"volts\n1.0\n", fs=360.0)
@@ -320,6 +337,8 @@ class TestCsvCodec:
             b"t,mv\n0,1\nnan,2\n",
             b"t,mv\n5,1\n5,2\n",
             b"t,mv\n1e400,1\n1e400,2\n",
+            b"t,mv\n-1.7e308,1\n1.7e308,2\n",
+            b"t,mv\n0,1\n0.5,2\n1e400,3\n",
         ],
     )
     def test_read_matches_reference_on_edge_table(self, data):
