@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
@@ -117,17 +118,19 @@ class BenchError(RuntimeError):
     pass
 
 
+# Leading seconds of each cell left out of its score while the filters settle.
+WARMUP_S = 2.0
+
+
 @dataclass(frozen=True)
 class BenchPlan:
     records: tuple[str, ...]
     methods: tuple[str, ...] = tuple(METHODS)
     snr_levels: tuple[float, ...] = DEFAULT_LEVELS
     channel: int = 0
-    noise: str = "em"  # record name under the dataset root, or a CSV path
-    noise_channel: int = 0
+    noise: str = "em"  # record name under the dataset root (channel 0), or a CSV path
     seed: int = 0
-    duration_s: float | None = 60.0
-    skip_warmup_s: float = 2.0
+    duration_s: float = 60.0
     n_ensemble: int = 100
 
     def __post_init__(self):
@@ -136,6 +139,13 @@ class BenchPlan:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
+        for level in self.snr_levels:
+            if not math.isfinite(level):
+                raise ValueError(f"snr_levels must be finite, got {level}")
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
+            raise ValueError(f"duration_s must be finite and positive, got {self.duration_s}")
+        if self.n_ensemble < 2:
+            raise ValueError(f"n_ensemble must be at least 2 for a sample covariance, got {self.n_ensemble}")
 
 
 @dataclass(frozen=True)
@@ -161,9 +171,9 @@ def params_digest(plan: BenchPlan) -> str:
     payload = {
         "channel": plan.channel,
         "noise": plan.noise,
-        "noise_channel": plan.noise_channel,
+        "noise_channel": 0,  # fixed, like skip_warmup_s; kept so earlier digests still match
         "duration_s": plan.duration_s,
-        "skip_warmup_s": plan.skip_warmup_s,
+        "skip_warmup_s": WARMUP_S,
         "n_ensemble": plan.n_ensemble,
         "baselines": {name: asdict(m.params()) for name, m in METHODS.items() if m.params},
     }
@@ -184,10 +194,8 @@ def load_record(root: Path, name: str, channel: int = 0) -> tuple[Signal, RPeaks
     return record.channels[channel], record.r_peaks
 
 
-def trim(signal: Signal, peaks: RPeaks, duration_s: float | None) -> tuple[Signal, RPeaks]:
-    """The first duration_s seconds (rounded to whole samples) and their peaks; None keeps all."""
-    if duration_s is None:
-        return signal, peaks
+def trim(signal: Signal, peaks: RPeaks, duration_s: float) -> tuple[Signal, RPeaks]:
+    """The first duration_s seconds (rounded to whole samples) and their peaks."""
     n = min(int(round(duration_s * signal.fs)), len(signal))
     kept = peaks.indices[peaks.indices < n]
     return slice_signal(signal, 0, n), RPeaks(kept)
@@ -203,8 +211,8 @@ def fit_record_morphology(noisy: Signal, peaks: RPeaks) -> GaussianWaveParams:
     return fit_params(mean_beat(noisy, phase))
 
 
-def _score(clean: Signal, noisy: Signal, denoised: Signal, plan: BenchPlan) -> metrics.MetricReport:
-    skip = int(round(plan.skip_warmup_s * clean.fs))
+def _score(clean: Signal, noisy: Signal, denoised: Signal) -> metrics.MetricReport:
+    skip = int(round(WARMUP_S * clean.fs))
     if skip >= len(clean):
         raise BenchError("warm-up skip covers the whole evaluation segment")
     seg = lambda s: slice_signal(s, skip, len(s) - skip)
@@ -221,7 +229,7 @@ def run_cell(
     plan: BenchPlan,
 ) -> metrics.MetricReport:
     noisy, ctx = _mix_cell(clean, peaks, noise, level, seed, plan)
-    return _score(clean, noisy, run_method(method, noisy, ctx), plan)
+    return _score(clean, noisy, run_method(method, noisy, ctx))
 
 
 def _mix_cell(
@@ -313,7 +321,7 @@ def _run_batch(
         t0 = time.perf_counter()
         try:
             require_valid(denoised, f"{name} output")
-            rep, err = _score(loaded[record_id][0], noisy, denoised, plan), None
+            rep, err = _score(loaded[record_id][0], noisy, denoised), None
         except Exception as exc:
             rep, err = None, f"{type(exc).__name__}: {exc}"
         out[i] = BenchCell(record_id, plan.channel, name, level, rep, seeds[i], share + time.perf_counter() - t0, err)
@@ -324,17 +332,16 @@ def _load_noise(plan: BenchPlan, data_root: Path, fs: float) -> Signal:
     """The noise record, or a "t,mv" CSV checked against the records' rate fs."""
     if plan.noise.endswith(".csv"):
         path = Path(plan.noise)
-        text = path.read_text()
-        if text.lstrip().split("\n", 1)[0].strip().lower() == "mv":
+        data = path.read_bytes()
+        if data.lstrip().split(b"\n", 1)[0].strip().lower() == b"mv":
             raise BenchError(
                 f"noise CSV {path} has no t column, so its rate cannot be checked against the records' {fs:g} Hz"
             )
         try:
-            return wfdbio.read_csv(text, fs=fs)
+            return wfdbio.read_csv(data, fs=fs)
         except wfdbio.CsvParseError as exc:
             raise wfdbio.CsvParseError(f"noise CSV {path}: {exc}") from None
-    sig, _ = load_record(data_root, plan.noise, plan.noise_channel)
-    return sig
+    return load_record(data_root, plan.noise)[0]
 
 
 def aggregate(cells: list[BenchCell]) -> list[BenchCell]:

@@ -54,12 +54,19 @@ def _load_input(args, name: str) -> tuple[Signal, RPeaks | None]:
         path = Path(name)
         if not path.is_file():
             raise UsageError(f"input file {path} does not exist")
-        return wfdbio.read_csv(path.read_bytes(), fs=args.fs), None
+        return _read_csv(path, args.fs), None
     try:
         signal, peaks = bench.load_record(_data_root(args), name, args.channel)
     except FileNotFoundError as exc:
         raise UsageError(f"cannot read record {name!r}: {exc}") from None
     return signal, peaks if len(peaks) else None
+
+
+def _read_csv(path: Path, fs: float) -> Signal:
+    try:
+        return wfdbio.read_csv(path.read_bytes(), fs=fs)
+    except wfdbio.CsvParseError as exc:
+        raise wfdbio.CsvParseError(f"{path}: {exc}") from None
 
 
 def _write(path: Path, data: bytes | str) -> None:
@@ -84,34 +91,18 @@ def _load_params(path: str | None) -> GaussianWaveParams:
 
 
 def cmd_synth(args) -> int:
-    cfg = {}
-    if args.config:
-        path = Path(args.config)
-        if not path.is_file():
-            raise UsageError(f"config file {path} does not exist")
-        cfg = json.loads(path.read_text())
-    fs = args.fs if args.fs is not None else cfg.get("fs", 360.0)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    noise_std = args.noise_std if args.noise_std is not None else cfg.get("noise_std", 0.0)
-    params = (
-        GaussianWaveParams.from_dict(cfg["params"]) if "params" in cfg else _load_params(args.params)
-    )
     if args.rr is not None:
         rr = [args.rr] * args.beats
-    elif "rr" in cfg:
-        rr = cfg["rr"]
-    else:
-        rng = np.random.default_rng(seed)
-        mean, std = cfg.get("rr_mean", 0.85), cfg.get("rr_std", 0.04)
-        rr = np.clip(rng.normal(mean, std, size=args.beats), 0.3, 3.0).tolist()
-
-    signal, phase, peaks = synthesize(params, rr, fs=fs, noise_std=noise_std, seed=seed)
+    else:  # R-R intervals drawn around 0.85 s (about 70 bpm)
+        rr = np.clip(np.random.default_rng(args.seed).normal(0.85, 0.04, size=args.beats), 0.3, 3.0).tolist()
+    params = _load_params(args.params)
+    signal, phase, peaks = synthesize(params, rr, fs=args.fs, noise_std=args.noise_std, seed=args.seed)
     out = Path(args.out_dir)
     _write(out / "signal.csv", wfdbio.write_csv(signal))
     _write(out / "phase.csv", wfdbio.format_rows(phase, head=b"phase_rad\n"))
     _write(out / "peaks.csv", "sample\n" + "\n".join(str(int(i)) for i in peaks.indices) + "\n")
     print(
-        f"synthesized {len(signal)} samples at {fs:g} Hz: {len(peaks)} beats, "
+        f"synthesized {len(signal)} samples at {args.fs:g} Hz: {len(peaks)} beats, "
         f"p2p {float(signal.samples.max() - signal.samples.min()):.4g} mV -> {out}/"
     )
     return 0
@@ -172,7 +163,7 @@ def cmd_denoise(args) -> int:
     if method.needs_reference:
         if not args.reference:
             raise UsageError(f"--method {args.method} requires --reference (the noise channel)")
-        reference = wfdbio.read_csv(Path(args.reference).read_bytes(), fs=signal.fs)
+        reference = _read_csv(Path(args.reference), signal.fs)
     if method.params is None:  # the model-based filters
         morphology = _load_params(args.params) if args.params else None
     else:
@@ -195,16 +186,19 @@ def cmd_denoise(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    plan = bench.BenchPlan(
-        records=tuple(args.records.split(",")),
-        methods=tuple(args.methods.split(",")) if args.methods else tuple(bench.METHODS),
-        snr_levels=tuple(float(v) for v in args.levels.split(",")) if args.levels else bench.DEFAULT_LEVELS,
-        channel=args.channel,
-        noise=args.noise,
-        seed=args.seed,
-        duration_s=args.duration,
-        n_ensemble=args.n_ensemble,
-    )
+    try:
+        plan = bench.BenchPlan(
+            records=tuple(args.records.split(",")),
+            methods=tuple(args.methods.split(",")) if args.methods else tuple(bench.METHODS),
+            snr_levels=tuple(float(v) for v in args.levels.split(",")) if args.levels else bench.DEFAULT_LEVELS,
+            channel=args.channel,
+            noise=args.noise,
+            seed=args.seed,
+            duration_s=args.duration,
+            n_ensemble=args.n_ensemble,
+        )
+    except ValueError as exc:
+        raise UsageError(exc) from None
     cells = bench.run_bench(plan, _data_root(args))
     out = Path(args.out_dir)
     _write(out / "bench.csv", bench.table_csv(cells, plan))
@@ -236,14 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic ECG from the beat model")
-    p.add_argument("--config", help="JSON config with params/rr/fs/noise_std/seed")
     p.add_argument("--params", help="morphology JSON (default: built-in)")
     p.add_argument("--out-dir", default="synth_out")
     p.add_argument("--beats", type=int, default=30)
     p.add_argument("--rr", type=float, help="constant R-R interval in seconds")
-    p.add_argument("--fs", type=float, default=None)
-    p.add_argument("--noise-std", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--fs", type=float, default=360.0)
+    p.add_argument("--noise-std", type=float, default=0.0)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("fit", help="fit the Gaussian-wave morphology of a record")
@@ -307,13 +300,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, PermissionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (
+        UsageError,
+        FileNotFoundError,
+        PermissionError,
         wfdbio.HeaderParseError,
         wfdbio.CsvParseError,
         wfdbio.AnnotationParseError,

@@ -71,10 +71,6 @@ class Signal:
     def __len__(self) -> int:
         return self.samples.shape[0]
 
-    @property
-    def duration_s(self) -> float:
-        return len(self) / self.fs
-
 
 @dataclass(frozen=True)
 class RPeaks:

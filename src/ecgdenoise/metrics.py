@@ -136,7 +136,6 @@ class NoisyMix:
     noisy: Signal
     clean: Signal
     scaled_noise: Signal
-    target_snr: float
     gain: float
 
 
@@ -163,6 +162,5 @@ def mix(clean: Signal, noise: Signal, target_snr_db: float) -> NoisyMix:
         noisy=Signal(clean.samples + scaled.samples, clean.fs),
         clean=clean,
         scaled_noise=scaled,
-        target_snr=target_snr_db,
         gain=g,
     )

@@ -213,7 +213,7 @@ def observed_phase(r_peaks: RPeaks, length: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BeatTemplate:
-    """Phase-binned mean beat: one (center, mean, std) triple per bin.
+    """Phase-binned mean beat: one (center, mean) pair per bin.
 
     `centers` holds each bin's empirical mean phase rather than the geometric
     midpoint, so a fit evaluated at the centers is unbiased even when the
@@ -222,7 +222,6 @@ class BeatTemplate:
 
     centers: np.ndarray
     mean: np.ndarray
-    std: np.ndarray
 
 
 def mean_beat(signal: Signal, phase: np.ndarray, n_bins: int = 64) -> BeatTemplate:
@@ -240,12 +239,9 @@ def mean_beat(signal: Signal, phase: np.ndarray, n_bins: int = 64) -> BeatTempla
     counts = np.bincount(which, minlength=n_bins)
     if np.any(counts == 0):
         raise BinCoverageError(f"phase bin {int(np.argmax(counts == 0))} of {n_bins} received no samples")
-    sums = np.bincount(which, weights=signal.samples, minlength=n_bins)
-    means = sums / counts
-    sq = np.bincount(which, weights=signal.samples**2, minlength=n_bins)
-    var = np.maximum(sq / counts - means**2, 0.0)
+    means = np.bincount(which, weights=signal.samples, minlength=n_bins) / counts
     centers = np.bincount(which, weights=phase, minlength=n_bins) / counts
-    return BeatTemplate(centers=centers, mean=means, std=np.sqrt(var))
+    return BeatTemplate(centers=centers, mean=means)
 
 
 def _pack(params: GaussianWaveParams) -> np.ndarray:

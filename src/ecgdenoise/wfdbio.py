@@ -64,14 +64,12 @@ class RecordHeader:
     signals: tuple[SignalSpec, ...]
 
 
-def read_header(text: str | bytes) -> RecordHeader:
+def read_header(text: str) -> RecordHeader:
     """Parse a WFDB .hea file.
 
     Defaults follow the WFDB conventions: gain 200 ADC/mV when absent or
     zero, baseline falling back to the ADC zero, which itself defaults to 0.
     """
-    if isinstance(text, bytes):
-        text = text.decode("ascii", errors="replace")
     lines = [
         (i + 1, ln.strip())
         for i, ln in enumerate(text.splitlines())
@@ -266,7 +264,6 @@ def read_annotations(data: bytes) -> RPeaks:
 
 @dataclass(frozen=True)
 class AnnotatedRecord:
-    header: RecordHeader
     channels: tuple[Signal, ...]
     r_peaks: RPeaks
 
@@ -290,14 +287,14 @@ def assemble_record(
             raise ChecksumError(f"channel {ch}: checksum {got} does not match header {spec.checksum}")
     channels = tuple(to_millivolts(adc, header))
     peaks = read_annotations(atr) if atr is not None else RPeaks(np.empty(0, dtype=np.int64))
-    return AnnotatedRecord(header=header, channels=channels, r_peaks=peaks)
+    return AnnotatedRecord(channels=channels, r_peaks=peaks)
 
 
 CSV_BLOCK_ROWS = 16_384  # rows formatted by one % operation
 _PLAIN = b"0123456789.eE+-,\r\n"  # finite numbers, commas and line breaks
 
 
-def read_csv(data: bytes | str, fs: float) -> Signal:
+def read_csv(data: bytes, fs: float) -> Signal:
     """Read a one-sample-per-row CSV with header "mv" or "t,mv".
 
     A "t" column must be finite and put data row k (from 0) at t_0 + k/fs
@@ -311,11 +308,9 @@ def read_csv(data: bytes | str, fs: float) -> Signal:
     row.  Both parse a plain cell with CPython's string-to-double, so both
     give the same floats.
     """
-    if isinstance(data, str) and data.isascii():
-        data = data.encode("ascii")
-    table = _read_plain(data) if isinstance(data, bytes) else None
+    table = _read_plain(data)
     if table is None:
-        table = _read_rows(data.decode("utf-8") if isinstance(data, bytes) else data)
+        table = _read_rows(data.decode("utf-8"))
     values = table[:, -1]
     if table.shape[1] == 2 and len(table):
         times = table[:, 0]
@@ -374,12 +369,10 @@ def _read_rows(text: str) -> np.ndarray:
     return table
 
 
-def write_csv(signal: Signal, with_time: bool = True) -> bytes:
-    """Serialize a Signal; samples carry 17 significant digits so a
-    write-then-read round trip is exact."""
-    if with_time:
-        return format_rows(signal.samples, signal.fs, head=b"t,mv\n")
-    return format_rows(signal.samples, head=b"mv\n")
+def write_csv(signal: Signal) -> bytes:
+    """Serialize a Signal as "t,mv" rows; samples carry 17 significant
+    digits so a write-then-read round trip is exact."""
+    return format_rows(signal.samples, signal.fs, head=b"t,mv\n")
 
 
 def format_rows(values: np.ndarray | list[float], fs: float | None = None, head: bytes = b"") -> bytes:

@@ -57,11 +57,9 @@ def angular_velocity_loop(r_peaks: RPeaks, length: int, fs: float) -> np.ndarray
     return omega
 
 
-def read_csv_rows(data: bytes | str, fs: float) -> Signal:
+def read_csv_rows(data: bytes, fs: float) -> Signal:
     """``wfdbio.read_csv`` as one Python loop over the rows."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    lines = [ln.strip() for ln in data.splitlines() if ln.strip()]
+    lines = [ln.strip() for ln in data.decode("utf-8").splitlines() if ln.strip()]
     if not lines:
         raise CsvParseError("empty CSV")
     header = [c.strip().lower() for c in lines[0].split(",")]
@@ -100,7 +98,8 @@ def read_csv_rows(data: bytes | str, fs: float) -> Signal:
 
 
 def write_csv_rows(signal: Signal, with_time: bool = True) -> bytes:
-    """``wfdbio.write_csv`` as one f-string per row."""
+    """``wfdbio.write_csv`` (or, without time, ``wfdbio.format_rows`` under
+    an "mv" head) as one f-string per row."""
     out = []
     if with_time:
         out.append("t,mv")

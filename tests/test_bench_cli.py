@@ -210,7 +210,7 @@ class TestBenchRun:
         with pytest.raises(wfdbio.CsvParseError, match="noise250.csv.*runs at 250 Hz"):
             bench.run_bench(plan(timed), data_root)
         untimed = tmp_path / "noise_mv.csv"
-        untimed.write_bytes(wfdbio.write_csv(Signal(np.zeros(3000), 360.0), with_time=False))
+        untimed.write_bytes(wfdbio.format_rows(np.zeros(3000), head=b"mv\n"))
         with pytest.raises(bench.BenchError, match="noise_mv.csv has no t column"):
             bench.run_bench(plan(untimed), data_root)
         ok = tmp_path / "noise360.csv"
@@ -282,11 +282,6 @@ class TestCliSynthFit:
         assert rc == 1
         assert "round to 0 samples" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_synth_missing_config_exits_2(self, tmp_path, capsys):
-        rc = cli.main(["synth", "--config", str(tmp_path / "absent.json")])
-        assert rc == 2
-        assert "absent.json" in capsys.readouterr().err
 
     def test_fit_round_trip_on_synthetic(self, tmp_path, capsys):
         synth_dir = tmp_path / "s"
@@ -448,6 +443,23 @@ class TestCliMixDenoise:
         assert rc == 2
         assert "250 Hz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["denoise", "bad.csv", "--method", "sg"],
+            ["denoise", "good.csv", "--method", "nlms", "--reference", "bad.csv"],
+            ["denoise", "good.csv", "--method", "sg", "--clean", "bad.csv"],
+            ["mix", "bad.csv", "good.csv", "--level", "6"],
+            ["mix", "good.csv", "bad.csv", "--level", "6"],
+        ],
+    )
+    def test_csv_error_names_the_file(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)  # the default output paths land here
+        Path("good.csv").write_bytes(wfdbio.write_csv(Signal(np.sin(np.arange(2000) / 9.0), 360.0)))
+        Path("bad.csv").write_bytes(b"t,mv\n0,1\n0.002777778,abc\n")
+        assert cli.main(argv) == 2
+        assert "error: bad.csv: row 2: non-numeric value" in capsys.readouterr().err
+
 
 class TestCliBench:
     def test_small_bench_writes_artifacts(self, data_root, tmp_path, capsys):
@@ -482,6 +494,25 @@ class TestCliBench:
         )
         assert rc == 0
         assert "0.000000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--methods", "magic"], "method 'magic'"),
+            (["--duration", "-1"], "duration_s"),
+            (["--duration", "nan"], "duration_s"),
+            (["--duration", "inf"], "duration_s"),
+            (["--duration", "0"], "duration_s"),
+            (["--n-ensemble", "1"], "n_ensemble"),
+            (["--levels", "inf"], "snr_levels"),
+        ],
+    )
+    def test_bad_plan_is_a_usage_error(self, data_root, tmp_path, capsys, flags, field):
+        out = tmp_path / "bench"
+        argv = ["--data-root", str(data_root), "bench", "--records", "118", "--methods", "sg", "--levels", "12"]
+        assert cli.main(argv + ["--duration", "4", "--out-dir", str(out), *flags]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
 
     def test_no_data_root_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv(cli.DATA_ENV, raising=False)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ecgdenoise.bench import trim
 from ecgdenoise.core import (
     RPeaks,
     Signal,
@@ -23,7 +24,12 @@ class TestSignal:
             s.samples[0] = 5.0
 
     def test_duration(self):
-        assert Signal(np.zeros(720), 360.0).duration_s == 2.0
+        """A duration in seconds becomes whole samples the way the bench trims records."""
+        sig, peaks = Signal(np.zeros(1000), 360.0), RPeaks([100, 719, 720, 900])
+        cut, kept = trim(sig, peaks, 2.0)
+        assert len(cut) == 720 and kept.indices.tolist() == [100, 719]
+        assert len(trim(sig, peaks, 2.001)[0]) == 720  # 720.36 samples round to 720
+        assert len(trim(sig, peaks, 60.0)[0]) == 1000  # never past the end
 
 
 class TestRPeaks:
