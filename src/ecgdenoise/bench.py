@@ -1,6 +1,6 @@
 """Benchmark harness: run records x methods x SNR levels, aggregate, and emit
 deterministic CSV tables and SVG plots.  METHODS is the one table of
-denoisers; the `bench` and `denoise` commands both call it via run_method.
+denoisers; the `bench` command calls it via run_cell, `denoise` via run_method.
 
 Every cell derives its own seed from the master seed and its coordinates, so
 results are independent of execution order and of which other cells run.
@@ -219,27 +219,6 @@ def _score(clean: Signal, noisy: Signal, denoised: Signal) -> metrics.MetricRepo
     return metrics.report(seg(clean), seg(noisy), seg(denoised))
 
 
-def run_cell(
-    clean: Signal,
-    peaks: RPeaks,
-    noise: Signal,
-    method: str,
-    level: float,
-    seed: int,
-    plan: BenchPlan,
-) -> metrics.MetricReport:
-    noisy, ctx = _mix_cell(clean, peaks, noise, level, seed, plan)
-    return _score(clean, noisy, run_method(method, noisy, ctx))
-
-
-def _mix_cell(
-    clean: Signal, peaks: RPeaks, noise: Signal, level: float, seed: int, plan: BenchPlan
-) -> tuple[Signal, MethodContext]:
-    mixdat = metrics.mix(clean, noise, level)
-    ctx = MethodContext(reference=mixdat.scaled_noise, peaks=peaks, seed=seed, n_ensemble=plan.n_ensemble)
-    return mixdat.noisy, ctx
-
-
 def plan_cells(plan: BenchPlan) -> list[tuple[str, str, float]]:
     """Every (record, method, level) coordinate the plan will evaluate."""
     return [
@@ -250,82 +229,86 @@ def plan_cells(plan: BenchPlan) -> list[tuple[str, str, float]]:
     ]
 
 
-# Most cells one lockstep batch holds; each keeps its noisy signal and
-# reference (and, for enkf, its per-sample filter inputs) until the batch is scored.
+# Most cells one lockstep unit holds; each keeps its noisy signal and
+# reference (and, for enkf, its per-sample filter inputs) until the unit is scored.
 BATCH_ROWS = 8
 
 
-def run_bench(plan: BenchPlan, data_root: Path) -> list[BenchCell]:
-    """Execute every (record, method, level) cell; failures become failed rows.
+def plan_units(plan: BenchPlan, lengths: dict[str, int]) -> list[list[int]]:
+    """Split the plan's cells (indices into plan_cells) into work units.
 
-    Cells of a method with a batch callable (enkf, nlms, rls) run in
-    lockstep batches of up to BATCH_ROWS cells of one length, bit-identical
-    to one cell at a time; every other cell then streams one at a time.
-    The batches go first because their stacked buffers are the run's
-    largest: allocated before the streaming cells have churned the heap,
-    they leave the peak RSS near the streaming path's.
+    Cells of a method with a batch callable (enkf, nlms, rls) form lockstep
+    units of up to BATCH_ROWS cells of one method and one record length
+    (lengths maps record to samples), in plan order; every other cell is a
+    unit of one.  The lockstep units go first because their stacked buffers
+    are the run's largest: allocated before the streaming cells have churned
+    the heap, they leave the peak RSS near the streaming path's.
     """
-    loaded = {rid: trim(*load_record(data_root, rid, plan.channel), plan.duration_s) for rid in plan.records}
-    noise = _load_noise(plan, data_root, loaded[plan.records[0]][0].fs)
-    coords = plan_cells(plan)
-    alone: list[int] = []
-    batches: dict[tuple[str, int], list[list[int]]] = {}  # cell indices by method and length, in plan order
-    for i, (record_id, method, _) in enumerate(coords):
+    batches: dict[tuple[str, int], list[list[int]]] = {}
+    alone: list[list[int]] = []
+    for i, (record_id, method, _) in enumerate(plan_cells(plan)):
         if METHODS[method].batch is None:
-            alone.append(i)
+            alone.append([i])
             continue
-        groups = batches.setdefault((method, len(loaded[record_id][0])), [[]])
+        groups = batches.setdefault((method, lengths[record_id]), [[]])
         if len(groups[-1]) == BATCH_ROWS:
             groups.append([])
         groups[-1].append(i)
+    return [unit for groups in batches.values() for unit in groups] + alone
+
+
+def run_bench(plan: BenchPlan, data_root: Path) -> list[BenchCell]:
+    """Execute every cell, one work unit at a time; failures become failed rows.
+    A lockstep unit is bit-identical to its cells run one at a time."""
+    loaded = {rid: trim(*load_record(data_root, rid, plan.channel), plan.duration_s) for rid in plan.records}
+    noise = _load_noise(plan, data_root, loaded[plan.records[0]][0].fs)
+    coords = plan_cells(plan)
     cells: dict[int, BenchCell] = {}
-    for (method, _), groups in batches.items():
-        for batch in groups:
-            cells.update(_run_batch(METHODS[method], {i: coords[i] for i in batch}, loaded, noise, plan))
-    for i in alone:
-        cells[i] = _run_alone(coords[i], loaded, noise, plan)
+    for unit in plan_units(plan, {rid: len(signal) for rid, (signal, _) in loaded.items()}):
+        cells.update(zip(unit, run_cell([coords[i] for i in unit], loaded, noise, plan)))
     return [cells[i] for i in range(len(coords))]
 
 
-def _run_alone(coord: tuple[str, str, float], loaded, noise: Signal, plan: BenchPlan) -> BenchCell:
-    record_id, method, level = coord
-    seed = cell_seed(plan.seed, *coord)
-    t0 = time.perf_counter()
-    try:
-        rep, err = run_cell(*loaded[record_id], noise, method, level, seed, plan), None
-    except Exception as exc:  # cell failures must not kill the run
-        rep, err = None, f"{type(exc).__name__}: {exc}"
-    return BenchCell(record_id, plan.channel, method, level, rep, seed, time.perf_counter() - t0, err)
+def run_cell(unit: list[tuple[str, str, float]], loaded, noise: Signal, plan: BenchPlan) -> list[BenchCell]:
+    """Mix, denoise, validate and score a work unit: (record, method, level)
+    coordinates of one method, with loaded mapping record to (clean, peaks).
 
-
-def _run_batch(
-    method: Method, batch: dict[int, tuple[str, str, float]], loaded, noise: Signal, plan: BenchPlan
-) -> dict[int, BenchCell]:
-    """Mix each cell of the batch, make one call to the method's batch callable, score each row.
-
-    If mixing or the call raises, every cell reruns alone, so only a faulty
-    cell becomes a failed row, with the error a lone run gives.  A batched
-    cell's wall time is an equal share of the mixing and the call plus its
-    own scoring.
+    A unit of several cells makes one call to the method's batch callable, a
+    unit of one calls its run callable.  If mixing or the call raises, a unit
+    of several reruns as units of one, so only a faulty cell becomes a failed
+    row, with the error a lone run gives.  A cell's wall time is an equal
+    share of the mixing and the call plus its own scoring.
     """
-    seeds = {i: cell_seed(plan.seed, *coord) for i, coord in batch.items()}
+    name = unit[0][1]
+    method = METHODS[name]
+    seeds = [cell_seed(plan.seed, *coord) for coord in unit]
     t0 = time.perf_counter()
     try:
-        mixed = [_mix_cell(*loaded[rid], noise, level, seeds[i], plan) for i, (rid, _, level) in batch.items()]
-        outputs = method.batch([noisy for noisy, _ in mixed], _default_params(method), [ctx for _, ctx in mixed])
-    except Exception:
-        return {i: _run_alone(coord, loaded, noise, plan) for i, coord in batch.items()}
-    share = (time.perf_counter() - t0) / len(batch)
-    out: dict[int, BenchCell] = {}
-    for (i, (record_id, name, level)), (noisy, _), denoised in zip(batch.items(), mixed, outputs):
+        mixed = [metrics.mix(loaded[rid][0], noise, level) for rid, _, level in unit]
+        noisy = [m.noisy for m in mixed]
+        ctxs = [
+            MethodContext(reference=m.scaled_noise, peaks=loaded[rid][1], seed=seed, n_ensemble=plan.n_ensemble)
+            for m, (rid, _, _), seed in zip(mixed, unit, seeds)
+        ]
+        params = _default_params(method)
+        outputs = method.batch(noisy, params, ctxs) if len(unit) > 1 else [method.run(noisy[0], params, ctxs[0])]
+    except Exception as exc:  # cell failures must not kill the run
+        if len(unit) > 1:
+            return [cell for coord in unit for cell in run_cell([coord], loaded, noise, plan)]
+        rid, _, level = unit[0]
+        err = f"{type(exc).__name__}: {exc}"
+        return [BenchCell(rid, plan.channel, name, level, None, seeds[0], time.perf_counter() - t0, err)]
+    share = (time.perf_counter() - t0) / len(unit)
+    cells = []
+    for (rid, _, level), seed, x, y in zip(unit, seeds, noisy, outputs):
         t0 = time.perf_counter()
         try:
-            require_valid(denoised, f"{name} output")
-            rep, err = _score(loaded[record_id][0], noisy, denoised), None
+            require_valid(y, f"{name} output")
+            rep, err = _score(loaded[rid][0], x, y), None
         except Exception as exc:
             rep, err = None, f"{type(exc).__name__}: {exc}"
-        out[i] = BenchCell(record_id, plan.channel, name, level, rep, seeds[i], share + time.perf_counter() - t0, err)
-    return out
+        cells.append(BenchCell(rid, plan.channel, name, level, rep, seed, share + time.perf_counter() - t0, err))
+    return cells
 
 
 def _load_noise(plan: BenchPlan, data_root: Path, fs: float) -> Signal:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -109,6 +110,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    if args.seconds is not None and not (math.isfinite(args.seconds) and args.seconds > 0):
+        raise UsageError(f"--seconds must be finite and positive, got {args.seconds:g}")
     signal, peaks = _load_input(args, args.input)
     if args.seconds is not None:
         signal, peaks = bench.trim(signal, RPeaks([]) if peaks is None else peaks, args.seconds)
@@ -165,6 +168,8 @@ def cmd_denoise(args) -> int:
             raise UsageError(f"--method {args.method} requires --reference (the noise channel)")
         reference = _read_csv(Path(args.reference), signal.fs)
     if method.params is None:  # the model-based filters
+        if args.n_ensemble < 2:
+            raise UsageError(f"--n-ensemble must be at least 2 for a sample covariance, got {args.n_ensemble}")
         morphology = _load_params(args.params) if args.params else None
     else:
         params = method.params(**{f.name: getattr(args, f.name) for f in fields(method.params)})

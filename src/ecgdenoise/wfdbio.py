@@ -310,7 +310,7 @@ def read_csv(data: bytes, fs: float) -> Signal:
     """
     table = _read_plain(data)
     if table is None:
-        table = _read_rows(data.decode("utf-8"))
+        table = _read_rows(data)
     values = table[:, -1]
     if table.shape[1] == 2 and len(table):
         times = table[:, 0]
@@ -348,9 +348,10 @@ def _read_plain(data: bytes) -> np.ndarray | None:
     return table if table.shape[1] == width else None
 
 
-def _read_rows(text: str) -> np.ndarray:
-    """Parse row by row; the error names the first bad row."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+def _read_rows(data: bytes) -> np.ndarray:
+    """Parse row by row; the error names the first bad row.  A byte that is
+    not UTF-8 decodes to a lone surrogate, which no cell parses."""
+    lines = [ln.strip() for ln in data.decode("utf-8", "surrogateescape").splitlines() if ln.strip()]
     if not lines:
         raise CsvParseError("empty CSV")
     header = [c.strip().lower() for c in lines[0].split(",")]
@@ -365,7 +366,8 @@ def _read_rows(text: str) -> np.ndarray:
         try:
             table[k] = [float(c) for c in cells]
         except ValueError:
-            raise CsvParseError(f"row {k + 1}: non-numeric value in {ln!r}") from None
+            what = "invalid UTF-8" if any("\udc80" <= c <= "\udcff" for c in ln) else "non-numeric value"
+            raise CsvParseError(f"row {k + 1}: {what} in {ln!r}") from None
     return table
 
 

@@ -59,7 +59,7 @@ def angular_velocity_loop(r_peaks: RPeaks, length: int, fs: float) -> np.ndarray
 
 def read_csv_rows(data: bytes, fs: float) -> Signal:
     """``wfdbio.read_csv`` as one Python loop over the rows."""
-    lines = [ln.strip() for ln in data.decode("utf-8").splitlines() if ln.strip()]
+    lines = [ln.strip() for ln in data.decode("utf-8", "surrogateescape").splitlines() if ln.strip()]
     if not lines:
         raise CsvParseError("empty CSV")
     header = [c.strip().lower() for c in lines[0].split(",")]
@@ -78,7 +78,8 @@ def read_csv_rows(data: bytes, fs: float) -> Signal:
             if timed:
                 times[k] = float(cells[0])
         except ValueError:
-            raise CsvParseError(f"row {k + 1}: non-numeric value in {ln!r}") from None
+            what = "invalid UTF-8" if any(0xDC80 <= ord(c) <= 0xDCFF for c in ln) else "non-numeric value"
+            raise CsvParseError(f"row {k + 1}: {what} in {ln!r}") from None
     if timed and len(times):
         finite = np.isfinite(times)
         if not finite.all():

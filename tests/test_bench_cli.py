@@ -31,6 +31,23 @@ class TestPlanAndSeeds:
         )
         assert len(bench.plan_cells(plan)) == 9 * 7 * 6 == 378
 
+    def test_plan_units_cover_each_cell_once(self):
+        plan = bench.BenchPlan(records=("118", "119", "122"), snr_levels=(-6.0, 0.0, 6.0, 12.0, 18.0))
+        lengths = {"118": 7200, "119": 7200, "122": 3600}
+        coords = bench.plan_cells(plan)
+        units = bench.plan_units(plan, lengths)
+        assert sorted(i for unit in units for i in unit) == list(range(len(coords)))
+        lockstep = [bench.METHODS[coords[unit[0]][1]].batch is not None for unit in units]
+        assert lockstep == sorted(lockstep, reverse=True)  # lockstep units first
+        for unit, batched in zip(units, lockstep):
+            assert len({coords[i][1] for i in unit}) == 1
+            assert len({lengths[coords[i][0]] for i in unit}) == 1
+            assert unit == sorted(unit)  # plan order
+            assert len(unit) <= bench.BATCH_ROWS if batched else len(unit) == 1
+        # enkf, nlms and rls: 10 cells of 7200 samples split 8 + 2, 5 of 3600 in one unit.
+        sizes = sorted(len(unit) for unit, batched in zip(units, lockstep) if batched)
+        assert sizes == [2, 2, 2, 5, 5, 5, 8, 8, 8]
+
     def test_cell_seed_is_coordinate_local(self):
         a = bench.cell_seed(0, "118", "enkf", 12.0)
         assert a == bench.cell_seed(0, "118", "enkf", 12.0)
@@ -202,6 +219,20 @@ class TestBenchRun:
         alone = bench.table_csv(bench.run_bench(plan, data_root), plan)
         assert batched == alone
         assert batched.count(",ok\n") == 12 + 6  # every cell and every aggregate
+
+    def test_run_cell_called_once_per_unit(self, data_root, monkeypatch):
+        plan = bench.BenchPlan(records=("118", "119"), snr_levels=(12.0, 18.0), duration_s=4.0, n_ensemble=20)
+        run_cell = bench.run_cell
+        sizes: list[int] = []
+        monkeypatch.setattr(bench, "run_cell", lambda unit, *a: sizes.append(len(unit)) or run_cell(unit, *a))
+        batched = bench.table_csv(bench.run_bench(plan, data_root), plan)
+        assert sorted(sizes) == [1] * 16 + [4] * 3  # enkf, nlms, rls lockstep; 4 methods x 4 cells alone
+        sizes.clear()
+        monkeypatch.setattr(bench, "BATCH_ROWS", 1)
+        alone = bench.table_csv(bench.run_bench(plan, data_root), plan)
+        assert sizes == [1] * 28
+        assert batched == alone
+        assert batched.count(",ok\n") == 28 + 14
 
     def test_noise_csv_read_at_the_record_rate(self, data_root, tmp_path):
         plan = lambda path: bench.BenchPlan(records=("122",), methods=("sg",), snr_levels=(12.0,), noise=str(path))
@@ -459,6 +490,26 @@ class TestCliMixDenoise:
         Path("bad.csv").write_bytes(b"t,mv\n0,1\n0.002777778,abc\n")
         assert cli.main(argv) == 2
         assert "error: bad.csv: row 2: non-numeric value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fit", "signal.csv", "--seconds", "-1"], "--seconds must be finite and positive, got -1"),
+            (["fit", "signal.csv", "--seconds", "nan"], "--seconds must be finite and positive, got nan"),
+            (["fit", "signal.csv", "--seconds", "0"], "--seconds must be finite and positive, got 0"),
+            (["denoise", "signal.csv", "--method", "enkf", "--n-ensemble", "1"], "--n-ensemble must be at least 2"),
+            (["denoise", "signal.csv", "--method", "ekf", "--n-ensemble", "1"], "--n-ensemble must be at least 2"),
+            (["denoise", "latin1.csv", "--method", "sg"], "latin1.csv: row 2: invalid UTF-8"),
+        ],
+    )
+    def test_bad_size_or_encoding_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["synth", "--out-dir", ".", "--beats", "12"]) == 0
+        Path("latin1.csv").write_bytes(b"mv\n1\n\xb5\n")
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not Path("denoised.csv").exists()
 
 
 class TestCliBench:

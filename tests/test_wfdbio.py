@@ -203,6 +203,11 @@ class TestCsv:
         with pytest.raises(wfdbio.CsvParseError, match="row 1"):
             wfdbio.read_csv(b"mv\nabc\n", fs=360.0)
 
+    @pytest.mark.parametrize("data", [b"mv\n1\n\xff\n", b"mv\n\n1\n\n2\xc3\n"])
+    def test_non_utf8_row_named(self, data):
+        with pytest.raises(wfdbio.CsvParseError, match=r"^row 2: invalid UTF-8 in "):
+            wfdbio.read_csv(data, fs=360.0)
+
     @pytest.mark.parametrize(
         "data, row",
         [
