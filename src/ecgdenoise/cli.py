@@ -19,8 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, bench, metrics, wfdbio
-from .core import RPeaks, Signal
+from .core import REFRACTORY_S, RPeaks, Signal
 from .model import (
+    MIN_BINS,
     FitDivergenceError,
     GaussianWaveParams,
     default_morphology,
@@ -77,6 +78,25 @@ def _write(path: Path, data: bytes | str) -> None:
     path.write_bytes(data)
 
 
+def _require(ok: bool, flag: str, value, rule: str) -> None:
+    if not ok:
+        raise UsageError(f"{flag} must be {rule}, got {value:g}")
+
+
+# What each method setting must hold, by params field: its flag, the test on
+# the parsed arguments, and the rule the error states.
+_SETTINGS = {
+    "window": ("--window", lambda a: a.window >= 1 and a.window % 2 == 1, "odd and positive"),
+    "polyorder": ("--polyorder", lambda a: 0 <= a.polyorder < a.window, "non-negative and below --window"),
+    "levels": ("--levels", lambda a: a.levels >= 1, "at least 1"),
+    "taps": ("--taps", lambda a: a.taps >= 1, "at least 1"),
+    "mu": ("--mu", lambda a: 0 < a.mu < 2, "in (0, 2)"),
+    "forgetting": ("--forgetting", lambda a: 0 < a.forgetting <= 1, "in (0, 1]"),
+    "delta": ("--delta", lambda a: a.delta > 0, "positive"),
+    "lam": ("--lambda", lambda a: a.lam is None or a.lam >= 0, "non-negative"),
+}
+
+
 def _load_params(path: str | None) -> GaussianWaveParams:
     if path is None:
         return default_morphology()
@@ -92,7 +112,11 @@ def _load_params(path: str | None) -> GaussianWaveParams:
 
 
 def cmd_synth(args) -> int:
+    _require(args.beats >= 1, "--beats", args.beats, "at least 1")
+    _require(0 < args.fs < math.inf, "--fs", args.fs, "finite and positive")
+    _require(0 <= args.noise_std < math.inf, "--noise-std", args.noise_std, "finite and non-negative")
     if args.rr is not None:
+        _require(REFRACTORY_S < args.rr < math.inf, "--rr", args.rr, f"finite and above {REFRACTORY_S:g} s")
         rr = [args.rr] * args.beats
     else:  # R-R intervals drawn around 0.85 s (about 70 bpm)
         rr = np.clip(np.random.default_rng(args.seed).normal(0.85, 0.04, size=args.beats), 0.3, 3.0).tolist()
@@ -110,11 +134,13 @@ def cmd_synth(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    if args.seconds is not None and not (math.isfinite(args.seconds) and args.seconds > 0):
-        raise UsageError(f"--seconds must be finite and positive, got {args.seconds:g}")
+    if args.seconds is not None:
+        _require(0 < args.seconds < math.inf, "--seconds", args.seconds, "finite and positive")
+    _require(args.bins >= MIN_BINS, "--bins", args.bins, f"at least {MIN_BINS}")
     signal, peaks = _load_input(args, args.input)
     if args.seconds is not None:
         signal, peaks = bench.trim(signal, RPeaks([]) if peaks is None else peaks, args.seconds)
+        _require(len(signal) > 0, "--seconds", args.seconds, f"long enough to keep a sample at {signal.fs:g} Hz")
     if peaks is None or len(peaks) < 2:
         peaks = detect_r_peaks(signal)
     if len(peaks) < 10:
@@ -145,6 +171,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_mix(args) -> int:
+    _require(math.isfinite(args.level), "--level", args.level, "finite")
     clean, _ = _load_input(args, args.clean)
     noise, _ = _load_input(args, args.noise)
     mixed = metrics.mix(clean, noise, args.level)
@@ -168,10 +195,12 @@ def cmd_denoise(args) -> int:
             raise UsageError(f"--method {args.method} requires --reference (the noise channel)")
         reference = _read_csv(Path(args.reference), signal.fs)
     if method.params is None:  # the model-based filters
-        if args.n_ensemble < 2:
-            raise UsageError(f"--n-ensemble must be at least 2 for a sample covariance, got {args.n_ensemble}")
+        _require(args.n_ensemble >= 2, "--n-ensemble", args.n_ensemble, "at least 2 for a sample covariance")
         morphology = _load_params(args.params) if args.params else None
     else:
+        for f in fields(method.params):
+            flag, ok, rule = _SETTINGS[f.name]
+            _require(ok(args), flag, getattr(args, f.name), rule)
         params = method.params(**{f.name: getattr(args, f.name) for f in fields(method.params)})
     ctx = bench.MethodContext(reference, peaks, morphology, args.seed, args.n_ensemble)
     denoised = bench.run_method(args.method, signal, ctx, params)

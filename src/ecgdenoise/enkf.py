@@ -73,6 +73,91 @@ def substream(master_seed: int, *key) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int.from_bytes(digest[:16], "little")))
 
 
+# Keys whose generator states are derived together (see :func:`substreams`):
+# a full-length row never holds the seeding words of more keys than this.
+STREAM_BLOCK = 1024
+
+# numpy's SeedSequence hash constants (frozen by NEP 19) and PCG64's LCG multiplier.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _hash_constants(value: int, mult: int, count: int) -> list[tuple[int, int]]:
+    """The (xor, multiply) constants of count successive SeedSequence hashmix
+    calls: each call xors with the running constant, then advances it and
+    multiplies by the new value.  They do not depend on the data."""
+    out = []
+    for _ in range(count):
+        advanced = value * mult & _MASK32
+        out.append((value, advanced))
+        value = advanced
+    return out
+
+
+_POOL_HASHES = _hash_constants(_INIT_A, _MULT_A, 4 + 12)  # one per entropy word, then the all-pairs mix
+_STATE_HASHES = _hash_constants(_INIT_B, _MULT_B, 8)  # one per 32-bit word of generate_state(4, uint64)
+
+
+def _hashmix(value: np.ndarray, consts: tuple[int, int]) -> np.ndarray:
+    value = (value ^ consts[0]) * consts[1]
+    return value ^ (value >> 16)
+
+
+def _seed_sequence_words(words: np.ndarray) -> np.ndarray:
+    """SeedSequence(e).generate_state(4, uint64) for each row of a (K, 4)
+    uint32 array holding the 128-bit entropy e as little-endian 32-bit
+    words, computed for all K rows at once: (K, 4) uint64.
+
+    SeedSequence hashes the words into a 4-word pool, mixes every pool word
+    into every other, and hashes the pool out into eight 32-bit words, read
+    in little-endian pairs.  The uint32 arithmetic wraps on whole columns,
+    never on numpy scalars.  Leading zero words, which SeedSequence drops
+    from small entropies, hash to the same pool.
+    """
+    hashes = iter(_POOL_HASHES)
+    pool = [_hashmix(words[:, i], next(hashes)) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * _hashmix(pool[src], next(hashes))
+                pool[dst] = mixed ^ (mixed >> 16)
+    out = np.empty((len(words), 8), "<u4")
+    for i, consts in enumerate(_STATE_HASHES):
+        out[:, i] = _hashmix(pool[i % 4], consts)
+    return out.view("<u8")
+
+
+def _pcg64_state(s_high: int, s_low: int, i_high: int, i_low: int) -> dict:
+    """PCG64's state after seeding from one row of :func:`_seed_sequence_words`:
+    initstate and initseq are its two word pairs, high word first, and the
+    128-bit LCG starts at inc = 2*initseq + 1, state = (inc + initstate) * mult + inc."""
+    inc = ((i_high << 64 | i_low) << 1 | 1) & _MASK128
+    state = ((inc + (s_high << 64 | s_low)) * _PCG64_MULT + inc) & _MASK128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+
+
+def substreams(master_seed: int, n: int):
+    """Yield substream(master_seed, k) for k = 0, ..., n-1 in order, as one
+    reused Generator whose state is set for each key in turn.
+
+    The states are derived arithmetically, STREAM_BLOCK keys at a time, so no
+    SeedSequence or PCG64 is built per key; every draw equals substream's bit
+    for bit.  Each yielded generator is valid until the next one is taken.
+    """
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    seed = int(master_seed)
+    for start in range(0, n, STREAM_BLOCK):
+        # substream's entropy for each key of the block, as little-endian uint32 words
+        keys = range(start, min(start + STREAM_BLOCK, n))
+        digests = b"".join(hashlib.sha256(repr((seed, k)).encode()).digest()[:16] for k in keys)
+        for words in _seed_sequence_words(np.frombuffer(digests, "<u4").reshape(-1, 4)):
+            bit_generator.state = _pcg64_state(*words.tolist())
+            yield rng
+
+
 def circular_mean(theta: np.ndarray):
     """Circular mean over the last (member) axis, one value per leading index."""
     n = theta.shape[-1]
@@ -277,8 +362,9 @@ def denoise_batch(jobs) -> list[Signal]:
     (B, N) member arrays is job b's ensemble; its morphology (wave arrays
     stacked to (5, B, 1)), phase steps and resolved noise levels ((B, 1)
     columns) are its own.  Each row builds the observed phase from its R
-    peaks and initializes its members from the first observation; then, per
-    sample, each row draws from its own substream(seed, k) and all rows take
+    peaks and initializes its members from the first observation (drawn from
+    substream(seed, 0)); then, per sample k, each row draws from its own
+    substream(seed, k), taken from :func:`substreams`, and all rows take
     one predict, sample covariances, gain, perturbed update and ensemble mean
     together.  Rows never mix, so each output equals a lone run of its job
     bit for bit.  A SingularInnovationError or AmbiguousPhaseError in any row
@@ -297,12 +383,15 @@ def denoise_batch(jobs) -> list[Signal]:
     morphology = SimpleNamespace(
         **{f: np.stack([getattr(job[2], f) for job in jobs], axis=1)[..., None] for f in ("alpha", "b", "theta")}
     )
-    rows = [(c, phase, sig.samples, omega, 1.0 / sig.fs) for (phase, omega, c), sig in zip(inputs, signals)]
+    rows = [
+        (c, phase, sig.samples, omega, 1.0 / sig.fs, substreams(c.seed, n))
+        for (phase, omega, c), sig in zip(inputs, signals)
+    ]
 
     theta = np.empty((len(jobs), size))
     z = np.empty((len(jobs), size))
-    for row, (c, phases, samples, _, _) in enumerate(rows):
-        rng0 = substream(c.seed, 0)
+    for row, (c, phases, samples, _, _, streams) in enumerate(rows):
+        rng0 = next(streams)
         theta[row] = wrap_phase(phases[0] + rng0.normal(0.0, c.r_phi, size=size))
         z[row] = samples[0] + rng0.normal(0.0, c.r_s, size=size)
 
@@ -313,8 +402,8 @@ def denoise_batch(jobs) -> list[Signal]:
     try:
         out[0] = estimate(theta, z)[1]
         for k in range(1, n):
-            for row, (c, phases, samples, omega, delta) in enumerate(rows):
-                noise[row] = draw_noise(substream(c.seed, k), c, size)
+            for row, (c, phases, samples, omega, delta, streams) in enumerate(rows):
+                noise[row] = draw_noise(next(streams), c, size)
                 obs[row] = phases[k], samples[k], float(omega[k]) * delta
             theta, z = predict(theta, z, morphology, obs[:, 2:], levels, noise[:, :2])
             gain = kalman_gain(sample_covariances(theta, z), levels)

@@ -224,6 +224,9 @@ class BeatTemplate:
     mean: np.ndarray
 
 
+MIN_BINS = 16  # fewest phase bins a template may have
+
+
 def mean_beat(signal: Signal, phase: np.ndarray, n_bins: int = 64) -> BeatTemplate:
     """Average the signal into n_bins uniform phase bins.
 
@@ -231,8 +234,8 @@ def mean_beat(signal: Signal, phase: np.ndarray, n_bins: int = 64) -> BeatTempla
     record is too short (or n_bins too large) to define a template.
     """
     require_valid(signal)
-    if n_bins < 16:
-        raise ValueError("n_bins must be at least 16")
+    if n_bins < MIN_BINS:
+        raise ValueError(f"n_bins must be at least {MIN_BINS}")
     if len(phase) != len(signal):
         raise ValueError("phase and signal must have equal length")
     which = np.minimum((phase / TWO_PI * n_bins).astype(np.int64), n_bins - 1)

@@ -500,16 +500,30 @@ class TestCliMixDenoise:
             (["denoise", "signal.csv", "--method", "enkf", "--n-ensemble", "1"], "--n-ensemble must be at least 2"),
             (["denoise", "signal.csv", "--method", "ekf", "--n-ensemble", "1"], "--n-ensemble must be at least 2"),
             (["denoise", "latin1.csv", "--method", "sg"], "latin1.csv: row 2: invalid UTF-8"),
+            (["fit", "signal.csv", "--seconds", "0.001"], "--seconds must be long enough to keep a sample at 360 Hz"),
+            (["fit", "signal.csv", "--bins", "0"], "--bins must be at least 16, got 0"),
+            (["denoise", "signal.csv", "--method", "sg", "--window", "0"], "--window must be odd and positive, got 0"),
+            (["denoise", "signal.csv", "--method", "sg", "--polyorder", "40"], "--polyorder must be non-negative"),
+            (["denoise", "signal.csv", "--method", "wavelet", "--levels", "0"], "--levels must be at least 1, got 0"),
+            (["denoise", "signal.csv", "--method", "tvd", "--lambda", "-1"], "--lambda must be non-negative, got -1"),
+            (["denoise", "signal.csv", "--method", "nlms", "--reference", "signal.csv", "--mu", "3"], "--mu must be in"),
+            (["denoise", "signal.csv", "--method", "rls", "--reference", "signal.csv", "--taps", "0"], "--taps must be"),
+            (["synth", "--out-dir", "new", "--beats", "0"], "--beats must be at least 1, got 0"),
+            (["synth", "--out-dir", "new", "--fs", "0"], "--fs must be finite and positive, got 0"),
+            (["synth", "--out-dir", "new", "--rr", "0.1"], "--rr must be finite and above 0.2 s, got 0.1"),
+            (["synth", "--out-dir", "new", "--noise-std", "-1"], "--noise-std must be finite and non-negative, got -1"),
+            (["mix", "signal.csv", "signal.csv", "--level", "nan"], "--level must be finite, got nan"),
         ],
     )
     def test_bad_size_or_encoding_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)
         assert cli.main(["synth", "--out-dir", ".", "--beats", "12"]) == 0
         Path("latin1.csv").write_bytes(b"mv\n1\n\xb5\n")
+        before = sorted(tmp_path.rglob("*"))
         capsys.readouterr()
         assert cli.main(argv) == 2
         assert f"error: {message}" in capsys.readouterr().err
-        assert not Path("denoised.csv").exists()
+        assert sorted(tmp_path.rglob("*")) == before  # nothing written
 
 
 class TestCliBench:

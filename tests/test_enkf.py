@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ecgdenoise import enkf
 from ecgdenoise.core import RPeaks, Signal, TWO_PI, wrap_phase
 from ecgdenoise.enkf import (
     AmbiguousPhaseError,
@@ -28,6 +29,7 @@ from ecgdenoise.enkf import (
     prepare_inputs,
     sample_covariances,
     substream,
+    substreams,
     update,
 )
 from ecgdenoise.model import GaussianWaveParams, default_morphology, synthesize
@@ -90,6 +92,28 @@ class TestSubstream:
                 continue
             want = rng.normal(0.0, std if name != "q_z" else 1.0, size=30)
             assert np.array_equal(want, (std if name != "q_z" else 1.0) * block[row])
+
+    def test_derived_states_equal_numpy_seeding(self):
+        # Pins numpy's SeedSequence and PCG64 seeding (NEP 19): if either ever
+        # changes, this fails.  The first four entropies have leading zero
+        # words, which SeedSequence drops before hashing.
+        rng = np.random.default_rng(0)
+        entropies = [0, 1, 2**32, 2**96, 2**128 - 1]
+        entropies += [int.from_bytes(rng.bytes(16), "little") for _ in range(1000)]
+        words = np.array([[e >> shift & 0xFFFFFFFF for shift in (0, 32, 64, 96)] for e in entropies], np.uint32)
+        derived = [enkf._pcg64_state(*row) for row in enkf._seed_sequence_words(words).tolist()]
+        assert [np.random.PCG64(e).state for e in entropies] == derived
+
+    @pytest.mark.parametrize("seed", [0, -3, 2**64 + 5, -(2**70)])
+    def test_substreams_equal_substream_across_a_block_edge(self, seed):
+        edge = enkf.STREAM_BLOCK
+        checked = {0, 1, edge - 1, edge, edge + 1}
+        for k, rng in enumerate(substreams(seed, edge + 2)):
+            if k in checked:
+                want = substream(seed, k)
+                assert rng.bit_generator.state == want.bit_generator.state, k
+                assert np.array_equal(rng.standard_normal((4, 100)), want.standard_normal((4, 100))), k
+        assert k == edge + 1
 
 
 class TestPredict:
@@ -359,6 +383,12 @@ class TestDenoise:
 
         assert np.array_equal(denoise(noisy, peaks, p, cfg).samples, want)
 
+    def test_matches_step_function_loop_across_stream_blocks(self, monkeypatch):
+        # With 7-key blocks the 720-sample reference loop crosses 102 block
+        # edges and ends on a partial block.
+        monkeypatch.setattr(enkf, "STREAM_BLOCK", 7)
+        self.test_matches_step_function_loop()
+
 
 def _batch_job(rr, seed, jitter, n_ensemble, n):
     """A noisy synthetic job of n samples with a slightly perturbed morphology."""
@@ -408,7 +438,6 @@ class TestTracerContract:
         """The per-layer benchmark tracer must find every function it lists and
         count N members per predict call."""
         import ecgdenoise.cli  # noqa: F401  (loads every traced module)
-        from ecgdenoise import enkf
 
         path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
         spec = importlib.util.spec_from_file_location("perfbench_tracer", path)

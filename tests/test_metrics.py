@@ -183,6 +183,11 @@ class TestMixer:
         with pytest.raises(UndefinedMetricError):
             calibrate_gain(sig([1.0, 1.0]), sig([0.0, 0.0]), 6.0)
 
+    @pytest.mark.parametrize("target", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_target_rejected(self, target):
+        with pytest.raises(ValueError, match=f"target SNR must be finite, got {target}"):
+            calibrate_gain(sig([1.0, -1.0]), sig([0.5, 0.5]), target)
+
     def test_sample_rate_mismatch_rejected(self):
         clean = sig(np.ones(16))
         noise = Signal(np.concatenate([np.ones(8), -np.ones(8)]), 250.0)
