@@ -231,6 +231,11 @@ def _idwt_step(a: np.ndarray, d: np.ndarray, out_len: int) -> np.ndarray:
     return rec[ln - 2 : ln - 2 + out_len]
 
 
+def max_levels(n: int) -> int:
+    """Most levels wavelet_denoise takes for n samples: each halves the signal."""
+    return n.bit_length() - 1
+
+
 def wavedec(x: np.ndarray, levels: int) -> tuple[np.ndarray, list[np.ndarray], list[int]]:
     """Multi-level DWT; returns (approximation, details fine->coarse, input lengths)."""
     details = []
@@ -264,7 +269,7 @@ def wavelet_denoise(
     n = len(signal)
     if levels < 1:
         raise ValueError("levels must be at least 1")
-    if n < 2**levels:
+    if levels > max_levels(n):
         raise ValueError(f"signal of length {n} too short for {levels} levels")
     a, details, lengths = wavedec(signal.samples, levels)
     if threshold_rule == "universal":

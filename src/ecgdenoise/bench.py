@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from . import baselines, enkf, metrics, wfdbio
-from .core import RPeaks, Signal, require_valid, slice_signal
+from .core import RPeaks, Signal, require_valid, sample_count, slice_signal
 from .model import GaussianWaveParams, detect_r_peaks, fit_params, mean_beat, observed_phase
 from .svgplot import Series, render_line_chart
 
@@ -196,7 +196,7 @@ def load_record(root: Path, name: str, channel: int = 0) -> tuple[Signal, RPeaks
 
 def trim(signal: Signal, peaks: RPeaks, duration_s: float) -> tuple[Signal, RPeaks]:
     """The first duration_s seconds (rounded to whole samples) and their peaks."""
-    n = min(int(round(duration_s * signal.fs)), len(signal))
+    n = min(sample_count(duration_s, signal.fs), len(signal))
     kept = peaks.indices[peaks.indices < n]
     return slice_signal(signal, 0, n), RPeaks(kept)
 
@@ -229,9 +229,14 @@ def plan_cells(plan: BenchPlan) -> list[tuple[str, str, float]]:
     ]
 
 
-# Most cells one lockstep unit holds; each keeps its noisy signal and
-# reference (and, for enkf, its per-sample filter inputs) until the unit is scored.
-BATCH_ROWS = 8
+# Most cells one lockstep unit holds.  Each row keeps its noisy signal and
+# reference until the unit is scored, and the kernel adds float64 arrays of
+# the row's length: nlms the output column, zero-padded reference and step
+# sizes; rls the output column and padded reference; enkf the observed phase,
+# angular velocity and output column (and 48 kB of stream words).  At the full
+# 648,000 samples (30 min at 360 Hz) each array is 5.2 MB, so an nlms or enkf
+# row holds 25.9 MB and an rls row 20.7 MB: 415 and 332 MB for 16 rows.
+BATCH_ROWS = 16
 
 
 def plan_units(plan: BenchPlan, lengths: dict[str, int]) -> list[list[int]]:

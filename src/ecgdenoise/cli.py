@@ -19,9 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, bench, metrics, wfdbio
-from .core import REFRACTORY_S, RPeaks, Signal
+from .core import REFRACTORY_S, RPeaks, Signal, sample_count
 from .model import (
     MIN_BINS,
+    MIN_DETECT_S,
     FitDivergenceError,
     GaussianWaveParams,
     default_morphology,
@@ -96,6 +97,10 @@ _SETTINGS = {
     "lam": ("--lambda", lambda a: a.lam is None or a.lam >= 0, "non-negative"),
 }
 
+# The method settings an input of n samples bounds, by params field: the most
+# the filter takes for n (a Savitzky-Golay window spans at most the signal).
+_LIMITS = {"window": lambda n: n, "levels": baselines.max_levels}
+
 
 def _load_params(path: str | None) -> GaussianWaveParams:
     if path is None:
@@ -120,6 +125,8 @@ def cmd_synth(args) -> int:
         rr = [args.rr] * args.beats
     else:  # R-R intervals drawn around 0.85 s (about 70 bpm)
         rr = np.clip(np.random.default_rng(args.seed).normal(0.85, 0.04, size=args.beats), 0.3, 3.0).tolist()
+    seconds = float(np.sum(rr))  # the length synthesize rounds to samples
+    _require(sample_count(seconds, args.fs) > 0, "--fs", args.fs, f"high enough for {seconds:g} s to hold a sample")
     params = _load_params(args.params)
     signal, phase, peaks = synthesize(params, rr, fs=args.fs, noise_std=args.noise_std, seed=args.seed)
     out = Path(args.out_dir)
@@ -142,6 +149,9 @@ def cmd_fit(args) -> int:
         signal, peaks = bench.trim(signal, RPeaks([]) if peaks is None else peaks, args.seconds)
         _require(len(signal) > 0, "--seconds", args.seconds, f"long enough to keep a sample at {signal.fs:g} Hz")
     if peaks is None or len(peaks) < 2:
+        if args.seconds is not None:
+            enough = sample_count(args.seconds, signal.fs) >= MIN_DETECT_S * signal.fs
+            _require(enough, "--seconds", args.seconds, f"at least {MIN_DETECT_S:g} s to detect R peaks")
         peaks = detect_r_peaks(signal)
     if len(peaks) < 10:
         print(f"error: need at least 10 beats to fit, found {len(peaks)}", file=sys.stderr)
@@ -200,7 +210,11 @@ def cmd_denoise(args) -> int:
     else:
         for f in fields(method.params):
             flag, ok, rule = _SETTINGS[f.name]
-            _require(ok(args), flag, getattr(args, f.name), rule)
+            value = getattr(args, f.name)
+            _require(ok(args), flag, value, rule)
+            if f.name in _LIMITS:
+                limit = _LIMITS[f.name](len(signal))
+                _require(value <= limit, flag, value, f"at most {limit} for {len(signal)} samples")
         params = method.params(**{f.name: getattr(args, f.name) for f in fields(method.params)})
     ctx = bench.MethodContext(reference, peaks, morphology, args.seed, args.n_ensemble)
     denoised = bench.run_method(args.method, signal, ctx, params)

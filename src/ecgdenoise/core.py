@@ -104,6 +104,11 @@ class RPeaks:
                 )
 
 
+def sample_count(seconds: float, fs: float) -> int:
+    """Whole samples that seconds of signal at fs round to."""
+    return int(round(seconds * fs))
+
+
 def validate(signal: Signal) -> str | None:
     """Check Signal invariants; return None if ok, else a diagnostic naming the first violation."""
     if len(signal) == 0:

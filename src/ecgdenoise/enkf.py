@@ -4,7 +4,8 @@ The filtering distribution of the 2-D state (theta, z) is carried by N
 sampled members.  Each step: propagate every member through the stochastic
 beat-model transition, form sample cross- and innovation covariances, compute
 the gain, then update each member against an independently perturbed copy of
-the observation (phase, amplitude).  The output sample is the ensemble mean.
+the observation (phase, amplitude).  The output sample is the ensemble's
+amplitude mean.
 
 Phase is an angle: every residual anywhere in the filter is wrapped to
 (-pi, pi] before arithmetic, ensemble phase means are circular, and member
@@ -168,6 +169,11 @@ def circular_mean(theta: np.ndarray):
     return wrap_phase(np.arctan2(s, c))
 
 
+def _drawn_rows(cfg: FilterConfig) -> list[bool]:
+    """Which of draw_noise's four rows draw from the stream: those whose std is not zero."""
+    return [cfg.q_theta > 0, cfg.q_z > 0, cfg.r_phi != 0, cfg.r_s != 0]
+
+
 def draw_noise(rng: np.random.Generator, cfg: FilterConfig, n: int) -> np.ndarray:
     """One sample's standard normal draws for n members, shape (4, n): phase
     and amplitude process noise, then phase and amplitude observation noise.
@@ -176,7 +182,7 @@ def draw_noise(rng: np.random.Generator, cfg: FilterConfig, n: int) -> np.ndarra
     A noise whose std is zero draws nothing and its row stays zero, so the
     stream is the one separate rng.normal(0, std, n) draws in that order give.
     """
-    active = [cfg.q_theta > 0, cfg.q_z > 0, cfg.r_phi != 0, cfg.r_s != 0]
+    active = _drawn_rows(cfg)
     if all(active):
         return rng.standard_normal((4, n))
     out = np.zeros((4, n))
@@ -365,10 +371,12 @@ def denoise_batch(jobs) -> list[Signal]:
     peaks and initializes its members from the first observation (drawn from
     substream(seed, 0)); then, per sample k, each row draws from its own
     substream(seed, k), taken from :func:`substreams`, and all rows take
-    one predict, sample covariances, gain, perturbed update and ensemble mean
-    together.  Rows never mix, so each output equals a lone run of its job
-    bit for bit.  A SingularInnovationError or AmbiguousPhaseError in any row
-    names the sample index.
+    one predict, sample covariances, gain and perturbed update together.
+    The output sample is the members' amplitude mean; the circular phase mean
+    is taken only of the predicted members, by sample_covariances.  Rows
+    never mix, so each output equals a lone run of its job bit for bit.  A
+    SingularInnovationError or AmbiguousPhaseError in any row names the
+    sample index.
     """
     signals = [job[0] for job in jobs]
     inputs = [prepare_inputs(*job) for job in jobs]
@@ -384,13 +392,13 @@ def denoise_batch(jobs) -> list[Signal]:
         **{f: np.stack([getattr(job[2], f) for job in jobs], axis=1)[..., None] for f in ("alpha", "b", "theta")}
     )
     rows = [
-        (c, phase, sig.samples, omega, 1.0 / sig.fs, substreams(c.seed, n))
+        (c, phase, sig.samples, omega, 1.0 / sig.fs, substreams(c.seed, n), all(_drawn_rows(c)))
         for (phase, omega, c), sig in zip(inputs, signals)
     ]
 
     theta = np.empty((len(jobs), size))
     z = np.empty((len(jobs), size))
-    for row, (c, phases, samples, _, _, streams) in enumerate(rows):
+    for row, (c, phases, samples, _, _, streams, _) in enumerate(rows):
         rng0 = next(streams)
         theta[row] = wrap_phase(phases[0] + rng0.normal(0.0, c.r_phi, size=size))
         z[row] = samples[0] + rng0.normal(0.0, c.r_s, size=size)
@@ -400,15 +408,18 @@ def denoise_batch(jobs) -> list[Signal]:
     out = np.empty((n, len(jobs)))
     k = 0
     try:
-        out[0] = estimate(theta, z)[1]
+        out[0] = np.add.reduce(z, axis=-1) / size
         for k in range(1, n):
-            for row, (c, phases, samples, omega, delta, streams) in enumerate(rows):
-                noise[row] = draw_noise(next(streams), c, size)
+            for row, (c, phases, samples, omega, delta, streams, all_drawn) in enumerate(rows):
+                if all_drawn:  # draw_noise's one (4, N) draw, straight into the buffer
+                    next(streams).standard_normal(out=noise[row])
+                else:
+                    noise[row] = draw_noise(next(streams), c, size)
                 obs[row] = phases[k], samples[k], float(omega[k]) * delta
             theta, z = predict(theta, z, morphology, obs[:, 2:], levels, noise[:, :2])
             gain = kalman_gain(sample_covariances(theta, z), levels)
             theta, z = update(theta, z, obs[:, :1], obs[:, 1:2], gain, levels, noise[:, 2:])
-            out[k] = estimate(theta, z)[1]
+            out[k] = np.add.reduce(z, axis=-1) / size  # the amplitude half of estimate
     except (SingularInnovationError, AmbiguousPhaseError) as exc:
         raise type(exc)(f"{exc} at sample {k}") from None
     return [Signal(out[:, row], sig.fs) for row, sig in enumerate(signals)]

@@ -20,6 +20,7 @@ from .core import (
     TWO_PI,
     _as_readonly,
     require_valid,
+    sample_count,
     wrap_centered,
     wrap_phase,
 )
@@ -151,7 +152,7 @@ def synthesize(
     if not fs > 0:
         raise ValueError("fs must be positive")
 
-    n = int(round(fs * float(rr.sum())))
+    n = sample_count(float(rr.sum()), fs)
     if n == 0:
         raise ValueError(f"{rr.sum():g} s of beats at {fs:g} Hz round to 0 samples")
     rng = np.random.default_rng(seed)
@@ -420,6 +421,11 @@ def _bandpass_fir(numtaps: int, low_hz: float, high_hz: float, fs: float) -> np.
     return h / np.sum(h * np.cos(np.pi * m * (0.5 * (low + high))))
 
 
+# Seconds of envelope the detector's thresholds are learned from: the shortest
+# signal it takes.
+MIN_DETECT_S = 2.0
+
+
 def detect_r_peaks(signal: Signal) -> RPeaks:
     """Find R peaks in an unannotated recording.
 
@@ -430,8 +436,8 @@ def detect_r_peaks(signal: Signal) -> RPeaks:
     """
     require_valid(signal)
     fs = signal.fs
-    if len(signal) < 2 * fs:
-        raise ValueError("need at least 2 s of signal to detect R peaks")
+    if len(signal) < MIN_DETECT_S * fs:
+        raise ValueError(f"need at least {MIN_DETECT_S:g} s of signal to detect R peaks")
     if signal.samples.max() == signal.samples.min():
         raise DetectionFailureError("constant signal has no QRS energy")
 
@@ -460,7 +466,7 @@ def detect_r_peaks(signal: Signal) -> RPeaks:
             cand.append(int(k))
     cand.sort()
 
-    head = envelope[: int(2 * fs)]
+    head = envelope[: int(MIN_DETECT_S * fs)]
     spki = float(head.max())
     npki = float(head.mean()) * 0.5
     threshold = npki + 0.25 * (spki - npki)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,8 @@ from ecgdenoise.baselines import (
     _DB_G,
     _DB_H,
     ConditioningError,
+    NlmsParams,
+    RlsParams,
     ekf_denoise,
     nlms_batch,
     nlms_denoise,
@@ -405,6 +409,17 @@ class TestAdaptive:
                 assert np.array_equal(nl[row].samples, loop_nlms(primaries[i], references[i], taps, mu))
                 want = loop_rls(primaries[i], references[i], taps, forgetting, delta)
                 assert np.array_equal(rl[row].samples, want, equal_nan=True)
+
+    def test_sixteen_rows_equal_reference_loop(self):
+        # A full unit of the bench's default size, at the bench's canceller settings.
+        rng = np.random.default_rng(16)
+        primaries = [sig(rng.normal(size=500)) for _ in range(16)]
+        references = [sig(rng.uniform(0.1, 3.0) * rng.normal(size=500)) for _ in range(16)]
+        nl = nlms_batch(primaries, references, **asdict(NlmsParams()))
+        rl = rls_batch(primaries, references, **asdict(RlsParams()))
+        for row, (primary, reference) in enumerate(zip(primaries, references)):
+            assert np.array_equal(nl[row].samples, loop_nlms(primary, reference, **asdict(NlmsParams())))
+            assert np.array_equal(rl[row].samples, loop_rls(primary, reference, **asdict(RlsParams())))
 
     def test_batch_rejects_unequal_lengths_and_mismatched_references(self):
         a, b = sig(np.ones(10)), sig(np.ones(11))

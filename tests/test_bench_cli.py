@@ -31,22 +31,28 @@ class TestPlanAndSeeds:
         )
         assert len(bench.plan_cells(plan)) == 9 * 7 * 6 == 378
 
-    def test_plan_units_cover_each_cell_once(self):
+    def test_plan_units_cover_each_cell_once(self, monkeypatch):
         plan = bench.BenchPlan(records=("118", "119", "122"), snr_levels=(-6.0, 0.0, 6.0, 12.0, 18.0))
         lengths = {"118": 7200, "119": 7200, "122": 3600}
         coords = bench.plan_cells(plan)
-        units = bench.plan_units(plan, lengths)
-        assert sorted(i for unit in units for i in unit) == list(range(len(coords)))
-        lockstep = [bench.METHODS[coords[unit[0]][1]].batch is not None for unit in units]
-        assert lockstep == sorted(lockstep, reverse=True)  # lockstep units first
-        for unit, batched in zip(units, lockstep):
-            assert len({coords[i][1] for i in unit}) == 1
-            assert len({lengths[coords[i][0]] for i in unit}) == 1
-            assert unit == sorted(unit)  # plan order
-            assert len(unit) <= bench.BATCH_ROWS if batched else len(unit) == 1
-        # enkf, nlms and rls: 10 cells of 7200 samples split 8 + 2, 5 of 3600 in one unit.
-        sizes = sorted(len(unit) for unit, batched in zip(units, lockstep) if batched)
-        assert sizes == [2, 2, 2, 5, 5, 5, 8, 8, 8]
+
+        def lockstep_sizes():
+            units = bench.plan_units(plan, lengths)
+            assert sorted(i for unit in units for i in unit) == list(range(len(coords)))
+            lockstep = [bench.METHODS[coords[unit[0]][1]].batch is not None for unit in units]
+            assert lockstep == sorted(lockstep, reverse=True)  # lockstep units first
+            for unit, batched in zip(units, lockstep):
+                assert len({coords[i][1] for i in unit}) == 1
+                assert len({lengths[coords[i][0]] for i in unit}) == 1
+                assert unit == sorted(unit)  # plan order
+                assert len(unit) <= bench.BATCH_ROWS if batched else len(unit) == 1
+            return sorted(len(unit) for unit, batched in zip(units, lockstep) if batched)
+
+        # enkf, nlms and rls: 10 cells of 7200 samples form one unit, 5 of 3600 another.
+        assert lockstep_sizes() == [5, 5, 5, 10, 10, 10]
+        # With 8-row units the 10 cells split 8 + 2.
+        monkeypatch.setattr(bench, "BATCH_ROWS", 8)
+        assert lockstep_sizes() == [2, 2, 2, 5, 5, 5, 8, 8, 8]
 
     def test_cell_seed_is_coordinate_local(self):
         a = bench.cell_seed(0, "118", "enkf", 12.0)
@@ -307,13 +313,6 @@ class TestCliSynthFit:
         peaks = [int(v) for v in (out / "peaks.csv").read_text().split()[1:]]
         assert all(b - a == 360 for a, b in zip(peaks, peaks[1:]))
 
-    def test_synth_of_zero_samples_exits_1_and_writes_nothing(self, tmp_path, capsys):
-        out = tmp_path / "synth"
-        rc = cli.main(["synth", "--out-dir", str(out), "--fs", "1", "--rr", "0.3", "--beats", "1"])
-        assert rc == 1
-        assert "round to 0 samples" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_fit_round_trip_on_synthetic(self, tmp_path, capsys):
         synth_dir = tmp_path / "s"
         assert cli.main(["synth", "--out-dir", str(synth_dir), "--beats", "40", "--seed", "8"]) == 0
@@ -513,6 +512,16 @@ class TestCliMixDenoise:
             (["synth", "--out-dir", "new", "--rr", "0.1"], "--rr must be finite and above 0.2 s, got 0.1"),
             (["synth", "--out-dir", "new", "--noise-std", "-1"], "--noise-std must be finite and non-negative, got -1"),
             (["mix", "signal.csv", "signal.csv", "--level", "nan"], "--level must be finite, got nan"),
+            # In range, but too large (or small) for the input: 12 beats hold 3,676 samples at 360 Hz.
+            (["synth", "--out-dir", "new", "--beats", "12", "--fs", "0.01"], "--fs must be high enough for 10.21"),
+            pytest.param(
+                ["synth", "--out-dir", "new", "--fs", "1", "--rr", "0.3", "--beats", "1"],
+                "--fs must be high enough for 0.3 s to hold a sample, got 1",
+                id="synth-beats-round-to-0-samples",
+            ),
+            (["denoise", "signal.csv", "--method", "sg", "--window", "99999"], "--window must be at most 3676 for 3676"),
+            (["fit", "signal.csv", "--seconds", "1"], "--seconds must be at least 2 s to detect R peaks, got 1"),
+            (["denoise", "signal.csv", "--method", "wavelet", "--levels", "20"], "--levels must be at most 11 for 3676"),
         ],
     )
     def test_bad_size_or_encoding_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv, message):

@@ -52,6 +52,25 @@ def brute_force_covariances(theta, z):
     return p / n
 
 
+def step_function_loop(noisy, peaks, p, cfg):
+    """The step functions, one sample at a time, each drawing its block with
+    draw_noise from substream(seed, k): the pinned reference for any faster
+    kernel."""
+    phase, omega, resolved = prepare_inputs(noisy, peaks, p, cfg)
+    size = resolved.n_ensemble
+    rng0 = substream(resolved.seed, 0)
+    theta = wrap_phase(phase[0] + rng0.normal(0.0, resolved.r_phi, size=size))
+    z = noisy.samples[0] + rng0.normal(0.0, resolved.r_s, size=size)
+    want = [estimate(theta, z)[1]]
+    for k in range(1, len(noisy)):
+        noise = draw_noise(substream(resolved.seed, k), resolved, size)
+        theta, z = predict(theta, z, p, float(omega[k]) * (1.0 / noisy.fs), resolved, noise[:2])
+        gain = kalman_gain(sample_covariances(theta, z), resolved)
+        theta, z = update(theta, z, float(phase[k]), float(noisy.samples[k]), gain, resolved, noise[2:])
+        want.append(estimate(theta, z)[1])
+    return np.array(want)
+
+
 class TestFilterConfig:
     def test_rejects_tiny_ensemble(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -368,20 +387,7 @@ class TestDenoise:
         clean, _, peaks = synthesize(p, [0.9, 0.7, 0.4], 360.0, noise_std=0.0, seed=4)
         noisy = Signal(clean.samples + 0.1 * np.random.default_rng(2).normal(size=len(clean)), 360.0)
         cfg = FilterConfig(n_ensemble=20, seed=5)
-
-        phase, omega, resolved = prepare_inputs(noisy, peaks, p, cfg)
-        rng0 = substream(resolved.seed, 0)
-        theta = wrap_phase(phase[0] + rng0.normal(0.0, resolved.r_phi, size=20))
-        z = noisy.samples[0] + rng0.normal(0.0, resolved.r_s, size=20)
-        want = [estimate(theta, z)[1]]
-        for k in range(1, len(noisy)):
-            noise = draw_noise(substream(resolved.seed, k), resolved, 20)
-            theta, z = predict(theta, z, p, float(omega[k]) * (1.0 / noisy.fs), resolved, noise[:2])
-            gain = kalman_gain(sample_covariances(theta, z), resolved)
-            theta, z = update(theta, z, float(phase[k]), float(noisy.samples[k]), gain, resolved, noise[2:])
-            want.append(estimate(theta, z)[1])
-
-        assert np.array_equal(denoise(noisy, peaks, p, cfg).samples, want)
+        assert np.array_equal(denoise(noisy, peaks, p, cfg).samples, step_function_loop(noisy, peaks, p, cfg))
 
     def test_matches_step_function_loop_across_stream_blocks(self, monkeypatch):
         # With 7-key blocks the 720-sample reference loop crosses 102 block
@@ -390,17 +396,27 @@ class TestDenoise:
         self.test_matches_step_function_loop()
 
 
-def _batch_job(rr, seed, jitter, n_ensemble, n):
-    """A noisy synthetic job of n samples with a slightly perturbed morphology."""
-    base = default_morphology()
-    clean, _, peaks = synthesize(base, rr, 360.0, noise_std=0.0, seed=seed)
+def _batch_job(rr, seed, params, n_ensemble, n):
+    """A noisy synthetic job of n samples, filtered with morphology params."""
+    clean, _, peaks = synthesize(default_morphology(), rr, 360.0, noise_std=0.0, seed=seed)
     noisy = Signal(clean.samples[:n] + 0.1 * np.random.default_rng(seed).normal(size=n), 360.0)
-    params = GaussianWaveParams(
-        alpha=base.alpha * (1.0 + jitter),
-        b=base.b * (1.0 + jitter),
-        theta=base.theta + np.where(base.theta == 0.0, 0.0, jitter),
-    )
     return noisy, RPeaks(peaks.indices[peaks.indices < n]), params, FilterConfig(n_ensemble=n_ensemble, seed=seed)
+
+
+def _sorted_pair(low, high):
+    """Two distinct floats in the open interval (low, high), ascending."""
+    inside = st.floats(low, high, exclude_min=True, exclude_max=True)
+    return st.lists(inside, min_size=2, max_size=2, unique=True).map(sorted)
+
+
+# Any valid morphology: finite amplitudes, positive widths, and P < Q < R = 0 < S < T in (-pi, pi].
+morphologies = st.builds(
+    lambda alpha, b, before, after: GaussianWaveParams(np.array(alpha), np.array(b), np.array([*before, 0.0, *after])),
+    st.lists(st.floats(-5.0, 5.0), min_size=5, max_size=5),
+    st.lists(st.floats(0.01, np.pi), min_size=5, max_size=5),
+    _sorted_pair(-np.pi, 0.0),
+    _sorted_pair(0.0, np.nextafter(np.pi, 4.0)),
+)
 
 
 class TestDenoiseBatch:
@@ -408,7 +424,8 @@ class TestDenoiseBatch:
     @given(data=st.data())
     def test_rows_equal_lone_runs_in_any_order(self, data):
         """Every row of a lockstep batch is bit-identical to its job run
-        alone, whatever the other rows are and in whatever order."""
+        alone, whatever the other rows and their morphologies are and in
+        whatever order."""
         n_rows = data.draw(st.integers(1, 4), label="B")
         n_ensemble = data.draw(st.integers(2, 30), label="N")
         n = data.draw(st.integers(400, 600), label="samples")
@@ -416,8 +433,8 @@ class TestDenoiseBatch:
         for row in range(n_rows):
             rr = data.draw(st.lists(st.floats(0.6, 0.9), min_size=3, max_size=3), label=f"rr{row}")
             seed = data.draw(st.integers(0, 2**32 - 1), label=f"seed{row}")
-            jitter = data.draw(st.floats(-0.05, 0.05), label=f"jitter{row}")
-            jobs.append(_batch_job(rr, seed, jitter, n_ensemble, n))
+            params = data.draw(morphologies, label=f"morphology{row}")
+            jobs.append(_batch_job(rr, seed, params, n_ensemble, n))
         order = data.draw(st.permutations(range(n_rows)), label="order")
         batched = denoise_batch([jobs[i] for i in order])
         for i, out in zip(order, batched):
@@ -426,9 +443,45 @@ class TestDenoiseBatch:
             assert np.all(np.isfinite(out.samples))
             assert np.array_equal(out.samples, alone.samples)
 
+    def test_sixteen_rows_equal_lone_runs(self):
+        # A full unit of the bench's default size, each row with its own morphology.
+        p = default_morphology()
+        scaled = [GaussianWaveParams(p.alpha * (0.8 + 0.025 * row), p.b, p.theta) for row in range(16)]
+        jobs = [_batch_job([0.6 + 0.02 * row] * 3, row, scaled[row], 8, 400) for row in range(16)]
+        for job, out in zip(jobs, denoise_batch(jobs)):
+            assert np.array_equal(out.samples, denoise(*job).samples)
+
+    def test_zero_std_rows_equal_lone_runs_and_step_loop(self):
+        """Rows whose q_theta, q_z or r_phi is zero draw only their active
+        noise rows (draw_noise's stream), next to an all-active row."""
+        p = default_morphology()
+        noisy, peaks, _, _ = _batch_job([0.8, 0.7, 0.9], 3, p, 12, 600)
+        zero_stds = [{"q_theta": 0.0}, {"q_z": 0.0}, {"r_phi": 0.0}, {}]
+        jobs = [(noisy, peaks, p, FilterConfig(n_ensemble=12, seed=row, **zero)) for row, zero in enumerate(zero_stds)]
+        for job, out in zip(jobs, denoise_batch(jobs)):
+            assert np.array_equal(out.samples, denoise(*job).samples)
+            assert np.array_equal(out.samples, step_function_loop(*job))
+
+    def test_ambiguous_phase_names_the_sample(self, monkeypatch):
+        predict = enkf.predict
+        calls = []
+
+        def antipodal_at_sample_5(*args):
+            theta, z = predict(*args)
+            calls.append(None)
+            if len(calls) == 5:  # predict's k-th call is sample k
+                theta = np.zeros_like(theta)
+                theta[..., 1::2] = np.pi  # members cancel in pairs
+            return theta, z
+
+        monkeypatch.setattr(enkf, "predict", antipodal_at_sample_5)
+        jobs = [_batch_job([0.8] * 3, seed, default_morphology(), 10, 500) for seed in (1, 2)]
+        with pytest.raises(AmbiguousPhaseError, match=r"^member phases cancel; circular mean undefined at sample 5$"):
+            denoise_batch(jobs)
+
     def test_unequal_lengths_rejected(self):
-        a = _batch_job([0.8] * 3, 1, 0.0, 5, 500)
-        b = _batch_job([0.8] * 3, 2, 0.0, 5, 450)
+        a = _batch_job([0.8] * 3, 1, default_morphology(), 5, 500)
+        b = _batch_job([0.8] * 3, 2, default_morphology(), 5, 450)
         with pytest.raises(ValueError, match="one signal length"):
             denoise_batch([a, b])
 
