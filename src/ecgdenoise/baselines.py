@@ -135,6 +135,11 @@ def ekf_denoise(
 # ---------------------------------------------------------------------------
 
 
+def max_window(n: int) -> int:
+    """Longest window sg_filter takes for n samples: the whole signal."""
+    return n
+
+
 def sg_filter(signal: Signal, window: int, polyorder: int) -> Signal:
     """Least-squares polynomial smoothing.
 
@@ -148,7 +153,7 @@ def sg_filter(signal: Signal, window: int, polyorder: int) -> Signal:
         raise ValueError("window must be odd and positive")
     if polyorder >= window:
         raise ValueError("polyorder must be less than window")
-    if window > n:
+    if window > max_window(n):
         raise ValueError("window exceeds signal length")
     x = signal.samples
     if window == 1:

@@ -230,12 +230,14 @@ def plan_cells(plan: BenchPlan) -> list[tuple[str, str, float]]:
 
 
 # Most cells one lockstep unit holds.  Each row keeps its noisy signal and
-# reference until the unit is scored, and the kernel adds float64 arrays of
-# the row's length: nlms the output column, zero-padded reference and step
-# sizes; rls the output column and padded reference; enkf the observed phase,
-# angular velocity and output column (and 48 kB of stream words).  At the full
-# 648,000 samples (30 min at 360 Hz) each array is 5.2 MB, so an nlms or enkf
-# row holds 25.9 MB and an rls row 20.7 MB: 415 and 332 MB for 16 rows.
+# reference until the unit is scored, and at its peak the kernel adds float64
+# arrays of the row's length: nlms the output column, zero-padded reference
+# and step sizes; rls the output column and padded reference; enkf the
+# observed phase, angular velocity, output column and the output Signal's copy
+# of it (and one stream block, under 50 kB).  That is 40, 32 and 48 B per
+# sample (tracemalloc on run_cell units reads 40, 31 and 48).  At the full
+# 648,000 samples (30 min at 360 Hz) an nlms row holds 25.9 MB, an rls row
+# 20.7 MB and an enkf row 31.1 MB: 415, 332 and 498 MB for 16 rows.
 BATCH_ROWS = 16
 
 

@@ -27,6 +27,7 @@ from .model import (
     GaussianWaveParams,
     default_morphology,
     detect_r_peaks,
+    detectable,
     fit_params,
     fit_residual_rms,
     mean_beat,
@@ -98,8 +99,8 @@ _SETTINGS = {
 }
 
 # The method settings an input of n samples bounds, by params field: the most
-# the filter takes for n (a Savitzky-Golay window spans at most the signal).
-_LIMITS = {"window": lambda n: n, "levels": baselines.max_levels}
+# the filter takes for n.
+_LIMITS = {"window": baselines.max_window, "levels": baselines.max_levels}
 
 
 def _load_params(path: str | None) -> GaussianWaveParams:
@@ -150,7 +151,7 @@ def cmd_fit(args) -> int:
         _require(len(signal) > 0, "--seconds", args.seconds, f"long enough to keep a sample at {signal.fs:g} Hz")
     if peaks is None or len(peaks) < 2:
         if args.seconds is not None:
-            enough = sample_count(args.seconds, signal.fs) >= MIN_DETECT_S * signal.fs
+            enough = detectable(sample_count(args.seconds, signal.fs), signal.fs)
             _require(enough, "--seconds", args.seconds, f"at least {MIN_DETECT_S:g} s to detect R peaks")
         peaks = detect_r_peaks(signal)
     if len(peaks) < 10:

@@ -169,11 +169,6 @@ def circular_mean(theta: np.ndarray):
     return wrap_phase(np.arctan2(s, c))
 
 
-def _drawn_rows(cfg: FilterConfig) -> list[bool]:
-    """Which of draw_noise's four rows draw from the stream: those whose std is not zero."""
-    return [cfg.q_theta > 0, cfg.q_z > 0, cfg.r_phi != 0, cfg.r_s != 0]
-
-
 def draw_noise(rng: np.random.Generator, cfg: FilterConfig, n: int) -> np.ndarray:
     """One sample's standard normal draws for n members, shape (4, n): phase
     and amplitude process noise, then phase and amplitude observation noise.
@@ -182,7 +177,7 @@ def draw_noise(rng: np.random.Generator, cfg: FilterConfig, n: int) -> np.ndarra
     A noise whose std is zero draws nothing and its row stays zero, so the
     stream is the one separate rng.normal(0, std, n) draws in that order give.
     """
-    active = _drawn_rows(cfg)
+    active = [cfg.q_theta > 0, cfg.q_z > 0, cfg.r_phi != 0, cfg.r_s != 0]
     if all(active):
         return rng.standard_normal((4, n))
     out = np.zeros((4, n))
@@ -392,13 +387,13 @@ def denoise_batch(jobs) -> list[Signal]:
         **{f: np.stack([getattr(job[2], f) for job in jobs], axis=1)[..., None] for f in ("alpha", "b", "theta")}
     )
     rows = [
-        (c, phase, sig.samples, omega, 1.0 / sig.fs, substreams(c.seed, n), all(_drawn_rows(c)))
+        (c, phase, sig.samples, omega, 1.0 / sig.fs, substreams(c.seed, n))
         for (phase, omega, c), sig in zip(inputs, signals)
     ]
 
     theta = np.empty((len(jobs), size))
     z = np.empty((len(jobs), size))
-    for row, (c, phases, samples, _, _, streams, _) in enumerate(rows):
+    for row, (c, phases, samples, _, _, streams) in enumerate(rows):
         rng0 = next(streams)
         theta[row] = wrap_phase(phases[0] + rng0.normal(0.0, c.r_phi, size=size))
         z[row] = samples[0] + rng0.normal(0.0, c.r_s, size=size)
@@ -410,11 +405,8 @@ def denoise_batch(jobs) -> list[Signal]:
     try:
         out[0] = np.add.reduce(z, axis=-1) / size
         for k in range(1, n):
-            for row, (c, phases, samples, omega, delta, streams, all_drawn) in enumerate(rows):
-                if all_drawn:  # draw_noise's one (4, N) draw, straight into the buffer
-                    next(streams).standard_normal(out=noise[row])
-                else:
-                    noise[row] = draw_noise(next(streams), c, size)
+            for row, (c, phases, samples, omega, delta, streams) in enumerate(rows):
+                noise[row] = draw_noise(next(streams), c, size)
                 obs[row] = phases[k], samples[k], float(omega[k]) * delta
             theta, z = predict(theta, z, morphology, obs[:, 2:], levels, noise[:, :2])
             gain = kalman_gain(sample_covariances(theta, z), levels)

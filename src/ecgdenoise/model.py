@@ -426,6 +426,11 @@ def _bandpass_fir(numtaps: int, low_hz: float, high_hz: float, fs: float) -> np.
 MIN_DETECT_S = 2.0
 
 
+def detectable(n: int, fs: float) -> bool:
+    """Whether n samples at fs are long enough for detect_r_peaks."""
+    return n >= MIN_DETECT_S * fs
+
+
 def detect_r_peaks(signal: Signal) -> RPeaks:
     """Find R peaks in an unannotated recording.
 
@@ -436,7 +441,7 @@ def detect_r_peaks(signal: Signal) -> RPeaks:
     """
     require_valid(signal)
     fs = signal.fs
-    if len(signal) < MIN_DETECT_S * fs:
+    if not detectable(len(signal), fs):
         raise ValueError(f"need at least {MIN_DETECT_S:g} s of signal to detect R peaks")
     if signal.samples.max() == signal.samples.min():
         raise DetectionFailureError("constant signal has no QRS energy")

@@ -16,6 +16,8 @@ from ecgdenoise.baselines import (
     NlmsParams,
     RlsParams,
     ekf_denoise,
+    max_levels,
+    max_window,
     nlms_batch,
     nlms_denoise,
     noise_sigma_estimate,
@@ -298,8 +300,10 @@ class TestSavitzkyGolay:
             sg_filter(y, 4, 2)
         with pytest.raises(ValueError, match="polyorder"):
             sg_filter(y, 5, 5)
+        # The CLI bounds --window by max_window, so it must be this check's limit.
         with pytest.raises(ValueError, match="length"):
-            sg_filter(y, 21, 2)
+            sg_filter(y, max_window(20) + 1, 2)
+        assert len(sg_filter(sig(np.arange(21.0)), max_window(21), 2)) == 21
 
 
 class TestWavelet:
@@ -341,6 +345,11 @@ class TestWavelet:
     def test_too_short_rejected(self):
         with pytest.raises(ValueError, match="too short"):
             wavelet_denoise(sig(np.zeros(8)), levels=4)
+        # The CLI bounds --levels by max_levels, so it must be this check's limit.
+        for n in (2, 8, 9, 100):
+            assert len(wavelet_denoise(sig(np.ones(n)), levels=max_levels(n))) == n
+            with pytest.raises(ValueError, match="too short"):
+                wavelet_denoise(sig(np.ones(n)), levels=max_levels(n) + 1)
 
     @pytest.mark.parametrize("bad", [-0.1, float("nan")])
     def test_negative_or_nan_fixed_threshold_rejected_by_name(self, bad):

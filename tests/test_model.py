@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ecgdenoise.core import RPeaks, Signal, TWO_PI, wrap_centered
 from ecgdenoise.model import (
+    MIN_DETECT_S,
     BeatTemplate,
     BinCoverageError,
     DetectionFailureError,
@@ -16,6 +17,7 @@ from ecgdenoise.model import (
     InsufficientFiducialsError,
     default_morphology,
     detect_r_peaks,
+    detectable,
     fit_params,
     mean_beat,
     observed_phase,
@@ -280,6 +282,13 @@ class TestDetectRPeaks:
     def test_too_short(self):
         with pytest.raises(ValueError, match="2 s"):
             detect_r_peaks(Signal(np.zeros(100), 360.0))
+        # The CLI bounds fit --seconds by detectable, so it must be this check's limit.
+        n = int(MIN_DETECT_S * 360)
+        assert detectable(n, 360.0) and not detectable(n - 1, 360.0)
+        with pytest.raises(ValueError, match="2 s"):
+            detect_r_peaks(Signal(np.ones(n - 1), 360.0))
+        with pytest.raises(DetectionFailureError):  # past the length check
+            detect_r_peaks(Signal(np.ones(n), 360.0))
 
     def test_bandpass_taps_equal_scipy_firwin(self):
         firwin = pytest.importorskip("scipy.signal").firwin
