@@ -24,8 +24,9 @@ from .svgplot import Series, render_line_chart
 
 @dataclass(frozen=True)
 class MethodContext:
-    """What only some methods read: the noise reference (nlms, rls); the R peaks,
-    morphology (both derived from the noisy signal when None), seed and N (enkf, ekf)."""
+    """What only some methods read: the noise reference (nlms, rls; None for a
+    method without needs_reference); the R peaks, morphology (both derived from
+    the noisy signal when None), seed and N (enkf, ekf)."""
 
     reference: Signal | None = None
     peaks: RPeaks | None = None
@@ -229,15 +230,16 @@ def plan_cells(plan: BenchPlan) -> list[tuple[str, str, float]]:
     ]
 
 
-# Most cells one lockstep unit holds.  Each row keeps its noisy signal and
-# reference until the unit is scored, and at its peak the kernel adds float64
-# arrays of the row's length: nlms the output column, zero-padded reference
-# and step sizes; rls the output column and padded reference; enkf the
-# observed phase, angular velocity, output column and the output Signal's copy
-# of it (and one stream block, under 50 kB).  That is 40, 32 and 48 B per
-# sample (tracemalloc on run_cell units reads 40, 31 and 48).  At the full
+# Most cells one lockstep unit holds.  Each row keeps its noisy signal (and
+# an nlms or rls row its reference) until the unit is scored, and at its peak
+# the kernel adds float64 arrays of the row's length: nlms the output column,
+# zero-padded reference and step sizes; rls the output column and padded
+# reference; enkf the observed phase, angular velocity, output column and the
+# output Signal's copy of it, plus one noise block (enkf.NOISE_BLOCK samples,
+# 205 kB at N = 100).  That is 40, 32 and 40 B per sample (tracemalloc on
+# run_cell units reads 40, 31 and 42; a test holds enkf to it).  At the full
 # 648,000 samples (30 min at 360 Hz) an nlms row holds 25.9 MB, an rls row
-# 20.7 MB and an enkf row 31.1 MB: 415, 332 and 498 MB for 16 rows.
+# 20.7 MB and an enkf row 26.1 MB: 415, 332 and 418 MB for 16 rows.
 BATCH_ROWS = 16
 
 
@@ -291,11 +293,15 @@ def run_cell(unit: list[tuple[str, str, float]], loaded, noise: Signal, plan: Be
     seeds = [cell_seed(plan.seed, *coord) for coord in unit]
     t0 = time.perf_counter()
     try:
-        mixed = [metrics.mix(loaded[rid][0], noise, level) for rid, _, level in unit]
-        noisy = [m.noisy for m in mixed]
+        # No NoisyMix outlives this list; only a method with needs_reference keeps the scaled noise.
+        mixed = [
+            (m.noisy, m.scaled_noise if method.needs_reference else None)
+            for m in (metrics.mix(loaded[rid][0], noise, level) for rid, _, level in unit)
+        ]
+        noisy = [x for x, _ in mixed]
         ctxs = [
-            MethodContext(reference=m.scaled_noise, peaks=loaded[rid][1], seed=seed, n_ensemble=plan.n_ensemble)
-            for m, (rid, _, _), seed in zip(mixed, unit, seeds)
+            MethodContext(reference=ref, peaks=loaded[rid][1], seed=seed, n_ensemble=plan.n_ensemble)
+            for (_, ref), (rid, _, _), seed in zip(mixed, unit, seeds)
         ]
         params = _default_params(method)
         outputs = method.batch(noisy, params, ctxs) if len(unit) > 1 else [method.run(noisy[0], params, ctxs[0])]

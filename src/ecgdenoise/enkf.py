@@ -74,89 +74,9 @@ def substream(master_seed: int, *key) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int.from_bytes(digest[:16], "little")))
 
 
-# Keys whose generator states are derived together (see :func:`substreams`):
-# a full-length row never holds the seeding words of more keys than this.
-STREAM_BLOCK = 1024
-
-# numpy's SeedSequence hash constants (frozen by NEP 19) and PCG64's LCG multiplier.
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
-
-
-def _hash_constants(value: int, mult: int, count: int) -> list[tuple[int, int]]:
-    """The (xor, multiply) constants of count successive SeedSequence hashmix
-    calls: each call xors with the running constant, then advances it and
-    multiplies by the new value.  They do not depend on the data."""
-    out = []
-    for _ in range(count):
-        advanced = value * mult & _MASK32
-        out.append((value, advanced))
-        value = advanced
-    return out
-
-
-_POOL_HASHES = _hash_constants(_INIT_A, _MULT_A, 4 + 12)  # one per entropy word, then the all-pairs mix
-_STATE_HASHES = _hash_constants(_INIT_B, _MULT_B, 8)  # one per 32-bit word of generate_state(4, uint64)
-
-
-def _hashmix(value: np.ndarray, consts: tuple[int, int]) -> np.ndarray:
-    value = (value ^ consts[0]) * consts[1]
-    return value ^ (value >> 16)
-
-
-def _seed_sequence_words(words: np.ndarray) -> np.ndarray:
-    """SeedSequence(e).generate_state(4, uint64) for each row of a (K, 4)
-    uint32 array holding the 128-bit entropy e as little-endian 32-bit
-    words, computed for all K rows at once: (K, 4) uint64.
-
-    SeedSequence hashes the words into a 4-word pool, mixes every pool word
-    into every other, and hashes the pool out into eight 32-bit words, read
-    in little-endian pairs.  The uint32 arithmetic wraps on whole columns,
-    never on numpy scalars.  Leading zero words, which SeedSequence drops
-    from small entropies, hash to the same pool.
-    """
-    hashes = iter(_POOL_HASHES)
-    pool = [_hashmix(words[:, i], next(hashes)) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * _hashmix(pool[src], next(hashes))
-                pool[dst] = mixed ^ (mixed >> 16)
-    out = np.empty((len(words), 8), "<u4")
-    for i, consts in enumerate(_STATE_HASHES):
-        out[:, i] = _hashmix(pool[i % 4], consts)
-    return out.view("<u8")
-
-
-def _pcg64_state(s_high: int, s_low: int, i_high: int, i_low: int) -> dict:
-    """PCG64's state after seeding from one row of :func:`_seed_sequence_words`:
-    initstate and initseq are its two word pairs, high word first, and the
-    128-bit LCG starts at inc = 2*initseq + 1, state = (inc + initstate) * mult + inc."""
-    inc = ((i_high << 64 | i_low) << 1 | 1) & _MASK128
-    state = ((inc + (s_high << 64 | s_low)) * _PCG64_MULT + inc) & _MASK128
-    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
-
-
-def substreams(master_seed: int, n: int):
-    """Yield substream(master_seed, k) for k = 0, ..., n-1 in order, as one
-    reused Generator whose state is set for each key in turn.
-
-    The states are derived arithmetically, STREAM_BLOCK keys at a time, so no
-    SeedSequence or PCG64 is built per key; every draw equals substream's bit
-    for bit.  Each yielded generator is valid until the next one is taken.
-    """
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    seed = int(master_seed)
-    for start in range(0, n, STREAM_BLOCK):
-        # substream's entropy for each key of the block, as little-endian uint32 words
-        keys = range(start, min(start + STREAM_BLOCK, n))
-        digests = b"".join(hashlib.sha256(repr((seed, k)).encode()).digest()[:16] for k in keys)
-        for words in _seed_sequence_words(np.frombuffer(digests, "<u4").reshape(-1, 4)):
-            bit_generator.state = _pcg64_state(*words.tolist())
-            yield rng
+# Samples whose noise an EnKF row draws at once (see :func:`denoise_batch`):
+# each row holds a (NOISE_BLOCK, 4, N) float64 block, 205 kB at N = 100.
+NOISE_BLOCK = 64
 
 
 def circular_mean(theta: np.ndarray):
@@ -169,19 +89,22 @@ def circular_mean(theta: np.ndarray):
     return wrap_phase(np.arctan2(s, c))
 
 
-def draw_noise(rng: np.random.Generator, cfg: FilterConfig, n: int) -> np.ndarray:
-    """One sample's standard normal draws for n members, shape (4, n): phase
-    and amplitude process noise, then phase and amplitude observation noise.
-    cfg is resolved (see :func:`resolve_config`): no noise level is None.
+def draw_noise(rng: np.random.Generator, cfg: FilterConfig, n: int, samples: int) -> np.ndarray:
+    """Standard normal draws for n members over the given number of
+    successive samples, shape (samples, 4, n): per sample, phase and amplitude
+    process noise, then phase and amplitude observation noise.  cfg is
+    resolved (see :func:`resolve_config`): no noise level is None.
 
-    A noise whose std is zero draws nothing and its row stays zero, so the
-    stream is the one separate rng.normal(0, std, n) draws in that order give.
+    A noise whose std is zero draws nothing and its row stays zero.  The
+    draws fill sample by sample, so each sample's draws are the same however
+    the stream is split into blocks: the stream that separate
+    rng.normal(0, std, n) draws give, sample after sample.
     """
     active = [cfg.q_theta > 0, cfg.q_z > 0, cfg.r_phi != 0, cfg.r_s != 0]
     if all(active):
-        return rng.standard_normal((4, n))
-    out = np.zeros((4, n))
-    out[active] = rng.standard_normal((sum(active), n))
+        return rng.standard_normal((samples, 4, n))
+    out = np.zeros((samples, 4, n))
+    out[:, active] = rng.standard_normal((samples, sum(active), n))
     return out
 
 
@@ -195,7 +118,7 @@ def predict(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Propagate every member (phases theta, amplitudes z) through the
     stochastic transition; phase_step is omega * delta for this sample and
-    noise[..., :2, :] is the process part of this sample's draw_noise block
+    noise[..., :2, :] is the process part of this sample's draw_noise slab
     (zero where a std is zero).
 
     The phase perturbation is folded into each member's theta before the
@@ -268,7 +191,7 @@ def update(
     noise: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Perturbed-observation update of the members with the 2x2 gain k;
-    noise[..., :2, :] is the observation part of this sample's draw_noise block.
+    noise[..., :2, :] is the observation part of this sample's draw_noise slab.
 
     Each member sees its own noised copy of the observation, with the drawn
     perturbation set re-centered to exactly zero mean so the update adds no
@@ -363,15 +286,17 @@ def denoise_batch(jobs) -> list[Signal]:
     (B, N) member arrays is job b's ensemble; its morphology (wave arrays
     stacked to (5, B, 1)), phase steps and resolved noise levels ((B, 1)
     columns) are its own.  Each row builds the observed phase from its R
-    peaks and initializes its members from the first observation (drawn from
-    substream(seed, 0)); then, per sample k, each row draws from its own
-    substream(seed, k), taken from :func:`substreams`, and all rows take
-    one predict, sample covariances, gain and perturbed update together.
+    peaks and draws all its noise from one stream, substream(seed, 0): first
+    its initial members around the first observation, then draw_noise's
+    draws for samples 1, 2, ... in order.  Those draws, the observed phase
+    and amplitude and the phase step omega * delta are stacked NOISE_BLOCK
+    samples at a time, so per sample all rows take one predict, sample
+    covariances, gain and perturbed update together on views of the blocks.
     The output sample is the members' amplitude mean; the circular phase mean
     is taken only of the predicted members, by sample_covariances.  Rows
-    never mix, so each output equals a lone run of its job bit for bit.  A
-    SingularInnovationError or AmbiguousPhaseError in any row names the
-    sample index.
+    never mix, so each output equals a lone run of its job bit for bit, for
+    any block size.  A SingularInnovationError or AmbiguousPhaseError in any
+    row names the sample index.
     """
     signals = [job[0] for job in jobs]
     inputs = [prepare_inputs(*job) for job in jobs]
@@ -387,31 +312,36 @@ def denoise_batch(jobs) -> list[Signal]:
         **{f: np.stack([getattr(job[2], f) for job in jobs], axis=1)[..., None] for f in ("alpha", "b", "theta")}
     )
     rows = [
-        (c, phase, sig.samples, omega, 1.0 / sig.fs, substreams(c.seed, n))
+        (c, phase, sig.samples, omega, 1.0 / sig.fs, substream(c.seed, 0))
         for (phase, omega, c), sig in zip(inputs, signals)
     ]
 
     theta = np.empty((len(jobs), size))
     z = np.empty((len(jobs), size))
-    for row, (c, phases, samples, _, _, streams) in enumerate(rows):
-        rng0 = next(streams)
-        theta[row] = wrap_phase(phases[0] + rng0.normal(0.0, c.r_phi, size=size))
-        z[row] = samples[0] + rng0.normal(0.0, c.r_s, size=size)
+    for row, (c, phases, samples, _, _, rng) in enumerate(rows):
+        theta[row] = wrap_phase(phases[0] + rng.normal(0.0, c.r_phi, size=size))
+        z[row] = samples[0] + rng.normal(0.0, c.r_s, size=size)
 
-    noise = np.empty((len(jobs), 4, size))
-    obs = np.empty((len(jobs), 3))  # per row: observed phase and amplitude, phase step
+    noise = np.empty((min(NOISE_BLOCK, n - 1), len(jobs), 4, size))
+    obs = np.empty(noise.shape[:2] + (3,))  # per sample and row: observed phase and amplitude, phase step
     out = np.empty((n, len(jobs)))
     k = 0
     try:
         out[0] = np.add.reduce(z, axis=-1) / size
-        for k in range(1, n):
-            for row, (c, phases, samples, omega, delta, streams) in enumerate(rows):
-                noise[row] = draw_noise(next(streams), c, size)
-                obs[row] = phases[k], samples[k], float(omega[k]) * delta
-            theta, z = predict(theta, z, morphology, obs[:, 2:], levels, noise[:, :2])
-            gain = kalman_gain(sample_covariances(theta, z), levels)
-            theta, z = update(theta, z, obs[:, :1], obs[:, 1:2], gain, levels, noise[:, 2:])
-            out[k] = np.add.reduce(z, axis=-1) / size  # the amplitude half of estimate
+        for start in range(1, n, NOISE_BLOCK):
+            count = min(NOISE_BLOCK, n - start)
+            ahead = slice(start, start + count)
+            for row, (c, phases, samples, omega, delta, rng) in enumerate(rows):
+                noise[:count, row] = draw_noise(rng, c, size, count)
+                obs[:count, row, 0] = phases[ahead]
+                obs[:count, row, 1] = samples[ahead]
+                np.multiply(omega[ahead], delta, out=obs[:count, row, 2])
+            for k in range(start, start + count):
+                drawn, seen = noise[k - start], obs[k - start]
+                theta, z = predict(theta, z, morphology, seen[:, 2:], levels, drawn[:, :2])
+                gain = kalman_gain(sample_covariances(theta, z), levels)
+                theta, z = update(theta, z, seen[:, :1], seen[:, 1:2], gain, levels, drawn[:, 2:])
+                out[k] = np.add.reduce(z, axis=-1) / size  # the amplitude half of estimate
     except (SingularInnovationError, AmbiguousPhaseError) as exc:
         raise type(exc)(f"{exc} at sample {k}") from None
     return [Signal(out[:, row], sig.fs) for row, sig in enumerate(signals)]

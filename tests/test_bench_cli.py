@@ -7,14 +7,16 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ecgdenoise import baselines, bench, cli, wfdbio
+from ecgdenoise import baselines, bench, cli, enkf, wfdbio
 from ecgdenoise.core import Signal
+from ecgdenoise.model import default_morphology, synthesize
 from ecgdenoise.svgplot import PlotError, Series, render_line_chart
 
 
@@ -261,6 +263,36 @@ class TestBenchRun:
         _, cells = small_result
         for c in cells:
             assert c.report.snr_in == pytest.approx(c.input_snr, abs=2.0)
+
+    def test_enkf_unit_memory_per_row_and_sample(self):
+        """The traced peak of an enkf unit grows per row by the bytes per
+        sample the BATCH_ROWS comment counts (40: noisy signal, observed
+        phase, angular velocity, output column and the output Signal's copy),
+        plus the row's noise block; a row keeps no noise reference."""
+        row_bytes, n_ensemble = 40, 20
+        clean, _, peaks = synthesize(default_morphology(), [0.8] * 16, 360.0, noise_std=0.0, seed=3)
+        loaded = {n: bench.trim(clean, peaks, n / 360.0) for n in (2000, 4000)}
+        noise = Signal(np.random.default_rng(1).normal(size=5000), 360.0)
+        plan = bench.BenchPlan(records=("118",), n_ensemble=n_ensemble)
+
+        def peak(rows, n):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                unit = [(n, "enkf", level) for level in (0.0, 6.0, 12.0, 18.0)[:rows]]
+                cells = bench.run_cell(unit, loaded, noise, plan)
+                top = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert all(c.report is not None for c in cells)
+            return top
+
+        block = enkf.NOISE_BLOCK * 4 * n_ensemble * 8
+        per_row = {n: (peak(4, n) - peak(2, n)) / 2 for n in loaded}
+        for n, grown in per_row.items():
+            assert grown <= row_bytes * n + block + 16_000, n
+        per_sample = (per_row[4000] - per_row[2000]) / 2000
+        assert 32 <= per_sample <= row_bytes + 4
 
 
 class TestSvg:

@@ -29,7 +29,6 @@ from ecgdenoise.enkf import (
     prepare_inputs,
     sample_covariances,
     substream,
-    substreams,
     update,
 )
 from ecgdenoise.model import GaussianWaveParams, default_morphology, synthesize
@@ -53,17 +52,17 @@ def brute_force_covariances(theta, z):
 
 
 def step_function_loop(noisy, peaks, p, cfg):
-    """The step functions, one sample at a time, each drawing its block with
-    draw_noise from substream(seed, k): the pinned reference for any faster
-    kernel."""
+    """The step functions, one sample at a time, each drawing its sample's
+    noise with draw_noise from the row's one stream, substream(seed, 0), right
+    after the initial members: the pinned reference for any faster kernel."""
     phase, omega, resolved = prepare_inputs(noisy, peaks, p, cfg)
     size = resolved.n_ensemble
-    rng0 = substream(resolved.seed, 0)
-    theta = wrap_phase(phase[0] + rng0.normal(0.0, resolved.r_phi, size=size))
-    z = noisy.samples[0] + rng0.normal(0.0, resolved.r_s, size=size)
+    rng = substream(resolved.seed, 0)
+    theta = wrap_phase(phase[0] + rng.normal(0.0, resolved.r_phi, size=size))
+    z = noisy.samples[0] + rng.normal(0.0, resolved.r_s, size=size)
     want = [estimate(theta, z)[1]]
     for k in range(1, len(noisy)):
-        noise = draw_noise(substream(resolved.seed, k), resolved, size)
+        noise = draw_noise(rng, resolved, size, 1)[0]
         theta, z = predict(theta, z, p, float(omega[k]) * (1.0 / noisy.fs), resolved, noise[:2])
         gain = kalman_gain(sample_covariances(theta, z), resolved)
         theta, z = update(theta, z, float(phase[k]), float(noisy.samples[k]), gain, resolved, noise[2:])
@@ -97,42 +96,26 @@ class TestSubstream:
 
     @pytest.mark.parametrize("zero", [None, "q_theta", "q_z", "r_phi", "r_s"])
     def test_block_draw_equals_separate_normal_draws(self, zero):
-        # The stream separate rng.normal(0, std, N) draws give, one per
-        # non-zero std in the order q_theta, q_z (unit draws), r_phi, r_s.
+        # The stream separate rng.normal(0, std, N) draws give, sample after
+        # sample, one per non-zero std in the order q_theta, q_z (unit draws),
+        # r_phi, r_s.
         stds = dict(q_theta=0.01, q_z=0.02, r_phi=0.1, r_s=0.05)
         if zero:
             stds[zero] = 0.0
         cfg = FilterConfig(n_ensemble=30, **stds)
-        block = draw_noise(substream(9, 4), cfg, 30)
+        block = draw_noise(substream(9, 4), cfg, 30, 3)
+        assert block.shape == (3, 4, 30)
         rng = substream(9, 4)
-        for row, (name, std) in enumerate(stds.items()):
-            if std == 0.0:
-                assert np.all(block[row] == 0.0)
-                continue
-            want = rng.normal(0.0, std if name != "q_z" else 1.0, size=30)
-            assert np.array_equal(want, (std if name != "q_z" else 1.0) * block[row])
-
-    def test_derived_states_equal_numpy_seeding(self):
-        # Pins numpy's SeedSequence and PCG64 seeding (NEP 19): if either ever
-        # changes, this fails.  The first four entropies have leading zero
-        # words, which SeedSequence drops before hashing.
-        rng = np.random.default_rng(0)
-        entropies = [0, 1, 2**32, 2**96, 2**128 - 1]
-        entropies += [int.from_bytes(rng.bytes(16), "little") for _ in range(1000)]
-        words = np.array([[e >> shift & 0xFFFFFFFF for shift in (0, 32, 64, 96)] for e in entropies], np.uint32)
-        derived = [enkf._pcg64_state(*row) for row in enkf._seed_sequence_words(words).tolist()]
-        assert [np.random.PCG64(e).state for e in entropies] == derived
-
-    @pytest.mark.parametrize("seed", [0, -3, 2**64 + 5, -(2**70)])
-    def test_substreams_equal_substream_across_a_block_edge(self, seed):
-        edge = enkf.STREAM_BLOCK
-        checked = {0, 1, edge - 1, edge, edge + 1}
-        for k, rng in enumerate(substreams(seed, edge + 2)):
-            if k in checked:
-                want = substream(seed, k)
-                assert rng.bit_generator.state == want.bit_generator.state, k
-                assert np.array_equal(rng.standard_normal((4, 100)), want.standard_normal((4, 100))), k
-        assert k == edge + 1
+        for sample in block:
+            for row, (name, std) in enumerate(stds.items()):
+                if std == 0.0:
+                    assert np.all(sample[row] == 0.0)
+                    continue
+                want = rng.normal(0.0, std if name != "q_z" else 1.0, size=30)
+                assert np.array_equal(want, (std if name != "q_z" else 1.0) * sample[row])
+        # Any split of the stream into blocks draws the same samples.
+        rng = substream(9, 4)
+        assert np.array_equal(block, np.concatenate([draw_noise(rng, cfg, 30, count) for count in (1, 0, 2)]))
 
 
 class TestPredict:
@@ -147,7 +130,7 @@ class TestPredict:
         theta = np.linspace(0.1, 5.9, 10)
         z = np.linspace(-1, 1, 10)
         cfg = self._cfg()
-        out_theta, out_z = predict(theta, z, p, step, cfg, draw_noise(substream(0, 0), cfg, 10)[:2])
+        out_theta, out_z = predict(theta, z, p, step, cfg, draw_noise(substream(0, 0), cfg, 10, 1)[0, :2])
         for i in range(10):
             want_theta, want_z = transition(theta[i], z[i], p, step, 0.0)
             assert out_theta[i] == pytest.approx(want_theta, abs=1e-12)
@@ -157,7 +140,7 @@ class TestPredict:
         p = default_morphology()
         step = TWO_PI * (1 / 360.0)
         cfg = self._cfg(n_ensemble=8)
-        theta, z = predict(np.full(8, 1.0), np.full(8, 0.5), p, step, cfg, draw_noise(substream(0, 1), cfg, 8)[:2])
+        theta, z = predict(np.full(8, 1.0), np.full(8, 0.5), p, step, cfg, draw_noise(substream(0, 1), cfg, 8, 1)[0, :2])
         assert np.all(theta == theta[0])
         assert np.all(z == z[0])
 
@@ -390,10 +373,38 @@ class TestDenoise:
         assert np.array_equal(denoise(noisy, peaks, p, cfg).samples, step_function_loop(noisy, peaks, p, cfg))
 
     def test_matches_step_function_loop_across_stream_blocks(self, monkeypatch):
-        # With 7-key blocks the 720-sample reference loop crosses 102 block
+        # With 7-sample blocks the 720-sample reference loop crosses 102 block
         # edges and ends on a partial block.
-        monkeypatch.setattr(enkf, "STREAM_BLOCK", 7)
+        monkeypatch.setattr(enkf, "NOISE_BLOCK", 7)
         self.test_matches_step_function_loop()
+
+    @settings(max_examples=12)
+    @given(data=st.data())
+    def test_any_noise_block_gives_the_same_output(self, data):
+        """The filter's output, or the error that names its sample, is the
+        same for every block size from 1 to past the signal's length, under
+        every pattern of zero noise levels, and equals the reference loop."""
+        zero = data.draw(
+            st.sets(st.sampled_from(["q_theta", "q_z", "r_phi", "r_s"])).filter(lambda s: not {"r_phi", "r_s"} <= s),
+            label="zero stds",
+        )
+        n = data.draw(st.integers(300, 450), label="samples")
+        block = data.draw(st.integers(1, n + 10), label="NOISE_BLOCK")
+        noisy, peaks, p, cfg = _batch_job([0.8, 0.7, 0.9], 6, default_morphology(), 9, n)
+        cfg = dataclasses.replace(cfg, **dict.fromkeys(zero, 0.0))
+
+        def outcome(run):
+            try:
+                return run().tobytes()
+            except (SingularInnovationError, AmbiguousPhaseError) as exc:
+                return str(exc)
+
+        want = outcome(lambda: denoise(noisy, peaks, p, cfg).samples)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(enkf, "NOISE_BLOCK", block)
+            assert outcome(lambda: denoise(noisy, peaks, p, cfg).samples) == want
+        if isinstance(want, bytes):
+            assert step_function_loop(noisy, peaks, p, cfg).tobytes() == want
 
 
 def _batch_job(rr, seed, params, n_ensemble, n):
