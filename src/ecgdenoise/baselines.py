@@ -310,15 +310,17 @@ def _check_batch(primaries, references, taps: int) -> None:
         raise ValueError("a lockstep batch needs one signal length")
     if len(references) != len(primaries) or any(len(ref) != n for ref in references):
         raise ValueError("reference must match the primary signal length")
+    for ref in references:
+        require_valid(ref, "reference")
     if taps < 1:
         raise ValueError("taps must be at least 1")
 
 
 def _lockstep_arrays(primaries, references, taps: int):
-    """The (n, B) stacked primaries, which the canceller overwrites with its
-    output, and each row's reference window at every sample, newest sample
-    first, as (n, B, 1, taps) row and (n, B, taps, 1) column views of one
-    zero-padded (B, n + taps) buffer.
+    """The RLS kernel's arrays: the (n, B) stacked primaries, which the
+    canceller overwrites with its output, and each row's reference window at
+    every sample, newest sample first, as (n, B, 1, taps) row and
+    (n, B, taps, 1) column views of one zero-padded (B, n + taps) buffer.
 
     The windows run backwards through memory, so numpy sums every dot product
     with them in its sequential loop, never BLAS: a row's arithmetic is the
@@ -335,9 +337,17 @@ def _lockstep_arrays(primaries, references, taps: int):
     return out, windows[:, :, None, :], windows[:, :, :, None]
 
 
-def _signals(out: np.ndarray, primaries) -> list[Signal]:
+def _signals(rows, primaries) -> list[Signal]:
     # Called once the windows are freed, so they never coexist with the copies.
-    return [Signal(out[:, b], primary.fs) for b, primary in enumerate(primaries)]
+    return [Signal(row, primary.fs) for row, primary in zip(rows, primaries)]
+
+
+# Samples per block of the NLMS kernel: it solves a block's errors at once,
+# and steps sample by sample only from one block's start to the next.
+NLMS_BLOCK = 16
+# Bytes of the NLMS kernel's per-chunk arrays, summed over every row of a
+# unit; a chunk holds at least one block per row.
+NLMS_CHUNK_BYTES = 1 << 19
 
 
 def nlms_batch(primaries: list[Signal], references: list[Signal], taps: int, mu: float) -> list[Signal]:
@@ -346,23 +356,79 @@ def nlms_batch(primaries: list[Signal], references: list[Signal], taps: int, mu:
     _check_batch(primaries, references, taps)
     if not 0.0 < mu < 2.0:
         raise ValueError(f"mu must lie in (0, 2), got {mu}")
-    return _signals(_nlms_loop(*_lockstep_arrays(primaries, references, taps), mu), primaries)
+    n = len(primaries[0])
+    return _signals(_nlms_blocks(primaries, references, taps, mu)[:, :n], primaries)
 
 
-def _nlms_loop(out: np.ndarray, rows: np.ndarray, cols: np.ndarray, mu: float) -> np.ndarray:
-    # The step size mu / (eps + |window|^2) depends on the reference alone.
-    steps = rows @ cols
-    steps += 1e-8
-    np.divide(mu, steps, out=steps)
-    x, w = out.reshape(*out.shape, 1, 1), np.zeros(rows.shape[1:])
-    # A lone run (the `denoise` path) drops the row axes, so its per-sample
-    # values are numpy scalars, whose arithmetic costs far less than a ufunc call.
-    if out.shape[1] == 1:
-        x, rows, cols, steps, w = x[:, 0, 0, 0], rows[:, 0, 0], cols[:, 0, :, 0], steps[:, 0, 0, 0], w[0, 0]
-    for k, (row, col, step) in enumerate(zip(rows, cols, steps)):
-        e = x[k] - w @ col
-        x[k] = e
-        w += step * e * row
+def _nlms_blocks(primaries, references, taps: int, mu: float) -> np.ndarray:
+    """The NLMS errors as a (B, n padded to whole blocks) array, by the exact
+    block form of the per-sample recursion (Benesty & Duhamel, IEEE TSP
+    40(12), 1992).
+
+    With x_j the reference window at a block's sample j, s_j = mu / (1e-8 +
+    |x_j|^2) its step and w the weights at the block's start, the errors obey
+    e_j = y_j - x_j.w - sum_{i<j} s_i (x_j.x_i) e_i: a unit lower-triangular
+    system in the block's Gram products, which depend on the reference alone.
+    Forward substitution on [y | X] gives [c | H] with e = c - H w, and the
+    weights at the next block's start are F w + g, with F = I - (sX)^T H and
+    g = (sX)^T c.  The blocks go in chunks whose arrays NLMS_CHUNK_BYTES
+    bounds over the whole unit.  Each matrix product takes one row's block on
+    its own, in shapes that depend on neither the batch nor the chunk, so a
+    row's arithmetic is the same in any batch.  The final block runs past n
+    on a zero primary; those samples come after every real one, so they reach
+    no output.
+    """
+    rows, n, size = len(primaries), len(primaries[0]), NLMS_BLOCK
+    blocks = -(-n // size)
+    out = np.zeros((rows, blocks * size))
+    padded = np.zeros((rows, blocks * size + taps))
+    for b, (primary, ref) in enumerate(zip(primaries, references)):
+        out[b, :n] = primary.samples
+        padded[b, taps : taps + n] = ref.samples
+    # windows[q, b, j] is row b's reference window at sample q * size + j,
+    # newest first; errors holds the primaries until each block's errors
+    # overwrite them.
+    windows = np.lib.stride_tricks.sliding_window_view(padded, taps, axis=1)[:, 1:, ::-1]
+    windows = windows.reshape(rows, blocks, size, taps).swapaxes(0, 1)
+    errors = out.reshape(rows, blocks, size, 1).swapaxes(0, 1)
+
+    # Each chunk's arrays, per block and row: z = [y | X], solved in place
+    # into [c | H]; xt = X^T, scaled into -(sX)^T; gram = X X^T, scaled into
+    # -T; a = [[1, 0], [-g, F]], which maps v = [1; -w] at a block's start to
+    # v at the next one, where e = z v.  The signs fold the subtractions into
+    # the scaling, which rounds the same.  Blocks lead, so each sequential
+    # step reads contiguous arrays.
+    per_block = 8 * (size * (taps + 1) + taps * size + size * size + (taps + 1) ** 2 + 2 * (taps + 1) + size)
+    chunk = min(blocks, max(1, NLMS_CHUNK_BYTES // (rows * per_block)))
+    z = np.empty((chunk, rows, size, taps + 1))
+    xt = np.empty((chunk, rows, taps, size))
+    gram = np.empty((chunk, rows, size, size))
+    a = np.zeros((chunk, rows, taps + 1, taps + 1))
+    a[..., 0, 0] = 1.0
+    v = np.zeros((chunk + 1, rows, taps + 1, 1))
+    v[0, :, 0] = 1.0
+    steps = np.empty((chunk, rows, 1, size))
+    row_term = np.empty((chunk, rows, 1, taps + 1))
+    for q0 in range(0, blocks, chunk):
+        c = min(chunk, blocks - q0)
+        zc, xc, gc, ac, sc, tc = z[:c], xt[:c], gram[:c], a[:c], steps[:c], row_term[:c]
+        zc[..., 0] = errors[q0 : q0 + c, ..., 0]
+        zc[..., 1:] = windows[q0 : q0 + c]
+        xc[...] = windows[q0 : q0 + c].swapaxes(-1, -2)
+        np.matmul(zc[..., 1:], xc, out=gc)
+        np.add(gc.reshape(c, rows, size * size)[..., :: size + 1], 1e-8, out=sc[..., 0, :])
+        np.divide(-mu, sc, out=sc)
+        gc *= sc
+        for j in range(1, size):
+            np.matmul(gc[..., j : j + 1, :j], zc[..., :j, :], out=tc)
+            zc[..., j : j + 1, :] += tc
+        xc *= sc
+        np.matmul(xc, zc, out=ac[..., 1:, :])
+        ac.reshape(c, rows, (taps + 1) ** 2)[..., taps + 2 :: taps + 2] += 1.0  # F = I - (sX)^T H
+        for aq, vq, vn in zip(ac, v[:c], v[1 : c + 1]):
+            np.matmul(aq, vq, out=vn)
+        np.matmul(zc, v[:c], out=errors[q0 : q0 + c])
+        v[0] = v[c]
     return out
 
 
@@ -386,7 +452,7 @@ def rls_batch(
         raise ValueError(f"forgetting factor must lie in (0, 1], got {forgetting}")
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    return _signals(_rls_loop(*_lockstep_arrays(primaries, references, taps), forgetting, delta), primaries)
+    return _signals(_rls_loop(*_lockstep_arrays(primaries, references, taps), forgetting, delta).T, primaries)
 
 
 def _rls_loop(out: np.ndarray, rows: np.ndarray, cols: np.ndarray, forgetting: float, delta: float) -> np.ndarray:

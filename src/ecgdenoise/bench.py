@@ -232,14 +232,15 @@ def plan_cells(plan: BenchPlan) -> list[tuple[str, str, float]]:
 
 # Most cells one lockstep unit holds.  Each row keeps its noisy signal (and
 # an nlms or rls row its reference) until the unit is scored, and at its peak
-# the kernel adds float64 arrays of the row's length: nlms the output column,
-# zero-padded reference and step sizes; rls the output column and padded
-# reference; enkf the observed phase, angular velocity, output column and the
-# output Signal's copy of it, plus one noise block (enkf.NOISE_BLOCK samples,
-# 205 kB at N = 100).  That is 40, 32 and 40 B per sample (tracemalloc on
-# run_cell units reads 40, 31 and 42; a test holds enkf to it).  At the full
-# 648,000 samples (30 min at 360 Hz) an nlms row holds 25.9 MB, an rls row
-# 20.7 MB and an enkf row 26.1 MB: 415, 332 and 418 MB for 16 rows.
+# the kernel adds float64 arrays of the row's length: nlms and rls the output
+# buffer and zero-padded reference; enkf the observed phase, angular
+# velocity, output column and the output Signal's copy of it, plus one noise
+# block (enkf.NOISE_BLOCK samples, 205 kB at N = 100).  That is 32, 32 and
+# 40 B per sample (tracemalloc on run_cell units reads 32, 31 and 42; tests
+# hold nlms and enkf to it); an nlms unit adds its chunk arrays, at most
+# baselines.NLMS_CHUNK_BYTES for the whole unit.  At the full 648,000 samples
+# (30 min at 360 Hz) an nlms or rls row holds 20.7 MB and an enkf row
+# 26.1 MB: 332 and 418 MB for 16 rows.
 BATCH_ROWS = 16
 
 

@@ -295,6 +295,43 @@ class TestBenchRun:
         assert 32 <= per_sample <= row_bytes + 4
 
 
+    def test_nlms_unit_memory_per_row_and_sample(self):
+        """The traced peak of an nlms unit is the bytes per sample the
+        BATCH_ROWS comment counts for each row (32: noisy signal, reference,
+        output buffer and padded reference, whose place the output Signal's
+        copy takes), plus the block kernel's chunk arrays, which
+        baselines.NLMS_CHUNK_BYTES bounds over the whole unit: that part grows
+        with neither the length nor the row count."""
+        row_bytes = 32
+        clean, _, peaks = synthesize(default_morphology(), [0.8] * 16, 360.0, noise_std=0.0, seed=3)
+        loaded = {n: bench.trim(clean, peaks, n / 360.0) for n in (2000, 4000)}
+        noise = Signal(np.random.default_rng(1).normal(size=5000), 360.0)
+        plan = bench.BenchPlan(records=("118",))
+
+        def peak(rows, n):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                unit = [(n, "nlms", level) for level in (0.0, 6.0, 12.0, 18.0)[:rows]]
+                cells = bench.run_cell(unit, loaded, noise, plan)
+                top = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert all(c.report is not None for c in cells)
+            return top
+
+        peaks_by = {(rows, n): peak(rows, n) for rows in (1, 2, 4) for n in loaded}
+        for n in loaded:
+            assert (peaks_by[4, n] - peaks_by[2, n]) / 2 <= row_bytes * n + 16_000, n
+        # A chunk rounds down to whole blocks: up to one block per row
+        # (9 kB at 16 taps) under the budget.
+        chunk = [top - rows * row_bytes * n for (rows, n), top in peaks_by.items()]
+        assert max(chunk) <= baselines.NLMS_CHUNK_BYTES + 96_000
+        assert max(chunk) - min(chunk) <= 4 * 9_000 + 16_000
+        per_sample = ((peaks_by[4, 4000] - peaks_by[2, 4000]) - (peaks_by[4, 2000] - peaks_by[2, 2000])) / 2 / 2000
+        assert 24 <= per_sample <= row_bytes + 4
+
+
 class TestSvg:
     def test_deterministic(self):
         s = [Series("a", (0.0, 1.0, 2.0), (1.0, 0.5, 0.7))]
@@ -504,6 +541,17 @@ class TestCliMixDenoise:
         rc = cli.main(argv + ["--out", str(tmp_path / "o.csv")])
         assert rc == 2
         assert "250 Hz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["nlms", "rls"])
+    def test_denoise_non_finite_reference_named(self, tmp_path, monkeypatch, capsys, method):
+        monkeypatch.chdir(tmp_path)
+        Path("good.csv").write_bytes(wfdbio.write_csv(Signal(np.sin(np.arange(2000) / 9.0), 360.0)))
+        ref = np.random.default_rng(0).normal(size=2000)
+        ref[50] = np.nan
+        Path("ref.csv").write_bytes(wfdbio.write_csv(Signal(ref, 360.0)))
+        assert cli.main(["denoise", "good.csv", "--method", method, "--reference", "ref.csv"]) == 1
+        assert capsys.readouterr().err == "error: ValueError: invalid reference: non-finite at index 50\n"
+        assert not Path("denoised.csv").exists()
 
     @pytest.mark.parametrize(
         "argv",
