@@ -17,7 +17,8 @@ from .model import GaussianWaveParams
 
 
 class ConditioningError(RuntimeError):
-    """EKF covariance lost positive definiteness and could not be repaired."""
+    """A recursion left its defined range: an EKF covariance lost positive
+    definiteness beyond repair, or an RLS block has no Cholesky factor or overflows."""
 
 
 @dataclass(frozen=True)
@@ -316,38 +317,41 @@ def _check_batch(primaries, references, taps: int) -> None:
         raise ValueError("taps must be at least 1")
 
 
-def _lockstep_arrays(primaries, references, taps: int):
-    """The RLS kernel's arrays: the (n, B) stacked primaries, which the
-    canceller overwrites with its output, and each row's reference window at
-    every sample, newest sample first, as (n, B, 1, taps) row and
-    (n, B, taps, 1) column views of one zero-padded (B, n + taps) buffer.
-
-    The windows run backwards through memory, so numpy sums every dot product
-    with them in its sequential loop, never BLAS: a row's arithmetic is the
-    same for any batch size, and rows never mix.
-    """
-    n = len(primaries[0])
-    out = np.empty((n, len(primaries)))
-    padded = np.zeros((len(references), n + taps))
-    for b, (primary, ref) in enumerate(zip(primaries, references)):
-        out[:, b] = primary.samples
-        padded[b, taps:] = ref.samples
-    # Row b's window at sample k is padded[b, k + taps : k : -1].
-    windows = np.lib.stride_tricks.sliding_window_view(padded, taps, axis=1)[:, 1:, ::-1].transpose(1, 0, 2)
-    return out, windows[:, :, None, :], windows[:, :, :, None]
-
-
-def _signals(rows, primaries) -> list[Signal]:
+def _signals(out: np.ndarray, primaries) -> list[Signal]:
     # Called once the windows are freed, so they never coexist with the copies.
-    return [Signal(row, primary.fs) for row, primary in zip(rows, primaries)]
+    return [Signal(row[: len(primary)], primary.fs) for row, primary in zip(out, primaries)]
 
 
-# Samples per block of the NLMS kernel: it solves a block's errors at once,
-# and steps sample by sample only from one block's start to the next.
-NLMS_BLOCK = 16
+# Samples per block of both cancellers, which step only from block to block.
+CANCELLER_BLOCK = 16
 # Bytes of the NLMS kernel's per-chunk arrays, summed over every row of a
 # unit; a chunk holds at least one block per row.
 NLMS_CHUNK_BYTES = 1 << 19
+
+
+def _block_arrays(primaries, references, taps: int):
+    """The cancellers' front end: a (B, n padded to whole blocks) output holding
+    the primaries until the errors overwrite them, also as (blocks, B, L, 1)
+    columns (L = CANCELLER_BLOCK), and the windows, newest first, as (blocks, B,
+    L, taps) views of one zero-padded buffer.  Padding comes last: no output."""
+    rows, n, size = len(primaries), len(primaries[0]), CANCELLER_BLOCK
+    blocks = -(-n // size)
+    out = np.zeros((rows, blocks * size))
+    padded = np.zeros((rows, blocks * size + taps))
+    for b, (primary, ref) in enumerate(zip(primaries, references)):
+        out[b, :n] = primary.samples
+        padded[b, taps : taps + n] = ref.samples
+    # windows[q, b, j] is row b's reference window at sample q * size + j.
+    windows = np.lib.stride_tricks.sliding_window_view(padded, taps, axis=1)[:, 1:, ::-1]
+    windows = windows.reshape(rows, blocks, size, taps).swapaxes(0, 1)
+    return out, out.reshape(rows, blocks, size, 1).swapaxes(0, 1), windows
+
+
+def _substitute(neg_lower: np.ndarray, z: np.ndarray, row: np.ndarray) -> None:
+    """In place z <- L^-1 z, L = I - strict_lower(neg_lower); row is scratch."""
+    for j in range(1, z.shape[-2]):
+        np.matmul(neg_lower[..., j : j + 1, :j], z[..., :j, :], out=row)
+        z[..., j : j + 1, :] += row
 
 
 def nlms_batch(primaries: list[Signal], references: list[Signal], taps: int, mu: float) -> list[Signal]:
@@ -356,48 +360,27 @@ def nlms_batch(primaries: list[Signal], references: list[Signal], taps: int, mu:
     _check_batch(primaries, references, taps)
     if not 0.0 < mu < 2.0:
         raise ValueError(f"mu must lie in (0, 2), got {mu}")
-    n = len(primaries[0])
-    return _signals(_nlms_blocks(primaries, references, taps, mu)[:, :n], primaries)
+    return _signals(_nlms_blocks(primaries, references, taps, mu), primaries)
 
 
 def _nlms_blocks(primaries, references, taps: int, mu: float) -> np.ndarray:
-    """The NLMS errors as a (B, n padded to whole blocks) array, by the exact
-    block form of the per-sample recursion (Benesty & Duhamel, IEEE TSP
-    40(12), 1992).
-
-    With x_j the reference window at a block's sample j, s_j = mu / (1e-8 +
-    |x_j|^2) its step and w the weights at the block's start, the errors obey
-    e_j = y_j - x_j.w - sum_{i<j} s_i (x_j.x_i) e_i: a unit lower-triangular
-    system in the block's Gram products, which depend on the reference alone.
-    Forward substitution on [y | X] gives [c | H] with e = c - H w, and the
-    weights at the next block's start are F w + g, with F = I - (sX)^T H and
-    g = (sX)^T c.  The blocks go in chunks whose arrays NLMS_CHUNK_BYTES
-    bounds over the whole unit.  Each matrix product takes one row's block on
-    its own, in shapes that depend on neither the batch nor the chunk, so a
-    row's arithmetic is the same in any batch.  The final block runs past n
-    on a zero primary; those samples come after every real one, so they reach
-    no output.
+    """The NLMS errors by the exact block form of the per-sample recursion
+    (Benesty & Duhamel, IEEE TSP 40(12), 1992).  With x_j the window at a
+    block's sample j, s_j = mu / (1e-8 + |x_j|^2) and w the weights at the
+    block's start, e_j = y_j - x_j.w - sum_{i<j} s_i (x_j.x_i) e_i, a unit
+    lower-triangular system: substitution on [y | X] gives [c | H], e = c - H w,
+    and the next block starts at F w + g, F = I - (sX)^T H, g = (sX)^T c.
+    Chunks of blocks keep their arrays within NLMS_CHUNK_BYTES per unit.  Each
+    product takes one row's block, in shapes that depend on neither the batch
+    nor the chunk, so a row's arithmetic is the same in any batch.
     """
-    rows, n, size = len(primaries), len(primaries[0]), NLMS_BLOCK
-    blocks = -(-n // size)
-    out = np.zeros((rows, blocks * size))
-    padded = np.zeros((rows, blocks * size + taps))
-    for b, (primary, ref) in enumerate(zip(primaries, references)):
-        out[b, :n] = primary.samples
-        padded[b, taps : taps + n] = ref.samples
-    # windows[q, b, j] is row b's reference window at sample q * size + j,
-    # newest first; errors holds the primaries until each block's errors
-    # overwrite them.
-    windows = np.lib.stride_tricks.sliding_window_view(padded, taps, axis=1)[:, 1:, ::-1]
-    windows = windows.reshape(rows, blocks, size, taps).swapaxes(0, 1)
-    errors = out.reshape(rows, blocks, size, 1).swapaxes(0, 1)
+    out, errors, windows = _block_arrays(primaries, references, taps)
+    blocks, rows, size = windows.shape[:3]
 
-    # Each chunk's arrays, per block and row: z = [y | X], solved in place
-    # into [c | H]; xt = X^T, scaled into -(sX)^T; gram = X X^T, scaled into
-    # -T; a = [[1, 0], [-g, F]], which maps v = [1; -w] at a block's start to
-    # v at the next one, where e = z v.  The signs fold the subtractions into
-    # the scaling, which rounds the same.  Blocks lead, so each sequential
-    # step reads contiguous arrays.
+    # Per block and row: z = [y | X], solved into [c | H]; xt = X^T, scaled
+    # into -(sX)^T; gram = X X^T, scaled into -T (the signs round the same);
+    # a = [[1, 0], [-g, F]] maps v = [1; -w] to the next block's, e = z v.
+    # Blocks lead, so each sequential step reads contiguous arrays.
     per_block = 8 * (size * (taps + 1) + taps * size + size * size + (taps + 1) ** 2 + 2 * (taps + 1) + size)
     chunk = min(blocks, max(1, NLMS_CHUNK_BYTES // (rows * per_block)))
     z = np.empty((chunk, rows, size, taps + 1))
@@ -411,7 +394,7 @@ def _nlms_blocks(primaries, references, taps: int, mu: float) -> np.ndarray:
     row_term = np.empty((chunk, rows, 1, taps + 1))
     for q0 in range(0, blocks, chunk):
         c = min(chunk, blocks - q0)
-        zc, xc, gc, ac, sc, tc = z[:c], xt[:c], gram[:c], a[:c], steps[:c], row_term[:c]
+        zc, xc, gc, ac, sc = z[:c], xt[:c], gram[:c], a[:c], steps[:c]
         zc[..., 0] = errors[q0 : q0 + c, ..., 0]
         zc[..., 1:] = windows[q0 : q0 + c]
         xc[...] = windows[q0 : q0 + c].swapaxes(-1, -2)
@@ -419,9 +402,7 @@ def _nlms_blocks(primaries, references, taps: int, mu: float) -> np.ndarray:
         np.add(gc.reshape(c, rows, size * size)[..., :: size + 1], 1e-8, out=sc[..., 0, :])
         np.divide(-mu, sc, out=sc)
         gc *= sc
-        for j in range(1, size):
-            np.matmul(gc[..., j : j + 1, :j], zc[..., :j, :], out=tc)
-            zc[..., j : j + 1, :] += tc
+        _substitute(gc, zc, row_term[:c])
         xc *= sc
         np.matmul(xc, zc, out=ac[..., 1:, :])
         ac.reshape(c, rows, (taps + 1) ** 2)[..., taps + 2 :: taps + 2] += 1.0  # F = I - (sX)^T H
@@ -452,22 +433,57 @@ def rls_batch(
         raise ValueError(f"forgetting factor must lie in (0, 1], got {forgetting}")
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    return _signals(_rls_loop(*_lockstep_arrays(primaries, references, taps), forgetting, delta).T, primaries)
+    return _signals(_rls_blocks(primaries, references, taps, forgetting, delta), primaries)
 
 
-def _rls_loop(out: np.ndarray, rows: np.ndarray, cols: np.ndarray, forgetting: float, delta: float) -> np.ndarray:
-    b, _, taps = rows.shape[1:]
-    w = np.zeros((b, taps, 1))
-    p = np.zeros((b, taps, taps))
-    p[:] = delta * np.eye(taps)
-    for row, col, e in zip(rows, cols, out[:, :, None, None]):
-        pw = p @ col
-        gain = pw / (forgetting + row @ pw)
-        e -= row @ w
-        w += gain * e
-        p -= gain * (row @ p)
-        p /= forgetting
-    return out
+def _rls_blocks(primaries, references, taps: int, forgetting: float, delta: float) -> np.ndarray:
+    """The RLS errors by the exact block form of the per-sample recursion, a
+    Kalman filter on a static state (Sayed & Kailath, IEEE SPM 11(3), 1994).
+    With M = P and w at a block's start, its errors are the innovations of
+    y = X w + v, var(v_j) = lam^(j+1), with covariance S = X M X^T + diag(lam,
+    ..., lam^L) = L D L^T, L unit lower-triangular: substitution on [y | X | X M]
+    gives [c | H | H M], e = c - H w, and the next block starts at w + M H^T
+    D^-1 e and lam^-L (M - M H^T D^-1 H M), symmetrized.  A zero reference
+    gives L = I, so e = y exactly.  Each product and Cholesky factor takes one
+    row's block, so a row's arithmetic is the same in any batch.
+    """
+    out, errors, windows = _block_arrays(primaries, references, taps)
+    blocks, rows, size = windows.shape[:3]
+    v = np.zeros((rows, taps + 1, 1))  # [1; -w], so that e = z v
+    v[:, 0] = 1.0
+    m = np.repeat(delta * np.eye(taps)[None], rows, axis=0)
+    z = np.empty((rows, size, 2 * taps + 1))
+    x, xm = z[..., 1 : taps + 1], z[..., taps + 1 :]
+    s, neg_lower = np.empty((rows, size, size)), np.empty((rows, size, size))
+    gain, row = np.empty((rows, taps, size)), np.empty((rows, 1, 2 * taps + 1))
+    variances = forgetting ** np.arange(1.0, size + 1)
+    q = 0
+    try:
+        grow = 0.5 * forgetting**-size
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for q in range(blocks):
+                z[..., :1] = errors[q]
+                x[...] = windows[q]
+                np.matmul(x, m, out=xm)
+                np.matmul(xm, x.swapaxes(-1, -2), out=s)
+                s.reshape(rows, size * size)[:, :: size + 1] += variances
+                chol = np.linalg.cholesky(s)
+                d = chol.diagonal(0, -2, -1)
+                np.divide(chol, -d[:, None, :], out=neg_lower)
+                _substitute(neg_lower, z, row)
+                np.matmul(z[..., : taps + 1], v, out=errors[q])
+                np.divide(xm.swapaxes(-1, -2), (d * d)[:, None, :], out=gain)  # M H^T D^-1
+                v[:, 1:] -= gain @ errors[q]
+                m -= gain @ xm
+                m += m.swapaxes(-1, -2)
+                m *= grow
+    except (OverflowError, FloatingPointError):
+        failure = "recursion overflows"
+    except np.linalg.LinAlgError:
+        failure = "innovation covariance not positive definite"
+    else:
+        return out
+    raise ConditioningError(f"rls {failure} in the block from sample {q * size}")
 
 
 def rls_denoise(primary: Signal, reference: Signal, taps: int, forgetting: float, delta: float) -> Signal:

@@ -236,11 +236,11 @@ def plan_cells(plan: BenchPlan) -> list[tuple[str, str, float]]:
 # buffer and zero-padded reference; enkf the observed phase, angular
 # velocity, output column and the output Signal's copy of it, plus one noise
 # block (enkf.NOISE_BLOCK samples, 205 kB at N = 100).  That is 32, 32 and
-# 40 B per sample (tracemalloc on run_cell units reads 32, 31 and 42; tests
-# hold nlms and enkf to it); an nlms unit adds its chunk arrays, at most
-# baselines.NLMS_CHUNK_BYTES for the whole unit.  At the full 648,000 samples
-# (30 min at 360 Hz) an nlms or rls row holds 20.7 MB and an enkf row
-# 26.1 MB: 332 and 418 MB for 16 rows.
+# 40 B per sample (tracemalloc on run_cell units reads 32, 32 and 42; tests
+# hold all three to it); an nlms unit adds at most baselines.NLMS_CHUNK_BYTES
+# of chunk arrays, an rls row about 19 kB of state at 16 taps.  At the full
+# 648,000 samples (30 min at 360 Hz) an nlms or rls row holds 20.7 MB and an
+# enkf row 26.1 MB: 332 and 418 MB for 16 rows.
 BATCH_ROWS = 16
 
 

@@ -214,6 +214,39 @@ class TestBenchRun:
         assert sum(r.startswith(("118,", "119,")) for r in rows) == 4
         assert all(c.wall_time > 0 for c in cells)
 
+    def test_unfactorable_rls_cell_is_isolated(self, data_root, monkeypatch):
+        """An rls cell whose forgetting factor the block form cannot factor
+        fails alone in its lockstep unit, naming the block; its unit-mates'
+        rows equal those of a run without the fault."""
+        plan = bench.BenchPlan(records=("118", "119"), methods=("rls",), snr_levels=(12.0, 18.0), duration_s=4.0)
+        loaded = {r: bench.trim(*bench.load_record(data_root, r, plan.channel), plan.duration_s) for r in plan.records}
+        noise = bench._load_noise(plan, data_root, 360.0)
+        unit = bench.plan_cells(plan)
+        clean_run = bench.run_cell(unit, loaded, noise, plan)
+        faulty_seed = bench.cell_seed(plan.seed, "119", "rls", 12.0)
+        forgetting = lambda ctx, p: 0.3 if ctx.seed == faulty_seed else p.forgetting
+        monkeypatch.setitem(
+            bench.METHODS,
+            "rls",
+            replace(
+                bench.METHODS["rls"],
+                run=lambda x, p, c: baselines.rls_denoise(x, c.reference, p.taps, forgetting(c, p), p.delta),
+                batch=lambda xs, p, cs: baselines.rls_batch(
+                    xs, [c.reference for c in cs], p.taps, min(forgetting(c, p) for c in cs), p.delta
+                ),
+            ),
+        )
+        cells = bench.run_cell(unit, loaded, noise, plan)
+        for coord, cell, want in zip(unit, cells, clean_run):
+            if coord == ("119", "rls", 12.0):
+                assert cell.report is None
+                assert re.fullmatch(
+                    r"ConditioningError: rls innovation covariance not positive definite in the block from sample \d+",
+                    cell.error,
+                )
+            else:
+                assert cell.report == want.report
+
     def test_batched_table_equals_cells_run_alone(self, data_root, monkeypatch):
         plan = bench.BenchPlan(
             records=("118", "119"),
@@ -330,6 +363,38 @@ class TestBenchRun:
         assert max(chunk) - min(chunk) <= 4 * 9_000 + 16_000
         per_sample = ((peaks_by[4, 4000] - peaks_by[2, 4000]) - (peaks_by[4, 2000] - peaks_by[2, 2000])) / 2 / 2000
         assert 24 <= per_sample <= row_bytes + 4
+
+    def test_rls_unit_memory_per_row_and_sample(self):
+        """The traced peak of an rls unit is the bytes per sample the
+        BATCH_ROWS comment counts for each row (32, as for nlms), plus each
+        row's recursion state and one block's working arrays (about 19 kB at
+        16 taps), which do not grow with the length."""
+        row_bytes, state = 32, 24_000
+        clean, _, peaks = synthesize(default_morphology(), [0.8] * 16, 360.0, noise_std=0.0, seed=3)
+        loaded = {n: bench.trim(clean, peaks, n / 360.0) for n in (2000, 4000)}
+        noise = Signal(np.random.default_rng(1).normal(size=5000), 360.0)
+        plan = bench.BenchPlan(records=("118",))
+
+        def peak(rows, n):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                unit = [(n, "rls", level) for level in (0.0, 6.0, 12.0, 18.0)[:rows]]
+                cells = bench.run_cell(unit, loaded, noise, plan)
+                top = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert all(c.report is not None for c in cells)
+            return top
+
+        peaks_by = {(rows, n): peak(rows, n) for rows in (2, 4) for n in loaded}
+        for n in loaded:
+            assert (peaks_by[4, n] - peaks_by[2, n]) / 2 <= row_bytes * n + state, n
+        # A 4-row unit peaks inside the kernel at both lengths.
+        rest = [peaks_by[4, n] - 4 * row_bytes * n for n in loaded]
+        assert max(rest) <= 4 * state and max(rest) - min(rest) <= 16_000
+        per_sample = (peaks_by[4, 4000] - peaks_by[4, 2000]) / 4 / 2000
+        assert row_bytes - 4 <= per_sample <= row_bytes + 1
 
 
 class TestSvg:
@@ -551,6 +616,20 @@ class TestCliMixDenoise:
         Path("ref.csv").write_bytes(wfdbio.write_csv(Signal(ref, 360.0)))
         assert cli.main(["denoise", "good.csv", "--method", method, "--reference", "ref.csv"]) == 1
         assert capsys.readouterr().err == "error: ValueError: invalid reference: non-finite at index 50\n"
+        assert not Path("denoised.csv").exists()
+
+    def test_denoise_rls_unfactorable_block_exits_1(self, tmp_path, monkeypatch, capsys):
+        """A forgetting factor too small for the block form fails the command
+        and names the block; no output is written."""
+        monkeypatch.chdir(tmp_path)
+        rng = np.random.default_rng(3)
+        Path("noisy.csv").write_bytes(wfdbio.write_csv(Signal(rng.normal(size=2000), 360.0)))
+        Path("ref.csv").write_bytes(wfdbio.write_csv(Signal(rng.normal(size=2000), 360.0)))
+        argv = ["denoise", "noisy.csv", "--method", "rls", "--reference", "ref.csv", "--forgetting", "0.3"]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: ConditioningError: rls innovation covariance not positive definite "
+                            r"in the block from sample \d+\n", err)
         assert not Path("denoised.csv").exists()
 
     @pytest.mark.parametrize(
