@@ -11,10 +11,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import pickle
+import threading
 import time
 from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
-from typing import Any, Callable
+from signal import SIGKILL
+from typing import Any, BinaryIO, Callable
 
 from . import baselines, enkf, metrics, wfdbio
 from .core import RPeaks, Signal, require_valid, sample_count, slice_signal
@@ -233,14 +237,14 @@ def plan_cells(plan: BenchPlan) -> list[tuple[str, str, float]]:
 # Most cells one lockstep unit holds.  Each row keeps its noisy signal (and
 # an nlms or rls row its reference) until the unit is scored, and at its peak
 # the kernel adds float64 arrays of the row's length: nlms and rls the output
-# buffer and zero-padded reference; enkf the observed phase, angular
-# velocity, output column and the output Signal's copy of it, plus one noise
-# block (enkf.NOISE_BLOCK samples, 205 kB at N = 100).  That is 32, 32 and
-# 40 B per sample (tracemalloc on run_cell units reads 32, 32 and 42; tests
-# hold all three to it); an nlms unit adds at most baselines.NLMS_CHUNK_BYTES
-# of chunk arrays, an rls row about 19 kB of state at 16 taps.  At the full
-# 648,000 samples (30 min at 360 Hz) an nlms or rls row holds 20.7 MB and an
-# enkf row 26.1 MB: 332 and 418 MB for 16 rows.
+# buffer and zero-padded reference; enkf the observed phase, angular velocity
+# and output buffer (which becomes the output Signal one row at a time), plus
+# one noise block (enkf.NOISE_BLOCK samples, 205 kB at N = 100).  That is
+# 32 B per sample for all three (tracemalloc on run_cell units reads 32, 32
+# and 29; tests hold all three to it); an nlms unit adds at most
+# baselines.NLMS_CHUNK_BYTES of chunk arrays, an rls row about 19 kB of state
+# at 16 taps.  At the full 648,000 samples (30 min at 360 Hz) a row holds
+# 20.7 MB: 332 MB for 16 rows, and bench --jobs J holds up to J units at once.
 BATCH_ROWS = 16
 
 
@@ -267,16 +271,77 @@ def plan_units(plan: BenchPlan, lengths: dict[str, int]) -> list[list[int]]:
     return [unit for groups in batches.values() for unit in groups] + alone
 
 
-def run_bench(plan: BenchPlan, data_root: Path) -> list[BenchCell]:
+def run_bench(plan: BenchPlan, data_root: Path, jobs: int = 1) -> list[BenchCell]:
     """Execute every cell, one work unit at a time; failures become failed rows.
-    A lockstep unit is bit-identical to its cells run one at a time."""
+    A lockstep unit is bit-identical to its cells run one at a time.
+
+    With jobs > 1 the units are dealt round-robin into min(jobs, units)
+    shares: this process runs share 0 and a forked child runs each other
+    share (see _fork_share).  A cell's numbers depend only on its
+    coordinates, so the result does not depend on jobs; up to jobs units are
+    in memory at once.  Without os.fork, or while other threads run, every
+    share runs in this process.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     loaded = {rid: trim(*load_record(data_root, rid, plan.channel), plan.duration_s) for rid in plan.records}
     noise = _load_noise(plan, data_root, loaded[plan.records[0]][0].fs)
     coords = plan_cells(plan)
-    cells: dict[int, BenchCell] = {}
-    for unit in plan_units(plan, {rid: len(signal) for rid, (signal, _) in loaded.items()}):
-        cells.update(zip(unit, run_cell([coords[i] for i in unit], loaded, noise, plan)))
+    units = plan_units(plan, {rid: len(clean) for rid, (clean, _) in loaded.items()})
+    jobs = min(jobs, len(units)) if hasattr(os, "fork") and threading.active_count() == 1 else 1
+    shares = [units[j::jobs] for j in range(jobs)]
+
+    def run_share(share: list[list[int]]) -> list[tuple[int, BenchCell]]:
+        return [pair for unit in share for pair in zip(unit, run_cell([coords[i] for i in unit], loaded, noise, plan))]
+
+    children: dict[int, tuple[BinaryIO, list[list[int]]]] = {}  # unreaped pid -> (its pipe, its share)
+    try:
+        for share in shares[1:]:
+            pid, pipe = _fork_share(run_share, share)
+            children[pid] = (pipe, share)
+        cells = dict(run_share(shares[0]))
+        for pid, (pipe, share) in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            try:
+                if status == 0:
+                    cells.update(pickle.loads(data))
+            except (EOFError, pickle.UnpicklingError):
+                status = None
+            if status != 0:
+                how = "sent a short result" if status is None else f"exited with status {status}"
+                named = ", ".join(f"{r}/{m}@{lv:g}dB" for unit in share for r, m, lv in (coords[i] for i in unit))
+                raise BenchError(f"bench worker {pid} for cells {named} {how}")
+    finally:  # a raise, KeyboardInterrupt included, leaves no child running
+        for pid, (pipe, _) in children.items():
+            pipe.close()
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
     return [cells[i] for i in range(len(coords))]
+
+
+def _fork_share(run_share, share) -> tuple[int, BinaryIO]:
+    """Fork a child that runs one share and sends its (cell index, BenchCell)
+    pairs back pickled over a pipe; return its pid and the pipe's read end.
+    The child never returns into the caller's stack and never flushes the
+    stdio it inherited: whatever it raises, KeyboardInterrupt included, it
+    leaves through os._exit, with status 0 only once its whole result is
+    written."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pickle.dump(run_share(share), pipe, protocol=pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb")
 
 
 def run_cell(unit: list[tuple[str, str, float]], loaded, noise: Signal, plan: BenchPlan) -> list[BenchCell]:

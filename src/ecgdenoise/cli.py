@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -101,6 +102,14 @@ _SETTINGS = {
 # The method settings an input of n samples bounds, by params field: the most
 # the filter takes for n.
 _LIMITS = {"window": baselines.max_window, "levels": baselines.max_levels}
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (all of them where that is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 def _load_params(path: str | None) -> GaussianWaveParams:
@@ -248,15 +257,19 @@ def cmd_bench(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(exc) from None
-    cells = bench.run_bench(plan, _data_root(args))
+    _require(args.jobs >= 1, "--jobs", args.jobs, "at least 1")
+    t0 = time.perf_counter()
+    cells = bench.run_bench(plan, _data_root(args), args.jobs)
+    wall = time.perf_counter() - t0
     out = Path(args.out_dir)
     _write(out / "bench.csv", bench.table_csv(cells, plan))
     for name, svg in bench.render_plots(cells, plan).items():
         _write(out / f"{name}.svg", svg)
     failed = [c for c in cells if c.report is None]
-    total = sum(c.wall_time for c in cells)
+    cell_time = sum(c.wall_time for c in cells)
     print(
-        f"{len(cells)} cells ({len(failed)} failed) in {total:.1f} s -> {out}/bench.csv",
+        f"{len(cells)} cells ({len(failed)} failed) in {wall:.1f} s wall with --jobs {args.jobs} "
+        f"({cell_time:.1f} s of cell time) -> {out}/bench.csv",
         file=sys.stderr,
     )
     for c in failed:
@@ -339,6 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, default=60.0, help="seconds per record")
     p.add_argument("--n-ensemble", type=int, default=100)
     p.add_argument("--out-dir", default="bench_out")
+    p.add_argument("--jobs", type=int, default=_usable_cpus(), help="processes running work units (default: CPUs)")
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -324,10 +324,12 @@ def denoise_batch(jobs) -> list[Signal]:
 
     noise = np.empty((min(NOISE_BLOCK, n - 1), len(jobs), 4, size))
     obs = np.empty(noise.shape[:2] + (3,))  # per sample and row: observed phase and amplitude, phase step
-    out = np.empty((n, len(jobs)))
+    estimates = np.empty(noise.shape[:2])  # per sample and row: the output, copied to each row's buffer per block
+    outs = [np.empty(n) for _ in jobs]
     k = 0
     try:
-        out[0] = np.add.reduce(z, axis=-1) / size
+        for out, first in zip(outs, np.add.reduce(z, axis=-1) / size):
+            out[0] = first
         for start in range(1, n, NOISE_BLOCK):
             count = min(NOISE_BLOCK, n - start)
             ahead = slice(start, start + count)
@@ -341,7 +343,11 @@ def denoise_batch(jobs) -> list[Signal]:
                 theta, z = predict(theta, z, morphology, seen[:, 2:], levels, drawn[:, :2])
                 gain = kalman_gain(sample_covariances(theta, z), levels)
                 theta, z = update(theta, z, seen[:, :1], seen[:, 1:2], gain, levels, drawn[:, 2:])
-                out[k] = np.add.reduce(z, axis=-1) / size  # the amplitude half of estimate
+                estimates[k - start] = np.add.reduce(z, axis=-1) / size  # the amplitude half of estimate
+            for row, out in enumerate(outs):
+                out[ahead] = estimates[:count, row]
     except (SingularInnovationError, AmbiguousPhaseError) as exc:
         raise type(exc)(f"{exc} at sample {k}") from None
-    return [Signal(out[:, row], sig.fs) for row, sig in enumerate(signals)]
+    # Signal copies its samples; popping each row's buffer frees it once
+    # copied, so only one row's output ever exists twice.
+    return [Signal(outs.pop(0), sig.fs) for sig in signals]

@@ -342,11 +342,16 @@ class TestCriterion10:
         permuted = bench.run_bench(permuted_plan, data_root)
         table_permuted = bench.table_csv(permuted, permuted_plan)
 
+        parallel = bench.run_bench(plan, data_root, jobs=2)
+        table_parallel = bench.table_csv(parallel, plan)
+
         same_rerun = table_first == table_rerun
         same_permuted = table_first == table_permuted
+        same_parallel = table_first == table_parallel
         _report(
             10,
-            "bench CSV byte-identical across rerun and plan permutation",
-            same_rerun and same_permuted,
-            f"rerun identical: {same_rerun}, permuted identical: {same_permuted}",
+            "bench CSV byte-identical across rerun, plan permutation and two jobs",
+            same_rerun and same_permuted and same_parallel,
+            f"rerun identical: {same_rerun}, permuted identical: {same_permuted}, "
+            f"jobs=2 identical: {same_parallel}",
         )
