@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RPeaks, Signal, require_valid, wrap_centered, wrap_phase
+from .core import RPeaks, SettingError, Signal, require_valid, wrap_centered, wrap_phase
 from .enkf import FilterConfig, prepare_inputs
 from .model import GaussianWaveParams
 
@@ -136,11 +136,6 @@ def ekf_denoise(
 # ---------------------------------------------------------------------------
 
 
-def max_window(n: int) -> int:
-    """Longest window sg_filter takes for n samples: the whole signal."""
-    return n
-
-
 def sg_filter(signal: Signal, window: int, polyorder: int) -> Signal:
     """Least-squares polynomial smoothing.
 
@@ -151,11 +146,11 @@ def sg_filter(signal: Signal, window: int, polyorder: int) -> Signal:
     require_valid(signal)
     n = len(signal)
     if window % 2 == 0 or window < 1:
-        raise ValueError("window must be odd and positive")
-    if polyorder >= window:
-        raise ValueError("polyorder must be less than window")
-    if window > max_window(n):
-        raise ValueError("window exceeds signal length")
+        raise SettingError("window", "odd and positive", window)
+    if not 0 <= polyorder < window:
+        raise SettingError("polyorder", f"non-negative and below the window of {window}", polyorder)
+    if window > n:
+        raise SettingError("window", f"at most {n} for {n} samples", window)
     x = signal.samples
     if window == 1:
         return Signal(x.copy(), signal.fs)
@@ -274,9 +269,9 @@ def wavelet_denoise(
     require_valid(signal)
     n = len(signal)
     if levels < 1:
-        raise ValueError("levels must be at least 1")
+        raise SettingError("levels", "at least 1", levels)
     if levels > max_levels(n):
-        raise ValueError(f"signal of length {n} too short for {levels} levels")
+        raise SettingError("levels", f"at most {max_levels(n)} for {n} samples", levels)
     a, details, lengths = wavedec(signal.samples, levels)
     if threshold_rule == "universal":
         t = noise_sigma_estimate(signal) * np.sqrt(2.0 * np.log(n))
@@ -285,7 +280,7 @@ def wavelet_denoise(
             raise ValueError("fixed threshold rule requires a threshold value")
         t = float(threshold)
         if not t >= 0:
-            raise ValueError(f"threshold must be non-negative, got {threshold}")
+            raise SettingError("threshold", "non-negative", t)
     else:
         raise ValueError(f"unknown threshold rule: {threshold_rule!r}")
     shrunk = [np.sign(d) * np.maximum(np.abs(d) - t, 0.0) for d in details]
@@ -314,7 +309,7 @@ def _check_batch(primaries, references, taps: int) -> None:
     for ref in references:
         require_valid(ref, "reference")
     if taps < 1:
-        raise ValueError("taps must be at least 1")
+        raise SettingError("taps", "at least 1", taps)
 
 
 def _signals(out: np.ndarray, primaries) -> list[Signal]:
@@ -359,7 +354,7 @@ def nlms_batch(primaries: list[Signal], references: list[Signal], taps: int, mu:
     equals a lone run of pair b bit for bit."""
     _check_batch(primaries, references, taps)
     if not 0.0 < mu < 2.0:
-        raise ValueError(f"mu must lie in (0, 2), got {mu}")
+        raise SettingError("mu", "in (0, 2)", mu)
     return _signals(_nlms_blocks(primaries, references, taps, mu), primaries)
 
 
@@ -430,9 +425,9 @@ def rls_batch(
     equals a lone run of pair b bit for bit."""
     _check_batch(primaries, references, taps)
     if not 0.0 < forgetting <= 1.0:
-        raise ValueError(f"forgetting factor must lie in (0, 1], got {forgetting}")
+        raise SettingError("forgetting", "in (0, 1]", forgetting)
     if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+        raise SettingError("delta", "positive", delta)
     return _signals(_rls_blocks(primaries, references, taps, forgetting, delta), primaries)
 
 
@@ -507,7 +502,7 @@ def tvd_denoise(signal: Signal, lam: float) -> Signal:
     """
     require_valid(signal)
     if not lam >= 0:
-        raise ValueError(f"lam must be non-negative, got {lam}")
+        raise SettingError("lam", "non-negative", lam)
     y = signal.samples
     if lam == 0.0 or len(y) == 1:
         return Signal(y.copy(), signal.fs)

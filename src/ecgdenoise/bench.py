@@ -21,7 +21,7 @@ from signal import SIGKILL
 from typing import Any, BinaryIO, Callable
 
 from . import baselines, enkf, metrics, wfdbio
-from .core import RPeaks, Signal, require_valid, sample_count, slice_signal
+from .core import RPeaks, SettingError, Signal, require_valid, sample_count, slice_signal
 from .model import GaussianWaveParams, detect_r_peaks, fit_params, mean_beat, observed_phase
 from .svgplot import Series, render_line_chart
 
@@ -54,10 +54,11 @@ class Method:
 
 
 def _model_inputs(noisy: Signal, ctx: MethodContext) -> tuple[RPeaks, GaussianWaveParams, enkf.FilterConfig]:
-    """The model-based filters' preamble: R peaks, morphology and filter config."""
+    """The model-based filters' preamble: filter config (checked first), R peaks and morphology."""
+    cfg = enkf.FilterConfig(n_ensemble=ctx.n_ensemble, seed=ctx.seed)
     peaks = ctx.peaks if ctx.peaks is not None else detect_r_peaks(noisy)
     morphology = ctx.morphology if ctx.morphology is not None else fit_record_morphology(noisy, peaks)
-    return peaks, morphology, enkf.FilterConfig(n_ensemble=ctx.n_ensemble, seed=ctx.seed)
+    return peaks, morphology, cfg
 
 
 # Params field names are the filters' keyword names, so asdict(p) is the call.
@@ -146,11 +147,10 @@ class BenchPlan:
                 raise ValueError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
         for level in self.snr_levels:
             if not math.isfinite(level):
-                raise ValueError(f"snr_levels must be finite, got {level}")
-        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
-            raise ValueError(f"duration_s must be finite and positive, got {self.duration_s}")
-        if self.n_ensemble < 2:
-            raise ValueError(f"n_ensemble must be at least 2 for a sample covariance, got {self.n_ensemble}")
+                raise SettingError("snr_levels", "finite", level)
+        if not 0 < self.duration_s < math.inf:
+            raise SettingError("duration_s", "finite and positive", self.duration_s)
+        enkf.FilterConfig(n_ensemble=self.n_ensemble)  # its rule, checked before any cell runs
 
 
 @dataclass(frozen=True)
@@ -190,8 +190,8 @@ def load_record(root: Path, name: str, channel: int = 0) -> tuple[Signal, RPeaks
     """Read {root}/{name}.hea/.dat[/.atr] and return one channel plus its beats."""
     hea = (root / f"{name}.hea").read_text()
     header = wfdbio.read_header(hea)
-    if channel >= header.n_signals:
-        raise BenchError(f"record {name} has {header.n_signals} channels; asked for {channel}")
+    if not 0 <= channel < header.n_signals:
+        raise SettingError("channel", f"from 0 to {header.n_signals - 1} in record {name}", channel)
     dat = (root / header.signals[channel].filename).read_bytes()
     atr_path = root / f"{name}.atr"
     atr = atr_path.read_bytes() if atr_path.exists() else None
@@ -283,7 +283,7 @@ def run_bench(plan: BenchPlan, data_root: Path, jobs: int = 1) -> list[BenchCell
     share runs in this process.
     """
     if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+        raise SettingError("jobs", "at least 1", jobs)
     loaded = {rid: trim(*load_record(data_root, rid, plan.channel), plan.duration_s) for rid in plan.records}
     noise = _load_noise(plan, data_root, loaded[plan.records[0]][0].fs)
     coords = plan_cells(plan)
@@ -399,10 +399,7 @@ def _load_noise(plan: BenchPlan, data_root: Path, fs: float) -> Signal:
             raise BenchError(
                 f"noise CSV {path} has no t column, so its rate cannot be checked against the records' {fs:g} Hz"
             )
-        try:
-            return wfdbio.read_csv(data, fs=fs)
-        except wfdbio.CsvParseError as exc:
-            raise wfdbio.CsvParseError(f"noise CSV {path}: {exc}") from None
+        return wfdbio.read_named_csv(data, fs, f"noise CSV {path}")
     return load_record(data_root, plan.noise)[0]
 
 

@@ -20,9 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, bench, metrics, wfdbio
-from .core import REFRACTORY_S, RPeaks, Signal, sample_count
+from .core import RPeaks, SettingError, Signal, sample_count
 from .model import (
-    MIN_BINS,
     MIN_DETECT_S,
     FitDivergenceError,
     GaussianWaveParams,
@@ -68,10 +67,7 @@ def _load_input(args, name: str) -> tuple[Signal, RPeaks | None]:
 
 
 def _read_csv(path: Path, fs: float) -> Signal:
-    try:
-        return wfdbio.read_csv(path.read_bytes(), fs=fs)
-    except wfdbio.CsvParseError as exc:
-        raise wfdbio.CsvParseError(f"{path}: {exc}") from None
+    return wfdbio.read_named_csv(path.read_bytes(), fs, str(path))
 
 
 def _write(path: Path, data: bytes | str) -> None:
@@ -84,24 +80,6 @@ def _write(path: Path, data: bytes | str) -> None:
 def _require(ok: bool, flag: str, value, rule: str) -> None:
     if not ok:
         raise UsageError(f"{flag} must be {rule}, got {value:g}")
-
-
-# What each method setting must hold, by params field: its flag, the test on
-# the parsed arguments, and the rule the error states.
-_SETTINGS = {
-    "window": ("--window", lambda a: a.window >= 1 and a.window % 2 == 1, "odd and positive"),
-    "polyorder": ("--polyorder", lambda a: 0 <= a.polyorder < a.window, "non-negative and below --window"),
-    "levels": ("--levels", lambda a: a.levels >= 1, "at least 1"),
-    "taps": ("--taps", lambda a: a.taps >= 1, "at least 1"),
-    "mu": ("--mu", lambda a: 0 < a.mu < 2, "in (0, 2)"),
-    "forgetting": ("--forgetting", lambda a: 0 < a.forgetting <= 1, "in (0, 1]"),
-    "delta": ("--delta", lambda a: a.delta > 0, "positive"),
-    "lam": ("--lambda", lambda a: a.lam is None or a.lam >= 0, "non-negative"),
-}
-
-# The method settings an input of n samples bounds, by params field: the most
-# the filter takes for n.
-_LIMITS = {"window": baselines.max_window, "levels": baselines.max_levels}
 
 
 def _usable_cpus() -> int:
@@ -128,15 +106,10 @@ def _load_params(path: str | None) -> GaussianWaveParams:
 
 def cmd_synth(args) -> int:
     _require(args.beats >= 1, "--beats", args.beats, "at least 1")
-    _require(0 < args.fs < math.inf, "--fs", args.fs, "finite and positive")
-    _require(0 <= args.noise_std < math.inf, "--noise-std", args.noise_std, "finite and non-negative")
-    if args.rr is not None:
-        _require(REFRACTORY_S < args.rr < math.inf, "--rr", args.rr, f"finite and above {REFRACTORY_S:g} s")
-        rr = [args.rr] * args.beats
+    if args.rr_intervals is not None:
+        rr = [args.rr_intervals] * args.beats
     else:  # R-R intervals drawn around 0.85 s (about 70 bpm)
         rr = np.clip(np.random.default_rng(args.seed).normal(0.85, 0.04, size=args.beats), 0.3, 3.0).tolist()
-    seconds = float(np.sum(rr))  # the length synthesize rounds to samples
-    _require(sample_count(seconds, args.fs) > 0, "--fs", args.fs, f"high enough for {seconds:g} s to hold a sample")
     params = _load_params(args.params)
     signal, phase, peaks = synthesize(params, rr, fs=args.fs, noise_std=args.noise_std, seed=args.seed)
     out = Path(args.out_dir)
@@ -153,7 +126,6 @@ def cmd_synth(args) -> int:
 def cmd_fit(args) -> int:
     if args.seconds is not None:
         _require(0 < args.seconds < math.inf, "--seconds", args.seconds, "finite and positive")
-    _require(args.bins >= MIN_BINS, "--bins", args.bins, f"at least {MIN_BINS}")
     signal, peaks = _load_input(args, args.input)
     if args.seconds is not None:
         signal, peaks = bench.trim(signal, RPeaks([]) if peaks is None else peaks, args.seconds)
@@ -167,7 +139,7 @@ def cmd_fit(args) -> int:
         print(f"error: need at least 10 beats to fit, found {len(peaks)}", file=sys.stderr)
         return 1
     phase = observed_phase(peaks, len(signal))
-    template = mean_beat(signal, phase, n_bins=args.bins)
+    template = mean_beat(signal, phase, n_bins=args.n_bins)
     trace: list = []
     try:
         fitted = fit_params(template, objective_trace=trace)
@@ -184,25 +156,24 @@ def cmd_fit(args) -> int:
     rms = fit_residual_rms(template, fitted)
     r_amp = float(np.max(np.abs(template.mean)))
     print(
-        f"fit over {len(peaks)} beats, {args.bins} bins: residual rms {rms:.5g} mV "
+        f"fit over {len(peaks)} beats, {args.n_bins} bins: residual rms {rms:.5g} mV "
         f"({100 * rms / r_amp:.1f}% of peak template amplitude)"
     )
     return 0
 
 
 def cmd_mix(args) -> int:
-    _require(math.isfinite(args.level), "--level", args.level, "finite")
     clean, _ = _load_input(args, args.clean)
     noise, _ = _load_input(args, args.noise)
-    mixed = metrics.mix(clean, noise, args.level)
+    mixed = metrics.mix(clean, noise, args.target_snr_db)
     out = Path(args.out_dir)
     _write(out / "noisy.csv", wfdbio.write_csv(mixed.noisy))
     _write(out / "reference.csv", wfdbio.write_csv(mixed.scaled_noise))
     if args.check:
         measured = metrics.snr(mixed.clean, mixed.noisy)
-        print(f"measured SNR {measured:.6f} dB (target {args.level:g} dB), gain {mixed.gain:.6g}")
+        print(f"measured SNR {measured:.6f} dB (target {args.target_snr_db:g} dB), gain {mixed.gain:.6g}")
     else:
-        print(f"mixed at {args.level:g} dB -> {out}/noisy.csv, {out}/reference.csv")
+        print(f"mixed at {args.target_snr_db:g} dB -> {out}/noisy.csv, {out}/reference.csv")
     return 0
 
 
@@ -215,16 +186,8 @@ def cmd_denoise(args) -> int:
             raise UsageError(f"--method {args.method} requires --reference (the noise channel)")
         reference = _read_csv(Path(args.reference), signal.fs)
     if method.params is None:  # the model-based filters
-        _require(args.n_ensemble >= 2, "--n-ensemble", args.n_ensemble, "at least 2 for a sample covariance")
         morphology = _load_params(args.params) if args.params else None
     else:
-        for f in fields(method.params):
-            flag, ok, rule = _SETTINGS[f.name]
-            value = getattr(args, f.name)
-            _require(ok(args), flag, value, rule)
-            if f.name in _LIMITS:
-                limit = _LIMITS[f.name](len(signal))
-                _require(value <= limit, flag, value, f"at most {limit} for {len(signal)} samples")
         params = method.params(**{f.name: getattr(args, f.name) for f in fields(method.params)})
     ctx = bench.MethodContext(reference, peaks, morphology, args.seed, args.n_ensemble)
     denoised = bench.run_method(args.method, signal, ctx, params)
@@ -245,19 +208,21 @@ def cmd_denoise(args) -> int:
 
 def cmd_bench(args) -> int:
     try:
+        levels = tuple(float(v) for v in args.snr_levels.split(",")) if args.snr_levels else bench.DEFAULT_LEVELS
         plan = bench.BenchPlan(
             records=tuple(args.records.split(",")),
             methods=tuple(args.methods.split(",")) if args.methods else tuple(bench.METHODS),
-            snr_levels=tuple(float(v) for v in args.levels.split(",")) if args.levels else bench.DEFAULT_LEVELS,
+            snr_levels=levels,
             channel=args.channel,
             noise=args.noise,
             seed=args.seed,
-            duration_s=args.duration,
+            duration_s=args.duration_s,
             n_ensemble=args.n_ensemble,
         )
-    except ValueError as exc:
+    except SettingError:
+        raise
+    except ValueError as exc:  # an unreadable level, an empty list or an unknown method
         raise UsageError(exc) from None
-    _require(args.jobs >= 1, "--jobs", args.jobs, "at least 1")
     t0 = time.perf_counter()
     cells = bench.run_bench(plan, _data_root(args), args.jobs)
     wall = time.perf_counter() - t0
@@ -295,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", help="morphology JSON (default: built-in)")
     p.add_argument("--out-dir", default="synth_out")
     p.add_argument("--beats", type=int, default=30)
-    p.add_argument("--rr", type=float, help="constant R-R interval in seconds")
+    p.add_argument("--rr", dest="rr_intervals", type=float, help="constant R-R interval in seconds")
     p.add_argument("--fs", type=float, default=360.0)
     p.add_argument("--noise-std", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
@@ -306,14 +271,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channel", type=int, default=0)
     p.add_argument("--fs", type=float, default=360.0, help="sampling rate for CSV input")
     p.add_argument("--seconds", type=float, help="use only the first S seconds")
-    p.add_argument("--bins", type=int, default=64)
+    p.add_argument("--bins", dest="n_bins", type=int, default=64)
     p.add_argument("--out", help="write params JSON here instead of stdout")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("mix", help="contaminate a clean record at a calibrated SNR")
     p.add_argument("clean", help="record name or .csv path")
     p.add_argument("noise", help="noise record name or .csv path")
-    p.add_argument("--level", type=float, required=True, help="target SNR in dB")
+    p.add_argument("--level", dest="target_snr_db", type=float, required=True, help="target SNR in dB")
     p.add_argument("--channel", type=int, default=0)
     p.add_argument("--fs", type=float, default=360.0)
     p.add_argument("--out-dir", default="mix_out")
@@ -345,16 +310,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run the records x methods x levels benchmark")
     p.add_argument("--records", required=True, help="comma-separated record names")
     p.add_argument("--methods", help=f"comma-separated subset of {','.join(bench.METHODS)}")
-    p.add_argument("--levels", help="comma-separated SNR levels in dB")
+    p.add_argument("--levels", dest="snr_levels", help="comma-separated SNR levels in dB")
     p.add_argument("--noise", default="em", help="noise record name or .csv path")
     p.add_argument("--channel", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--duration", type=float, default=60.0, help="seconds per record")
+    p.add_argument("--duration", dest="duration_s", type=float, default=60.0, help="seconds per record")
     p.add_argument("--n-ensemble", type=int, default=100)
     p.add_argument("--out-dir", default="bench_out")
     p.add_argument("--jobs", type=int, default=_usable_cpus(), help="processes running work units (default: CPUs)")
     p.set_defaults(func=cmd_bench)
 
+    # A library SettingError names a parameter; the subcommand's option with
+    # that dest is the flag its error names.
+    for p in sub.choices.values():
+        p.set_defaults(flags={a.dest: a.option_strings[0] for a in p._actions if a.option_strings})
     return parser
 
 
@@ -363,6 +332,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except SettingError as exc:
+        if exc.name not in args.flags:  # no flag fed it: a computational failure
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
+        print(f"error: {args.flags[exc.name]} must be {exc.rule}, got {exc.value:g}", file=sys.stderr)
+        return 2
     except (
         UsageError,
         FileNotFoundError,

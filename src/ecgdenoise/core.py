@@ -9,6 +9,7 @@ operation here is a pure function.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,20 @@ TWO_PI = 2.0 * np.pi
 # Minimum plausible spacing between consecutive R waves.  Anything tighter
 # than 200 ms (300 bpm) is a double detection, not a heartbeat.
 REFRACTORY_S = 0.2
+
+
+class SettingError(ValueError):
+    """A setting outside its rule; name is the parameter that holds it."""
+
+    def __init__(self, name: str, rule: str, value):
+        super().__init__(f"{name} must be {rule}, got {value:g}")
+        self.name, self.rule, self.value = name, rule, value
+
+
+def check_rate(fs: float) -> None:
+    """The sampling-rate rule, the one place it is stated."""
+    if not 0 < fs < math.inf:
+        raise SettingError("fs", "finite and positive", fs)
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -59,13 +74,14 @@ class Signal:
     """A uniformly sampled waveform in millivolts.
 
     samples: amplitude sequence (mV once WFDB gain conversion has happened)
-    fs: sampling frequency in samples/second
+    fs: sampling frequency in samples/second (check_rate's rule)
     """
 
     samples: np.ndarray
     fs: float
 
     def __post_init__(self):
+        check_rate(self.fs)
         object.__setattr__(self, "samples", _as_readonly(np.asarray(self.samples, dtype=np.float64)))
 
     def __len__(self) -> int:
@@ -106,15 +122,15 @@ class RPeaks:
 
 def sample_count(seconds: float, fs: float) -> int:
     """Whole samples that seconds of signal at fs round to."""
+    check_rate(fs)
     return int(round(seconds * fs))
 
 
 def validate(signal: Signal) -> str | None:
-    """Check Signal invariants; return None if ok, else a diagnostic naming the first violation."""
+    """Check a Signal's samples (its rate is checked when it is made); return
+    None if ok, else a diagnostic naming the first violation."""
     if len(signal) == 0:
         return "empty"
-    if not (signal.fs > 0):
-        return f"fs must be positive, got {signal.fs}"
     finite = np.isfinite(signal.samples)
     if not finite.all():
         return f"non-finite at index {int(np.argmin(finite))}"

@@ -20,7 +20,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core import RPeaks, Signal, TWO_PI, require_valid, wrap_centered, wrap_phase
+from .core import RPeaks, SettingError, Signal, TWO_PI, require_valid, wrap_centered, wrap_phase
 from .model import GaussianWaveParams, beat_intervals, observed_phase, wave_increment, wave_sum
 
 
@@ -55,11 +55,11 @@ class FilterConfig:
 
     def __post_init__(self):
         if self.n_ensemble < 2:
-            raise ValueError("ensemble size must be at least 2")
+            raise SettingError("n_ensemble", "at least 2 for a sample covariance", self.n_ensemble)
         for name in ("q_theta", "q_z", "q_z_activity", "r_phi", "r_s"):
             v = getattr(self, name)
             if v is not None and not v >= 0:
-                raise ValueError(f"{name} must be non-negative, got {v}")
+                raise SettingError(name, "non-negative", v)
         if self.r_phi == 0.0 and self.r_s == 0.0:
             raise ValueError("r_phi and r_s cannot both be zero")
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Signal
+from .core import SettingError, Signal
 
 
 class UndefinedMetricError(ValueError):
@@ -120,7 +120,7 @@ def report(clean: Signal, noisy: Signal, denoised: Signal) -> MetricReport:
 def calibrate_gain(clean: Signal, noise: Signal, target_snr_db: float) -> float:
     """Gain g so that snr(clean, clean + g*noise) equals the target exactly."""
     if not math.isfinite(target_snr_db):
-        raise ValueError(f"target SNR must be finite, got {target_snr_db} dB")
+        raise SettingError("target_snr_db", "finite", target_snr_db)
     x, v = _pair(clean, noise)
     sig = float(x @ x)
     pwr = float(v @ v)

@@ -16,6 +16,7 @@ import numpy as np
 from .core import (
     REFRACTORY_S,
     RPeaks,
+    SettingError,
     Signal,
     TWO_PI,
     _as_readonly,
@@ -147,14 +148,15 @@ def synthesize(
     rr = np.asarray(rr_intervals, dtype=np.float64)
     if rr.ndim != 1 or rr.size == 0:
         raise ValueError("rr_intervals must be a non-empty 1-D sequence")
-    if np.any(rr <= REFRACTORY_S):
-        raise ValueError(f"every R-R interval must exceed the {REFRACTORY_S:g} s refractory floor")
-    if not fs > 0:
-        raise ValueError("fs must be positive")
+    bad = ~((rr > REFRACTORY_S) & (rr < np.inf))
+    if bad.any():
+        raise SettingError("rr_intervals", f"finite and above {REFRACTORY_S:g} s", rr[np.argmax(bad)])
+    if not 0 <= noise_std < np.inf:
+        raise SettingError("noise_std", "finite and non-negative", noise_std)
 
-    n = sample_count(float(rr.sum()), fs)
+    n = sample_count(float(rr.sum()), fs)  # checks fs
     if n == 0:
-        raise ValueError(f"{rr.sum():g} s of beats at {fs:g} Hz round to 0 samples")
+        raise SettingError("fs", f"high enough for {rr.sum():g} s to hold a sample", fs)
     rng = np.random.default_rng(seed)
     eta = rng.normal(0.0, noise_std, size=n) if noise_std > 0 else np.zeros(n)
 
@@ -236,7 +238,7 @@ def mean_beat(signal: Signal, phase: np.ndarray, n_bins: int = 64) -> BeatTempla
     """
     require_valid(signal)
     if n_bins < MIN_BINS:
-        raise ValueError(f"n_bins must be at least {MIN_BINS}")
+        raise SettingError("n_bins", f"at least {MIN_BINS}", n_bins)
     if len(phase) != len(signal):
         raise ValueError("phase and signal must have equal length")
     which = np.minimum((phase / TWO_PI * n_bins).astype(np.int64), n_bins - 1)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RPeaks, Signal
+from .core import RPeaks, SettingError, Signal, check_rate
 
 # Annotation codes that mark a beat (the standard WFDB beat set).
 BEAT_CODES = frozenset(range(1, 14)) | {25, 34, 38}
@@ -93,8 +93,10 @@ def read_header(text: str) -> RecordHeader:
         raise HeaderParseError(f"line {lineno}: {exc}") from None
     if n_signals < 1:
         raise HeaderParseError(f"line {lineno}: signal count must be at least 1")
-    if fs <= 0:
-        raise HeaderParseError(f"line {lineno}: sampling frequency must be positive")
+    try:
+        check_rate(fs)
+    except SettingError as exc:  # the header, not a caller's setting, holds it
+        raise HeaderParseError(f"line {lineno}: {exc}") from None
 
     if len(lines) - 1 < n_signals:
         raise HeaderParseError(
@@ -308,6 +310,7 @@ def read_csv(data: bytes, fs: float) -> Signal:
     row.  Both parse a plain cell with CPython's string-to-double, so both
     give the same floats.
     """
+    check_rate(fs)
     table = _read_plain(data)
     if table is None:
         table = _read_rows(data)
@@ -331,6 +334,14 @@ def read_csv(data: bytes, fs: float) -> Signal:
                 f"the t column runs at {k / span if span else float('inf'):.6g} Hz"
             )
     return Signal(values, fs)
+
+
+def read_named_csv(data: bytes, fs: float, name: str) -> Signal:
+    """read_csv, with a parse error that starts with the name of the file."""
+    try:
+        return read_csv(data, fs)
+    except CsvParseError as exc:
+        raise CsvParseError(f"{name}: {exc}") from None
 
 
 def _read_plain(data: bytes) -> np.ndarray | None:

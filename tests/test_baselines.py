@@ -20,7 +20,6 @@ from ecgdenoise.baselines import (
     RlsParams,
     ekf_denoise,
     max_levels,
-    max_window,
     nlms_batch,
     nlms_denoise,
     noise_sigma_estimate,
@@ -32,7 +31,7 @@ from ecgdenoise.baselines import (
     waverec,
     wavelet_denoise,
 )
-from ecgdenoise.core import RPeaks, Signal, TWO_PI, wrap_centered, wrap_phase
+from ecgdenoise.core import RPeaks, SettingError, Signal, TWO_PI, wrap_centered, wrap_phase
 from ecgdenoise.enkf import FilterConfig, prepare_inputs
 from ecgdenoise.model import (
     GaussianWaveParams,
@@ -42,6 +41,10 @@ from ecgdenoise.model import (
     wave_increment_dtheta,
     wave_sum,
 )
+
+# Both canceller kernels call BLAS and LAPACK, so CI runs this module again
+# under single-thread BLAS.
+pytestmark = pytest.mark.single_thread_blas
 
 
 def sig(xs, fs=360.0):
@@ -353,12 +356,13 @@ class TestSavitzkyGolay:
         y = sig(np.zeros(20))
         with pytest.raises(ValueError, match="odd"):
             sg_filter(y, 4, 2)
-        with pytest.raises(ValueError, match="polyorder"):
-            sg_filter(y, 5, 5)
-        # The CLI bounds --window by max_window, so it must be this check's limit.
-        with pytest.raises(ValueError, match="length"):
-            sg_filter(y, max_window(20) + 1, 2)
-        assert len(sg_filter(sig(np.arange(21.0)), max_window(21), 2)) == 21
+        for polyorder in (5, -1, -3):
+            rule = "non-negative and below the window of 5"
+            with pytest.raises(SettingError, match=rf"^polyorder must be {rule}, got {polyorder}$"):
+                sg_filter(y, 5, polyorder)
+        with pytest.raises(SettingError, match="^window must be at most 20 for 20 samples, got 21$"):
+            sg_filter(y, 21, 2)
+        assert len(sg_filter(sig(np.arange(21.0)), 21, 2)) == 21
 
 
 class TestWavelet:
@@ -398,12 +402,12 @@ class TestWavelet:
             assert ratio < 0.15
 
     def test_too_short_rejected(self):
-        with pytest.raises(ValueError, match="too short"):
+        with pytest.raises(SettingError, match="^levels must be at most 3 for 8 samples, got 4$"):
             wavelet_denoise(sig(np.zeros(8)), levels=4)
-        # The CLI bounds --levels by max_levels, so it must be this check's limit.
+        # max_levels(n) is the rule's limit: it is taken, one more is not.
         for n in (2, 8, 9, 100):
             assert len(wavelet_denoise(sig(np.ones(n)), levels=max_levels(n))) == n
-            with pytest.raises(ValueError, match="too short"):
+            with pytest.raises(SettingError, match="at most"):
                 wavelet_denoise(sig(np.ones(n)), levels=max_levels(n) + 1)
 
     @pytest.mark.parametrize("bad", [-0.1, float("nan")])
@@ -622,8 +626,8 @@ class TestAdaptive:
     @pytest.mark.parametrize(
         "run, message",
         [
-            (lambda y: nlms_denoise(y, y, 8, float("nan")), r"^mu must lie in \(0, 2\), got nan$"),
-            (lambda y: rls_denoise(y, y, 8, float("nan"), 100.0), r"^forgetting factor must lie in \(0, 1\], got nan$"),
+            (lambda y: nlms_denoise(y, y, 8, float("nan")), r"^mu must be in \(0, 2\), got nan$"),
+            (lambda y: rls_denoise(y, y, 8, float("nan"), 100.0), r"^forgetting must be in \(0, 1\], got nan$"),
             (lambda y: rls_denoise(y, y, 8, 0.999, float("nan")), r"^delta must be positive, got nan$"),
         ],
         ids=["mu", "forgetting", "delta"],

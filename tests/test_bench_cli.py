@@ -159,6 +159,7 @@ class TestBenchRun:
         table = bench.table_csv(cells, plan)
         assert "failed:" in table
 
+    @pytest.mark.single_thread_blas
     def test_failed_batch_row_is_isolated(self, data_root, monkeypatch):
         """One enkf cell failing mid-record fails alone: its row names the
         sample, its batch-mates' rows equal those of a run without the fault,
@@ -216,6 +217,7 @@ class TestBenchRun:
         assert sum(r.startswith(("118,", "119,")) for r in rows) == 4
         assert all(c.wall_time > 0 for c in cells)
 
+    @pytest.mark.single_thread_blas
     def test_unfactorable_rls_cell_is_isolated(self, data_root, monkeypatch):
         """An rls cell whose forgetting factor the block form cannot factor
         fails alone in its lockstep unit, naming the block; its unit-mates'
@@ -249,6 +251,7 @@ class TestBenchRun:
             else:
                 assert cell.report == want.report
 
+    @pytest.mark.single_thread_blas
     def test_batched_table_equals_cells_run_alone(self, data_root, monkeypatch):
         plan = bench.BenchPlan(
             records=("118", "119"),
@@ -282,6 +285,7 @@ class TestBenchRun:
         records=("118", "119"), methods=("enkf", "sg", "nlms"), snr_levels=(12.0, 18.0), duration_s=4.0, n_ensemble=20
     )
 
+    @pytest.mark.single_thread_blas
     def test_output_does_not_depend_on_jobs(self, data_root, monkeypatch):
         """bench.csv and every SVG are byte-identical for 1 job, 2 jobs and
         more jobs than units (capped at one share per unit), with a failing
@@ -313,6 +317,7 @@ class TestBenchRun:
         with pytest.raises(ValueError, match="jobs must be at least 1"):
             bench.run_bench(plan, data_root, jobs=0)
 
+    @pytest.mark.single_thread_blas
     @pytest.mark.parametrize("fault", ["none", "child exits 3", "child sends short result", "parent raises"])
     def test_no_child_left_running(self, data_root, monkeypatch, fault):
         """After a normal run, a child's failure (exit status 3 or a short
@@ -759,15 +764,30 @@ class TestCliMixDenoise:
             (["denoise", "signal.csv", "--method", "sg", "--window", "99999"], "--window must be at most 3676 for 3676"),
             (["fit", "signal.csv", "--seconds", "1"], "--seconds must be at least 2 s to detect R peaks, got 1"),
             (["denoise", "signal.csv", "--method", "wavelet", "--levels", "20"], "--levels must be at most 11 for 3676"),
+            # The library states each rule below; the CLI names the flag that fed it.
+            *(
+                (cmd + ["--fs", fs], f"--fs must be finite and positive, got {fs}")
+                for cmd in (["fit", "signal.csv"], ["mix", "signal.csv", "signal.csv", "--level", "6"],
+                            ["denoise", "signal.csv", "--method", "sg"])
+                for fs in ("0", "nan", "inf")
+            ),
+            (["denoise", "signal.csv", "--method", "sg", "--polyorder", "-1"], "--polyorder must be non-negative"),
+            (["synth", "--out-dir", "new", "--noise-std", "nan"], "--noise-std must be finite and non-negative, got nan"),
+            (["synth", "--out-dir", "new", "--rr", "inf"], "--rr must be finite and above 0.2 s, got inf"),
+            (["--data-root", "DATA", "fit", "118", "--channel", "-1"], "--channel must be from 0 to 1 in record 118, got -1"),
+            (
+                ["--data-root", "DATA", "bench", "--records", "118", "--methods", "sg", "--channel", "-1"],
+                "--channel must be from 0 to 1 in record 118, got -1",
+            ),
         ],
     )
-    def test_bad_size_or_encoding_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv, message):
+    def test_bad_size_or_encoding_is_a_usage_error(self, data_root, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)
         assert cli.main(["synth", "--out-dir", ".", "--beats", "12"]) == 0
         Path("latin1.csv").write_bytes(b"mv\n1\n\xb5\n")
         before = sorted(tmp_path.rglob("*"))
         capsys.readouterr()
-        assert cli.main(argv) == 2
+        assert cli.main([str(data_root) if a == "DATA" else a for a in argv]) == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before  # nothing written
 
@@ -798,6 +818,7 @@ class TestCliBench:
         for name in ("snr_improvement", "corr", "prd", "rmse"):
             assert (out / f"{name}.svg").exists()
 
+    @pytest.mark.single_thread_blas
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_summary_reports_wall_time_and_jobs(self, data_root, tmp_path, capsys, jobs):
         """stderr's summary gives run_bench's wall time, the job count and the
@@ -821,16 +842,18 @@ class TestCliBench:
         assert rc == 0
         assert "0.000000" in capsys.readouterr().out
 
+    # Each id names the plan field its flag sets.
     @pytest.mark.parametrize(
         "flags, field",
         [
             (["--methods", "magic"], "method 'magic'"),
-            (["--duration", "-1"], "duration_s"),
-            (["--duration", "nan"], "duration_s"),
-            (["--duration", "inf"], "duration_s"),
-            (["--duration", "0"], "duration_s"),
-            (["--n-ensemble", "1"], "n_ensemble"),
-            (["--levels", "inf"], "snr_levels"),
+            *(
+                pytest.param(["--duration", v], f"--duration must be finite and positive, got {v}", id=f"flags{k}-duration_s")
+                for k, v in enumerate(("-1", "nan", "inf", "0"), 1)
+            ),
+            pytest.param(["--n-ensemble", "1"], "--n-ensemble must be at least 2 for a sample covariance, got 1",
+                         id="flags5-n_ensemble"),
+            pytest.param(["--levels", "inf"], "--levels must be finite, got inf", id="flags6-snr_levels"),
             (["--jobs", "0"], "--jobs must be at least 1, got 0"),
             (["--jobs", "-2"], "--jobs must be at least 1, got -2"),
         ],

@@ -1,4 +1,4 @@
-"""Core types: construction invariants, slice, validate."""
+"""Core types: construction invariants, slice, validate; every library setting rule's SettingError."""
 
 from __future__ import annotations
 
@@ -6,15 +6,21 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ecgdenoise.bench import trim
+from ecgdenoise import baselines, wfdbio
+from ecgdenoise.bench import BenchPlan, load_record, run_bench, trim
 from ecgdenoise.core import (
     RPeaks,
+    SettingError,
     Signal,
+    sample_count,
     slice_signal,
     validate,
     wrap_centered,
     wrap_phase,
 )
+from ecgdenoise.enkf import FilterConfig
+from ecgdenoise.metrics import calibrate_gain
+from ecgdenoise.model import default_morphology, mean_beat, synthesize
 
 
 class TestSignal:
@@ -101,4 +107,56 @@ class TestValidate:
         assert validate(Signal([], 360.0)) == "empty"
 
     def test_bad_fs(self):
-        assert "fs" in validate(Signal([1.0], 0.0))
+        # No Signal holds a bad rate, so validate never sees one.
+        for fs in (0.0, -360.0, float("nan"), float("inf")):
+            with pytest.raises(SettingError, match=f"^fs must be finite and positive, got {fs:g}$"):
+                Signal([1.0], fs)
+
+
+X = Signal(np.sin(np.arange(64) / 5.0), 360.0)
+NAN, INF = float("nan"), float("inf")
+
+
+# Each library rule on a setting, broken once: d is a directory holding the
+# header of a two-channel record "x".
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("fs", lambda d: Signal([1.0], INF)),
+        ("fs", lambda d: sample_count(1.0, NAN)),
+        ("fs", lambda d: wfdbio.read_csv(b"mv\n1\n", 0.0)),
+        ("window", lambda d: baselines.sg_filter(X, 4, 2)),
+        ("window", lambda d: baselines.sg_filter(X, 65, 2)),
+        ("polyorder", lambda d: baselines.sg_filter(X, 5, -1)),
+        ("levels", lambda d: baselines.wavelet_denoise(X, 0)),
+        ("levels", lambda d: baselines.wavelet_denoise(X, 7)),
+        ("threshold", lambda d: baselines.wavelet_denoise(X, 2, "fixed", -1.0)),
+        ("taps", lambda d: baselines.nlms_batch([X], [X], 0, 0.5)),
+        ("mu", lambda d: baselines.nlms_batch([X], [X], 4, 2.0)),
+        ("taps", lambda d: baselines.rls_batch([X], [X], 0, 0.999, 100.0)),
+        ("forgetting", lambda d: baselines.rls_batch([X], [X], 4, 1.5, 100.0)),
+        ("delta", lambda d: baselines.rls_batch([X], [X], 4, 0.999, 0.0)),
+        ("lam", lambda d: baselines.tvd_denoise(X, -1.0)),
+        ("n_ensemble", lambda d: FilterConfig(n_ensemble=1)),
+        ("q_theta", lambda d: FilterConfig(q_theta=-1.0)),
+        ("snr_levels", lambda d: BenchPlan(("x",), snr_levels=(6.0, INF))),
+        ("duration_s", lambda d: BenchPlan(("x",), duration_s=0.0)),
+        ("n_ensemble", lambda d: BenchPlan(("x",), n_ensemble=1)),
+        ("jobs", lambda d: run_bench(BenchPlan(("x",)), d, 0)),
+        ("channel", lambda d: load_record(d, "x", -1)),
+        ("channel", lambda d: load_record(d, "x", 2)),
+        ("n_bins", lambda d: mean_beat(X, np.zeros(len(X)), 8)),
+        ("fs", lambda d: synthesize(default_morphology(), [0.8], INF)),
+        ("fs", lambda d: synthesize(default_morphology(), [0.3], 1.0)),
+        ("rr_intervals", lambda d: synthesize(default_morphology(), [0.8, INF], 360.0)),
+        ("noise_std", lambda d: synthesize(default_morphology(), [0.8], 360.0, noise_std=NAN)),
+        ("noise_std", lambda d: synthesize(default_morphology(), [0.8], 360.0, noise_std=-1.0)),
+        ("target_snr_db", lambda d: calibrate_gain(X, X, NAN)),
+    ],
+)
+def test_setting_rule_names_its_parameter(tmp_path, name, call):
+    (tmp_path / "x.hea").write_text("x 2 360 64\nx.dat 212 200 11 0 0 0 0 I\nx.dat 212 200 11 0 0 0 0 II\n")
+    with pytest.raises(SettingError) as caught:
+        call(tmp_path)
+    assert caught.value.name == name
+    assert str(caught.value).startswith(f"{name} must be ")

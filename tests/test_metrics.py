@@ -185,7 +185,7 @@ class TestMixer:
 
     @pytest.mark.parametrize("target", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_target_rejected(self, target):
-        with pytest.raises(ValueError, match=f"target SNR must be finite, got {target}"):
+        with pytest.raises(ValueError, match=f"^target_snr_db must be finite, got {target}$"):
             calibrate_gain(sig([1.0, -1.0]), sig([0.5, 0.5]), target)
 
     def test_sample_rate_mismatch_rejected(self):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ecgdenoise.core import RPeaks, Signal, TWO_PI, wrap_centered
+from ecgdenoise.core import RPeaks, SettingError, Signal, TWO_PI, wrap_centered
 from ecgdenoise.model import (
     MIN_DETECT_S,
     BeatTemplate,
@@ -126,11 +126,12 @@ class TestSynthesize:
         assert np.array_equal(a[1], b[1])
 
     def test_rejects_short_rr(self):
-        with pytest.raises(ValueError, match="refractory"):
-            synthesize(default_morphology(), [0.1], 360.0)
+        for rr in (0.1, float("inf"), float("nan")):
+            with pytest.raises(SettingError, match=f"^rr_intervals must be finite and above 0.2 s, got {rr}$"):
+                synthesize(default_morphology(), [0.8, rr], 360.0)
 
     def test_rejects_zero_samples(self):
-        with pytest.raises(ValueError, match="0.3 s of beats at 1 Hz round to 0 samples"):
+        with pytest.raises(SettingError, match="^fs must be high enough for 0.3 s to hold a sample, got 1$"):
             synthesize(default_morphology(), [0.3], 1.0)
 
     def test_phase_in_range(self):

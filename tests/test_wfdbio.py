@@ -49,6 +49,12 @@ class TestReadHeader:
         assert spec.gain == 100.0
         assert spec.baseline == 512
 
+    @pytest.mark.parametrize("rate", ["nan", "inf", "0", "-360"])
+    def test_bad_rate_names_its_line(self, rate):
+        text = f"# a comment\nx 1 {rate} 100\nx.dat 212 200 11 0 0 0 0 L\n"
+        with pytest.raises(wfdbio.HeaderParseError, match=f"^line 2: fs must be finite and positive, got {rate}$"):
+            wfdbio.read_header(text)
+
     def test_missing_signal_lines(self):
         with pytest.raises(wfdbio.HeaderParseError, match="declares 2"):
             wfdbio.read_header("x 2 360 100\nx.dat 212 200\n")
