@@ -1,13 +1,13 @@
 """Comparison filters: model-based EKF, Savitzky-Golay, wavelet soft
 thresholding, NLMS, RLS and exact 1-D total-variation denoising.
 
-Parameter choices are explicit everywhere; nothing is tuned silently.
+Parameter choices are explicit everywhere; nothing is tuned silently.  The
+benchmark's default settings for each filter are in bench.METHODS.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,35 +19,6 @@ from .model import GaussianWaveParams
 class ConditioningError(RuntimeError):
     """A recursion left its defined range: an EKF covariance lost positive
     definiteness beyond repair, or an RLS block has no Cholesky factor or overflows."""
-
-
-@dataclass(frozen=True)
-class SgParams:
-    window: int = 15
-    polyorder: int = 3
-
-
-@dataclass(frozen=True)
-class WaveletParams:
-    levels: int = 4
-
-
-@dataclass(frozen=True)
-class NlmsParams:
-    taps: int = 16
-    mu: float = 0.5
-
-
-@dataclass(frozen=True)
-class RlsParams:
-    taps: int = 16
-    forgetting: float = 0.999
-    delta: float = 100.0
-
-
-@dataclass(frozen=True)
-class TvdParams:
-    lam: float | None = None  # None: 0.2 * noise-std estimate from the finest wavelet details
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +462,9 @@ def rls_denoise(primary: Signal, reference: Signal, taps: int, forgetting: float
 # ---------------------------------------------------------------------------
 
 
-def tvd_denoise(signal: Signal, lam: float) -> Signal:
-    """Exact minimizer of 0.5*||y - x||^2 + lam * sum |x[k+1] - x[k]|.
+def tvd_denoise(signal: Signal, lam: float | None) -> Signal:
+    """Exact minimizer of 0.5*||y - x||^2 + lam * sum |x[k+1] - x[k]|; lam
+    None means 0.2 times the noise-std estimate (noise_sigma_estimate).
 
     Computed by Condat's direct algorithm (IEEE SPL 20(11), 2013): one
     forward pass that grows the current segment while some constant value
@@ -501,6 +473,8 @@ def tvd_denoise(signal: Signal, lam: float) -> Signal:
     the KKT conditions on that running sum.
     """
     require_valid(signal)
+    if lam is None:
+        lam = 0.2 * noise_sigma_estimate(signal)
     if not lam >= 0:
         raise SettingError("lam", "non-negative", lam)
     y = signal.samples

@@ -15,91 +15,84 @@ import os
 import pickle
 import threading
 import time
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from signal import SIGKILL
 from typing import Any, BinaryIO, Callable
 
 from . import baselines, enkf, metrics, wfdbio
 from .core import RPeaks, SettingError, Signal, require_valid, sample_count, slice_signal
-from .model import GaussianWaveParams, detect_r_peaks, fit_params, mean_beat, observed_phase
+from .model import GaussianWaveParams, fit_params, mean_beat, observed_phase, phase_peaks
 from .svgplot import Series, render_line_chart
 
 
 @dataclass(frozen=True)
 class MethodContext:
     """What only some methods read: the noise reference (nlms, rls; None for a
-    method without needs_reference); the R peaks, morphology (both derived from
+    method without needs_reference); the R peaks (model.phase_peaks's rule
+    picks them or detects them in the noisy signal), morphology (fitted on
     the noisy signal when None), seed and N (enkf, ekf)."""
 
     reference: Signal | None = None
-    peaks: RPeaks | None = None
+    peaks: RPeaks = RPeaks([])
     morphology: GaussianWaveParams | None = None
     seed: int = 0
-    n_ensemble: int = 100
+    n_ensemble: int = enkf.FilterConfig.n_ensemble
 
 
 @dataclass(frozen=True)
 class Method:
-    """A params dataclass (None for the model-based filters), a callable
-    (noisy, params, ctx) and, for a method that runs equal-length cells in
-    lockstep, a batch callable (noisy signals, params, contexts) -> outputs.
-    Both look their filter up in its module at call time, so a rebound module
-    attribute (the per-layer tracer's) is what runs."""
+    """The default settings, keyword arguments of the filter (none for the
+    model-based filters); a callable (noisy, settings, ctx) and, for a method
+    that runs equal-length cells in lockstep, a batch callable (noisy
+    signals, settings, contexts) -> outputs.  Both look their filter up in its
+    module at call time, so a rebound module attribute (the per-layer
+    tracer's) is what runs.  Nothing mutates the settings."""
 
-    params: type | None
-    run: Callable[[Signal, Any, MethodContext], Signal]
+    params: dict[str, Any]
+    run: Callable[[Signal, dict[str, Any], MethodContext], Signal]
     needs_reference: bool = False
-    batch: Callable[[list[Signal], Any, list[MethodContext]], list[Signal]] | None = None
+    batch: Callable[[list[Signal], dict[str, Any], list[MethodContext]], list[Signal]] | None = None
 
 
 def _model_inputs(noisy: Signal, ctx: MethodContext) -> tuple[RPeaks, GaussianWaveParams, enkf.FilterConfig]:
     """The model-based filters' preamble: filter config (checked first), R peaks and morphology."""
     cfg = enkf.FilterConfig(n_ensemble=ctx.n_ensemble, seed=ctx.seed)
-    peaks = ctx.peaks if ctx.peaks is not None else detect_r_peaks(noisy)
+    peaks = phase_peaks(noisy, ctx.peaks)
     morphology = ctx.morphology if ctx.morphology is not None else fit_record_morphology(noisy, peaks)
     return peaks, morphology, cfg
 
 
-# Params field names are the filters' keyword names, so asdict(p) is the call.
 METHODS: dict[str, Method] = {
     "enkf": Method(
-        None,
+        {},
         lambda x, p, c: enkf.denoise(x, *_model_inputs(x, c)),
         batch=lambda xs, p, cs: enkf.denoise_batch([(x, *_model_inputs(x, c)) for x, c in zip(xs, cs)]),
     ),
-    "ekf": Method(None, lambda x, p, c: baselines.ekf_denoise(x, *_model_inputs(x, c))),
-    "sg": Method(baselines.SgParams, lambda x, p, c: baselines.sg_filter(x, **asdict(p))),
-    "wavelet": Method(baselines.WaveletParams, lambda x, p, c: baselines.wavelet_denoise(x, **asdict(p))),
+    "ekf": Method({}, lambda x, p, c: baselines.ekf_denoise(x, *_model_inputs(x, c))),
+    "sg": Method({"window": 15, "polyorder": 3}, lambda x, p, c: baselines.sg_filter(x, **p)),
+    "wavelet": Method({"levels": 4}, lambda x, p, c: baselines.wavelet_denoise(x, **p)),
     "nlms": Method(
-        baselines.NlmsParams,
-        lambda x, p, c: baselines.nlms_denoise(x, c.reference, **asdict(p)),
+        {"taps": 16, "mu": 0.5},
+        lambda x, p, c: baselines.nlms_denoise(x, c.reference, **p),
         True,
-        lambda xs, p, cs: baselines.nlms_batch(xs, [c.reference for c in cs], **asdict(p)),
+        lambda xs, p, cs: baselines.nlms_batch(xs, [c.reference for c in cs], **p),
     ),
     "rls": Method(
-        baselines.RlsParams,
-        lambda x, p, c: baselines.rls_denoise(x, c.reference, **asdict(p)),
+        {"taps": 16, "forgetting": 0.999, "delta": 100.0},
+        lambda x, p, c: baselines.rls_denoise(x, c.reference, **p),
         True,
-        lambda xs, p, cs: baselines.rls_batch(xs, [c.reference for c in cs], **asdict(p)),
+        lambda xs, p, cs: baselines.rls_batch(xs, [c.reference for c in cs], **p),
     ),
-    "tvd": Method(
-        baselines.TvdParams,
-        lambda x, p, c: baselines.tvd_denoise(x, 0.2 * baselines.noise_sigma_estimate(x) if p.lam is None else p.lam),
-    ),
+    "tvd": Method({"lam": None}, lambda x, p, c: baselines.tvd_denoise(x, **p)),
 }
-DEFAULT_LEVELS = (-6.0, 0.0, 6.0, 12.0, 18.0, 24.0)
 
 
-def _default_params(method: Method):
-    return None if method.params is None else method.params()
-
-
-def run_method(name: str, noisy: Signal, ctx: MethodContext, params=None) -> Signal:
-    """Denoise with one table entry (params default to its dataclass defaults).
+def run_method(name: str, noisy: Signal, ctx: MethodContext, params: dict[str, Any] | None = None) -> Signal:
+    """Denoise with one table entry (params default to its default settings).
     Non-finite output is an error, never a plausible-looking result."""
     method = METHODS[name]
-    denoised = method.run(noisy, _default_params(method) if params is None else params, ctx)
+    denoised = method.run(noisy, method.params if params is None else params, ctx)
     require_valid(denoised, f"{name} output")
     return denoised
 
@@ -132,12 +125,12 @@ WARMUP_S = 2.0
 class BenchPlan:
     records: tuple[str, ...]
     methods: tuple[str, ...] = tuple(METHODS)
-    snr_levels: tuple[float, ...] = DEFAULT_LEVELS
+    snr_levels: tuple[float, ...] = (-6.0, 0.0, 6.0, 12.0, 18.0, 24.0)
     channel: int = 0
     noise: str = "em"  # record name under the dataset root (channel 0), or a CSV path
     seed: int = 0
     duration_s: float = 60.0
-    n_ensemble: int = 100
+    n_ensemble: int = enkf.FilterConfig.n_ensemble
 
     def __post_init__(self):
         if not self.records or not self.methods or not self.snr_levels:
@@ -180,7 +173,7 @@ def params_digest(plan: BenchPlan) -> str:
         "duration_s": plan.duration_s,
         "skip_warmup_s": WARMUP_S,
         "n_ensemble": plan.n_ensemble,
-        "baselines": {name: asdict(m.params()) for name, m in METHODS.items() if m.params},
+        "baselines": {name: m.params for name, m in METHODS.items() if m.params},
     }
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
@@ -200,8 +193,9 @@ def load_record(root: Path, name: str, channel: int = 0) -> tuple[Signal, RPeaks
 
 
 def trim(signal: Signal, peaks: RPeaks, duration_s: float) -> tuple[Signal, RPeaks]:
-    """The first duration_s seconds (rounded to whole samples) and their peaks."""
-    n = min(sample_count(duration_s, signal.fs), len(signal))
+    """The first duration_s seconds (rounded to whole samples; all of a
+    shorter signal) and their peaks."""
+    n = len(signal) if duration_s * signal.fs >= len(signal) else sample_count(duration_s, signal.fs)
     kept = peaks.indices[peaks.indices < n]
     return slice_signal(signal, 0, n), RPeaks(kept)
 
@@ -369,7 +363,7 @@ def run_cell(unit: list[tuple[str, str, float]], loaded, noise: Signal, plan: Be
             MethodContext(reference=ref, peaks=loaded[rid][1], seed=seed, n_ensemble=plan.n_ensemble)
             for (_, ref), (rid, _, _), seed in zip(mixed, unit, seeds)
         ]
-        params = _default_params(method)
+        params = method.params
         outputs = method.batch(noisy, params, ctxs) if len(unit) > 1 else [method.run(noisy[0], params, ctxs[0])]
     except Exception as exc:  # cell failures must not kill the run
         if len(unit) > 1:

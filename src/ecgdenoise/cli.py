@@ -14,24 +14,24 @@ import math
 import os
 import sys
 import time
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from . import baselines, bench, metrics, wfdbio
+from . import bench, enkf, metrics, wfdbio
 from .core import RPeaks, SettingError, Signal, sample_count
 from .model import (
     MIN_DETECT_S,
     FitDivergenceError,
     GaussianWaveParams,
     default_morphology,
-    detect_r_peaks,
+    defines_phase,
     detectable,
     fit_params,
     fit_residual_rms,
     mean_beat,
     observed_phase,
+    phase_peaks,
     synthesize,
 )
 
@@ -52,18 +52,17 @@ def _data_root(args) -> Path:
     return path
 
 
-def _load_input(args, name: str) -> tuple[Signal, RPeaks | None]:
-    """Resolve an input argument: .csv path or WFDB record name."""
+def _load_input(args, name: str) -> tuple[Signal, RPeaks]:
+    """Resolve an input argument: .csv path (no R peaks) or WFDB record name."""
     if name.endswith(".csv"):
         path = Path(name)
         if not path.is_file():
             raise UsageError(f"input file {path} does not exist")
-        return _read_csv(path, args.fs), None
+        return _read_csv(path, args.fs), RPeaks([])
     try:
-        signal, peaks = bench.load_record(_data_root(args), name, args.channel)
+        return bench.load_record(_data_root(args), name, args.channel)
     except FileNotFoundError as exc:
         raise UsageError(f"cannot read record {name!r}: {exc}") from None
-    return signal, peaks if len(peaks) else None
 
 
 def _read_csv(path: Path, fs: float) -> Signal:
@@ -128,13 +127,12 @@ def cmd_fit(args) -> int:
         _require(0 < args.seconds < math.inf, "--seconds", args.seconds, "finite and positive")
     signal, peaks = _load_input(args, args.input)
     if args.seconds is not None:
-        signal, peaks = bench.trim(signal, RPeaks([]) if peaks is None else peaks, args.seconds)
+        signal, peaks = bench.trim(signal, peaks, args.seconds)
         _require(len(signal) > 0, "--seconds", args.seconds, f"long enough to keep a sample at {signal.fs:g} Hz")
-    if peaks is None or len(peaks) < 2:
-        if args.seconds is not None:
+        if not defines_phase(peaks):  # so phase_peaks detects them
             enough = detectable(sample_count(args.seconds, signal.fs), signal.fs)
             _require(enough, "--seconds", args.seconds, f"at least {MIN_DETECT_S:g} s to detect R peaks")
-        peaks = detect_r_peaks(signal)
+    peaks = phase_peaks(signal, peaks)
     if len(peaks) < 10:
         print(f"error: need at least 10 beats to fit, found {len(peaks)}", file=sys.stderr)
         return 1
@@ -180,17 +178,16 @@ def cmd_mix(args) -> int:
 def cmd_denoise(args) -> int:
     signal, peaks = _load_input(args, args.input)
     method = bench.METHODS[args.method]
-    reference = morphology = params = None
+    reference = morphology = None
     if method.needs_reference:
         if not args.reference:
             raise UsageError(f"--method {args.method} requires --reference (the noise channel)")
         reference = _read_csv(Path(args.reference), signal.fs)
-    if method.params is None:  # the model-based filters
-        morphology = _load_params(args.params) if args.params else None
-    else:
-        params = method.params(**{f.name: getattr(args, f.name) for f in fields(method.params)})
+    if not method.params and args.params:  # the model-based filters take a morphology, no settings
+        morphology = _load_params(args.params)
     ctx = bench.MethodContext(reference, peaks, morphology, args.seed, args.n_ensemble)
-    denoised = bench.run_method(args.method, signal, ctx, params)
+    settings = {name: getattr(args, name) for name in method.params}  # each setting's flag has its name as dest
+    denoised = bench.run_method(args.method, signal, ctx, settings)
 
     _write(Path(args.out), wfdbio.write_csv(denoised))
     if args.clean:
@@ -208,16 +205,18 @@ def cmd_denoise(args) -> int:
 
 def cmd_bench(args) -> int:
     try:
-        levels = tuple(float(v) for v in args.snr_levels.split(",")) if args.snr_levels else bench.DEFAULT_LEVELS
+        lists = {
+            "methods": args.methods and tuple(args.methods.split(",")),
+            "snr_levels": args.snr_levels and tuple(float(v) for v in args.snr_levels.split(",")),
+        }
         plan = bench.BenchPlan(
             records=tuple(args.records.split(",")),
-            methods=tuple(args.methods.split(",")) if args.methods else tuple(bench.METHODS),
-            snr_levels=levels,
             channel=args.channel,
             noise=args.noise,
             seed=args.seed,
             duration_s=args.duration_s,
             n_ensemble=args.n_ensemble,
+            **{name: v for name, v in lists.items() if v},  # an empty or absent list: the plan's default
         )
     except SettingError:
         raise
@@ -295,27 +294,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", help="noise reference csv for nlms/rls")
     p.add_argument("--params", help="morphology JSON for enkf/ekf")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-ensemble", type=int, default=100)
-    # Method settings: each dest is a params-dataclass field, defaults from the dataclasses.
-    p.add_argument("--window", type=int, default=baselines.SgParams.window)
-    p.add_argument("--polyorder", type=int, default=baselines.SgParams.polyorder)
-    p.add_argument("--levels", type=int, default=baselines.WaveletParams.levels, help="wavelet decomposition levels")
-    p.add_argument("--taps", type=int, default=baselines.NlmsParams.taps)  # shared with RlsParams.taps
-    p.add_argument("--mu", type=float, default=baselines.NlmsParams.mu)
-    p.add_argument("--forgetting", type=float, default=baselines.RlsParams.forgetting)
-    p.add_argument("--delta", type=float, default=baselines.RlsParams.delta)
-    p.add_argument("--lambda", dest="lam", type=float, default=baselines.TvdParams.lam, help="TV regularization")
+    p.add_argument("--n-ensemble", type=int, default=enkf.FilterConfig.n_ensemble)
+    # Method settings: each dest is a filter keyword, each default its METHODS
+    # entry's (--taps is one flag, so nlms and rls share one default).
+    defaults = {name: v for m in bench.METHODS.values() for name, v in m.params.items()}
+    p.add_argument("--window", type=int, default=defaults["window"])
+    p.add_argument("--polyorder", type=int, default=defaults["polyorder"])
+    p.add_argument("--levels", type=int, default=defaults["levels"], help="wavelet decomposition levels")
+    p.add_argument("--taps", type=int, default=defaults["taps"])
+    p.add_argument("--mu", type=float, default=defaults["mu"])
+    p.add_argument("--forgetting", type=float, default=defaults["forgetting"])
+    p.add_argument("--delta", type=float, default=defaults["delta"])
+    p.add_argument("--lambda", dest="lam", type=float, default=defaults["lam"], help="TV regularization")
     p.set_defaults(func=cmd_denoise)
 
     p = sub.add_parser("bench", help="run the records x methods x levels benchmark")
     p.add_argument("--records", required=True, help="comma-separated record names")
     p.add_argument("--methods", help=f"comma-separated subset of {','.join(bench.METHODS)}")
     p.add_argument("--levels", dest="snr_levels", help="comma-separated SNR levels in dB")
-    p.add_argument("--noise", default="em", help="noise record name or .csv path")
-    p.add_argument("--channel", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--duration", dest="duration_s", type=float, default=60.0, help="seconds per record")
-    p.add_argument("--n-ensemble", type=int, default=100)
+    plan = bench.BenchPlan  # its fields' defaults are the flags'
+    p.add_argument("--noise", default=plan.noise, help="noise record name or .csv path")
+    p.add_argument("--channel", type=int, default=plan.channel)
+    p.add_argument("--seed", type=int, default=plan.seed)
+    p.add_argument("--duration", dest="duration_s", type=float, default=plan.duration_s, help="seconds per record")
+    p.add_argument("--n-ensemble", type=int, default=plan.n_ensemble)
     p.add_argument("--out-dir", default="bench_out")
     p.add_argument("--jobs", type=int, default=_usable_cpus(), help="processes running work units (default: CPUs)")
     p.set_defaults(func=cmd_bench)

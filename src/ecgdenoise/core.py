@@ -120,10 +120,23 @@ class RPeaks:
                 )
 
 
-def sample_count(seconds: float, fs: float) -> int:
-    """Whole samples that seconds of signal at fs round to."""
+# Most samples a signal may hold: up to 2**53 every sample index, and so
+# every k / fs sample time written to CSV, is exact in float64.
+MAX_SAMPLES = 2**53
+
+
+def sample_count(seconds: float, fs: float, name: str = "seconds") -> int:
+    """Whole samples that seconds of signal at fs round to; name is the
+    setting that holds seconds.  A count outside 0 to MAX_SAMPLES breaks the
+    size rule, checked before anything is allocated: the error names fs if
+    it is the larger factor, else seconds."""
     check_rate(fs)
-    return int(round(seconds * fs))
+    n = seconds * fs
+    if not 0 <= n <= MAX_SAMPLES:
+        if 0 <= seconds < fs:
+            raise SettingError("fs", f"at most {MAX_SAMPLES / seconds:g} for {seconds:g} s", fs)
+        raise SettingError(name, f"from 0 to {MAX_SAMPLES / fs:g} s at {fs:g} Hz", seconds)
+    return int(round(n))
 
 
 def validate(signal: Signal) -> str | None:

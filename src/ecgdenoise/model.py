@@ -154,7 +154,8 @@ def synthesize(
     if not 0 <= noise_std < np.inf:
         raise SettingError("noise_std", "finite and non-negative", noise_std)
 
-    n = sample_count(float(rr.sum()), fs)  # checks fs
+    with np.errstate(over="ignore"):  # an infinite total breaks sample_count's size rule
+        n = sample_count(float(rr.sum()), fs, "rr_intervals")  # checks fs
     if n == 0:
         raise SettingError("fs", f"high enough for {rr.sum():g} s to hold a sample", fs)
     rng = np.random.default_rng(seed)
@@ -185,6 +186,17 @@ def synthesize(
     return Signal(z, fs), phase, RPeaks(np.asarray(peaks, dtype=np.int64))
 
 
+def defines_phase(r_peaks: RPeaks) -> bool:
+    """Whether R peaks define a beat phase: at least 2 of them."""
+    return len(r_peaks) >= 2
+
+
+def phase_peaks(signal: Signal, r_peaks: RPeaks) -> RPeaks:
+    """The R peaks a beat phase comes from: the given ones if they define
+    one, else the ones detect_r_peaks finds in signal."""
+    return r_peaks if defines_phase(r_peaks) else detect_r_peaks(signal)
+
+
 def beat_intervals(r_peaks: RPeaks, length: int) -> tuple[np.ndarray, np.ndarray]:
     """The R-R interval of each sample 0..length-1: its start peak and its
     length, both in samples.
@@ -195,9 +207,9 @@ def beat_intervals(r_peaks: RPeaks, length: int) -> tuple[np.ndarray, np.ndarray
     last interval, counted from the last peak.  Phase and angular velocity
     both follow this one rule (Sameni et al., IEEE TBME 2007).
     """
-    idx = r_peaks.indices
-    if idx.size < 2:
+    if not defines_phase(r_peaks):
         raise InsufficientFiducialsError("need at least 2 R peaks to define a phase")
+    idx = r_peaks.indices
     j = np.searchsorted(idx, np.arange(length), side="right") - 1
     return idx[np.clip(j, 0, idx.size - 1)], np.diff(idx)[np.clip(j, 0, idx.size - 2)]
 

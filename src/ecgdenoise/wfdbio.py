@@ -46,18 +46,13 @@ class SignalSpec:
     """One signal line of a header."""
 
     filename: str
-    fmt: int
     gain: float  # ADC units per mV
     baseline: int  # ADC units at 0 mV
-    adc_zero: int
-    init_value: int
     checksum: int | None
-    description: str
 
 
 @dataclass(frozen=True)
 class RecordHeader:
-    record_name: str
     n_signals: int
     fs: float
     n_samples: int
@@ -82,8 +77,7 @@ def read_header(text: str) -> RecordHeader:
     tok = record_line.split()
     if len(tok) < 2:
         raise HeaderParseError(f"line {lineno}: record line needs at least a name and signal count")
-    name = tok[0]
-    if "/" in name:
+    if "/" in tok[0]:
         raise HeaderParseError(f"line {lineno}: multi-segment records are not supported")
     try:
         n_signals = int(tok[1])
@@ -105,13 +99,7 @@ def read_header(text: str) -> RecordHeader:
     specs = []
     for lineno, sig_line in lines[1 : 1 + n_signals]:
         specs.append(_parse_signal_line(lineno, sig_line))
-    return RecordHeader(
-        record_name=name,
-        n_signals=n_signals,
-        fs=fs,
-        n_samples=n_samples,
-        signals=tuple(specs),
-    )
+    return RecordHeader(n_signals=n_signals, fs=fs, n_samples=n_samples, signals=tuple(specs))
 
 
 def _parse_signal_line(lineno: int, line: str) -> SignalSpec:
@@ -159,18 +147,12 @@ def _parse_signal_line(lineno: int, line: str) -> SignalSpec:
         return default
 
     adc_zero = _int_field(4, 0)
-    init_value = _int_field(5, adc_zero)
-    checksum = _int_field(6, None)
-    description = " ".join(tok[8:]) if len(tok) > 8 else ""
+    _int_field(5, None)  # the initial value: read only to check it
     return SignalSpec(
         filename=filename,
-        fmt=fmt,
         gain=gain,
         baseline=paren_baseline if paren_baseline is not None else adc_zero,
-        adc_zero=adc_zero,
-        init_value=init_value,
-        checksum=checksum,
-        description=description,
+        checksum=_int_field(6, None),
     )
 
 

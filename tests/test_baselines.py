@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import re
-from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -16,8 +15,6 @@ from ecgdenoise.baselines import (
     _DB_H,
     CANCELLER_BLOCK,
     ConditioningError,
-    NlmsParams,
-    RlsParams,
     ekf_denoise,
     max_levels,
     nlms_batch,
@@ -549,7 +546,7 @@ class TestAdaptive:
         rng = np.random.default_rng(16)
         primaries = [sig(rng.normal(size=500)) for _ in range(16)]
         references = [sig(rng.uniform(0.1, 3.0) * rng.normal(size=500)) for _ in range(16)]
-        nlms, rls = asdict(NlmsParams()), asdict(RlsParams())
+        nlms, rls = bench.METHODS["nlms"].params, bench.METHODS["rls"].params
         nl = nlms_batch(primaries, references, **nlms)
         rl = rls_batch(primaries, references, **rls)
         for row, (primary, reference) in enumerate(zip(primaries, references)):

