@@ -29,18 +29,20 @@ class ConditioningError(RuntimeError):
 def ekf_denoise(
     signal: Signal,
     r_peaks: RPeaks,
-    params: GaussianWaveParams,
+    params: GaussianWaveParams | None,
     cfg: FilterConfig = FilterConfig(),
 ) -> Signal:
     """Standard EKF recursion over the beat model with identity observation map.
 
-    Uses the same wrap rules and noise-default resolution as the ensemble
-    filter, so the two are directly comparable.  The 2x2 algebra is written
-    out on Python floats: the state Jacobian is [[1, 0], [j, 1]] with j the
-    phase derivative of the amplitude increment (model.wave_increment_dtheta),
-    and the covariance [[a, c], [c, d]] stays symmetric.
+    Takes its R peaks, morphology (fitted when params is None), beat clock
+    and noise levels from the ensemble filter's front end,
+    :func:`ecgdenoise.enkf.prepare_inputs`, and uses its wrap rules, so the
+    two are directly comparable.  The 2x2 algebra is written out on Python
+    floats: the state Jacobian is [[1, 0], [j, 1]] with j the phase
+    derivative of the amplitude increment, and the covariance [[a, c],
+    [c, d]] stays symmetric.
     """
-    phase, omega, cfg = prepare_inputs(signal, r_peaks, params, cfg)
+    phase, omega, params, cfg = prepare_inputs(signal, r_peaks, params, cfg)
     fs = signal.fs
     waves = [
         (center, alpha / (b * b), 1.0 / (b * b), 0.5 / (b * b))
@@ -226,16 +228,11 @@ def waverec(a: np.ndarray, details: list[np.ndarray], lengths: list[int]) -> np.
     return a
 
 
-def wavelet_denoise(
-    signal: Signal,
-    levels: int,
-    threshold_rule: str = "universal",
-    threshold: float | None = None,
-) -> Signal:
+def wavelet_denoise(signal: Signal, levels: int, threshold: float | None = None) -> Signal:
     """Daubechies-4 decomposition, soft-threshold the details, reconstruct.
 
-    The universal rule uses sigma*sqrt(2 ln n) with sigma estimated as
-    median(|finest details|)/0.6745.
+    threshold None means the universal rule, sigma*sqrt(2 ln n) with sigma
+    estimated as median(|finest details|)/0.6745 (noise_sigma_estimate).
     """
     require_valid(signal)
     n = len(signal)
@@ -244,16 +241,9 @@ def wavelet_denoise(
     if levels > max_levels(n):
         raise SettingError("levels", f"at most {max_levels(n)} for {n} samples", levels)
     a, details, lengths = wavedec(signal.samples, levels)
-    if threshold_rule == "universal":
-        t = noise_sigma_estimate(signal) * np.sqrt(2.0 * np.log(n))
-    elif threshold_rule == "fixed":
-        if threshold is None:
-            raise ValueError("fixed threshold rule requires a threshold value")
-        t = float(threshold)
-        if not t >= 0:
-            raise SettingError("threshold", "non-negative", t)
-    else:
-        raise ValueError(f"unknown threshold rule: {threshold_rule!r}")
+    t = noise_sigma_estimate(signal) * np.sqrt(2.0 * np.log(n)) if threshold is None else float(threshold)
+    if not t >= 0:
+        raise SettingError("threshold", "non-negative", t)
     shrunk = [np.sign(d) * np.maximum(np.abs(d) - t, 0.0) for d in details]
     return Signal(waverec(a, shrunk, lengths), signal.fs)
 

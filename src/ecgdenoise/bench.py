@@ -22,21 +22,22 @@ from typing import Any, BinaryIO, Callable
 
 from . import baselines, enkf, metrics, wfdbio
 from .core import RPeaks, SettingError, Signal, require_valid, sample_count, slice_signal
-from .model import GaussianWaveParams, fit_params, mean_beat, observed_phase, phase_peaks
+from .model import GaussianWaveParams
 from .svgplot import Series, render_line_chart
 
 
 @dataclass(frozen=True)
 class MethodContext:
     """What only some methods read: the noise reference (nlms, rls; None for a
-    method without needs_reference); the R peaks (model.phase_peaks's rule
-    picks them or detects them in the noisy signal), morphology (fitted on
-    the noisy signal when None), seed and N (enkf, ekf)."""
+    method without needs_reference); and for enkf and ekf, the R peaks and
+    morphology they pass to enkf.prepare_inputs as given (which detects the
+    peaks unless at least 2 are given, and fits the morphology on the noisy
+    signal when it is None), the seed and N."""
 
     reference: Signal | None = None
     peaks: RPeaks = RPeaks([])
     morphology: GaussianWaveParams | None = None
-    seed: int = 0
+    seed: int = enkf.FilterConfig.seed
     n_ensemble: int = enkf.FilterConfig.n_ensemble
 
 
@@ -55,21 +56,18 @@ class Method:
     batch: Callable[[list[Signal], dict[str, Any], list[MethodContext]], list[Signal]] | None = None
 
 
-def _model_inputs(noisy: Signal, ctx: MethodContext) -> tuple[RPeaks, GaussianWaveParams, enkf.FilterConfig]:
-    """The model-based filters' preamble: filter config (checked first), R peaks and morphology."""
-    cfg = enkf.FilterConfig(n_ensemble=ctx.n_ensemble, seed=ctx.seed)
-    peaks = phase_peaks(noisy, ctx.peaks)
-    morphology = ctx.morphology if ctx.morphology is not None else fit_record_morphology(noisy, peaks)
-    return peaks, morphology, cfg
+def _config(ctx: MethodContext) -> enkf.FilterConfig:
+    """A model-based filter's config, built (so its rules checked) before the filter runs."""
+    return enkf.FilterConfig(n_ensemble=ctx.n_ensemble, seed=ctx.seed)
 
 
 METHODS: dict[str, Method] = {
     "enkf": Method(
         {},
-        lambda x, p, c: enkf.denoise(x, *_model_inputs(x, c)),
-        batch=lambda xs, p, cs: enkf.denoise_batch([(x, *_model_inputs(x, c)) for x, c in zip(xs, cs)]),
+        lambda x, p, c: enkf.denoise(x, c.peaks, c.morphology, _config(c)),
+        batch=lambda xs, p, cs: enkf.denoise_batch([(x, c.peaks, c.morphology, _config(c)) for x, c in zip(xs, cs)]),
     ),
-    "ekf": Method({}, lambda x, p, c: baselines.ekf_denoise(x, *_model_inputs(x, c))),
+    "ekf": Method({}, lambda x, p, c: baselines.ekf_denoise(x, c.peaks, c.morphology, _config(c))),
     "sg": Method({"window": 15, "polyorder": 3}, lambda x, p, c: baselines.sg_filter(x, **p)),
     "wavelet": Method({"levels": 4}, lambda x, p, c: baselines.wavelet_denoise(x, **p)),
     "nlms": Method(
@@ -198,16 +196,6 @@ def trim(signal: Signal, peaks: RPeaks, duration_s: float) -> tuple[Signal, RPea
     n = len(signal) if duration_s * signal.fs >= len(signal) else sample_count(duration_s, signal.fs)
     kept = peaks.indices[peaks.indices < n]
     return slice_signal(signal, 0, n), RPeaks(kept)
-
-
-def fit_record_morphology(noisy: Signal, peaks: RPeaks) -> GaussianWaveParams:
-    """Fit the Gaussian-wave morphology from the phase-binned mean beat.
-
-    Binning across all beats averages the additive noise away, so the fit is
-    performed on the contaminated signal the filters actually see.
-    """
-    phase = observed_phase(peaks, len(noisy))
-    return fit_params(mean_beat(noisy, phase))
 
 
 def _score(clean: Signal, noisy: Signal, denoised: Signal) -> metrics.MetricReport:

@@ -9,6 +9,7 @@ ending in .csv is read as CSV.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bench, enkf, metrics, wfdbio
+from . import bench, enkf, metrics, model, wfdbio
 from .core import RPeaks, SettingError, Signal, sample_count
 from .model import (
     MIN_DETECT_S,
@@ -95,7 +96,15 @@ def _load_params(path: str | None) -> GaussianWaveParams:
     p = Path(path)
     if not p.is_file():
         raise UsageError(f"params file {p} does not exist")
-    return GaussianWaveParams.from_dict(json.loads(p.read_text()))
+    try:  # broken JSON, a missing key, a wrong shape or an invalid morphology
+        return GaussianWaveParams.from_dict(json.loads(p.read_text()))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"params file {p}: {type(exc).__name__}: {exc}") from None
+
+
+def _default(function, name: str):
+    """The default value of one of a library function's parameters."""
+    return inspect.signature(function).parameters[name].default
 
 
 # ---------------------------------------------------------------------------
@@ -255,45 +264,45 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--data-root", help=f"dataset directory (default: ${DATA_ENV})")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # The input flags of fit, mix and denoise, declared once.
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--channel", type=int, default=bench.BenchPlan.channel)
+    fs = inputs.add_argument("--fs", type=float, default=360.0, help="sampling rate for CSV input")
+
+    # synth's and fit's library defaults are read from model's own functions, which no name rebound here shadows.
     p = sub.add_parser("synth", help="generate a synthetic ECG from the beat model")
     p.add_argument("--params", help="morphology JSON (default: built-in)")
     p.add_argument("--out-dir", default="synth_out")
     p.add_argument("--beats", type=int, default=30)
     p.add_argument("--rr", dest="rr_intervals", type=float, help="constant R-R interval in seconds")
-    p.add_argument("--fs", type=float, default=360.0)
-    p.add_argument("--noise-std", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--fs", type=float, default=fs.default)
+    p.add_argument("--noise-std", type=float, default=_default(model.synthesize, "noise_std"))
+    p.add_argument("--seed", type=int, default=_default(model.synthesize, "seed"))
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("fit", help="fit the Gaussian-wave morphology of a record")
+    p = sub.add_parser("fit", parents=[inputs], help="fit the Gaussian-wave morphology of a record")
     p.add_argument("input", help="record name or .csv path")
-    p.add_argument("--channel", type=int, default=0)
-    p.add_argument("--fs", type=float, default=360.0, help="sampling rate for CSV input")
     p.add_argument("--seconds", type=float, help="use only the first S seconds")
-    p.add_argument("--bins", dest="n_bins", type=int, default=64)
+    p.add_argument("--bins", dest="n_bins", type=int, default=_default(model.mean_beat, "n_bins"))
     p.add_argument("--out", help="write params JSON here instead of stdout")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("mix", help="contaminate a clean record at a calibrated SNR")
+    p = sub.add_parser("mix", parents=[inputs], help="contaminate a clean record at a calibrated SNR")
     p.add_argument("clean", help="record name or .csv path")
     p.add_argument("noise", help="noise record name or .csv path")
     p.add_argument("--level", dest="target_snr_db", type=float, required=True, help="target SNR in dB")
-    p.add_argument("--channel", type=int, default=0)
-    p.add_argument("--fs", type=float, default=360.0)
     p.add_argument("--out-dir", default="mix_out")
     p.add_argument("--check", action="store_true", help="print the measured SNR of the mix")
     p.set_defaults(func=cmd_mix)
 
-    p = sub.add_parser("denoise", help="denoise one input with one method")
+    p = sub.add_parser("denoise", parents=[inputs], help="denoise one input with one method")
     p.add_argument("input", help="record name or .csv path")
     p.add_argument("--method", required=True, choices=bench.METHODS)
-    p.add_argument("--channel", type=int, default=0)
-    p.add_argument("--fs", type=float, default=360.0)
     p.add_argument("--out", default="denoised.csv")
     p.add_argument("--clean", help="clean reference (record or csv); prints metrics")
     p.add_argument("--reference", help="noise reference csv for nlms/rls")
     p.add_argument("--params", help="morphology JSON for enkf/ekf")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=enkf.FilterConfig.seed)
     p.add_argument("--n-ensemble", type=int, default=enkf.FilterConfig.n_ensemble)
     # Method settings: each dest is a filter keyword, each default its METHODS
     # entry's (--taps is one flag, so nlms and rls share one default).
@@ -347,7 +356,6 @@ def main(argv: list[str] | None = None) -> int:
         wfdbio.HeaderParseError,
         wfdbio.CsvParseError,
         wfdbio.AnnotationParseError,
-        json.JSONDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

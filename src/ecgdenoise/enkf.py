@@ -21,7 +21,16 @@ from types import SimpleNamespace
 import numpy as np
 
 from .core import RPeaks, SettingError, Signal, TWO_PI, require_valid, wrap_centered, wrap_phase
-from .model import GaussianWaveParams, beat_intervals, observed_phase, wave_increment, wave_sum
+from .model import (
+    GaussianWaveParams,
+    beat_intervals,
+    fit_params,
+    mean_beat,
+    observed_phase,
+    phase_peaks,
+    wave_increment,
+    wave_sum,
+)
 
 
 class DegenerateEnsembleError(ValueError):
@@ -253,25 +262,32 @@ def resolve_config(
 def prepare_inputs(
     signal: Signal,
     r_peaks: RPeaks,
-    params: GaussianWaveParams,
+    params: GaussianWaveParams | None,
     cfg: FilterConfig,
-) -> tuple[np.ndarray, np.ndarray, FilterConfig]:
-    """Front end shared with the EKF: validate the inputs, then return the
-    observed phase, per-sample angular velocity and resolved configuration.
-    Both per-sample arrays come from each sample's R-R interval (see
-    :func:`ecgdenoise.model.beat_intervals`): omega is 2*pi over its length
-    in seconds."""
+) -> tuple[np.ndarray, np.ndarray, GaussianWaveParams, FilterConfig]:
+    """Front end shared with the EKF, the one place a model-based run's
+    inputs are decided: validate the signal, pick the R peaks by
+    :func:`ecgdenoise.model.phase_peaks` and check them, build the observed
+    phase once, fit the morphology on that phase's mean beat when params is
+    None (binning across all beats averages the additive noise away), then
+    return the phase, per-sample angular velocity, morphology and resolved
+    configuration.  Phase and omega come from each sample's R-R interval
+    (see :func:`ecgdenoise.model.beat_intervals`): omega is 2*pi over its
+    length in seconds."""
     require_valid(signal)
+    r_peaks = phase_peaks(signal, r_peaks)
     r_peaks.check_against(len(signal), signal.fs)
     phase = observed_phase(r_peaks, len(signal))
+    if params is None:
+        params = fit_params(mean_beat(signal, phase))
     omega = TWO_PI / (beat_intervals(r_peaks, len(signal))[1] / signal.fs)
-    return phase, omega, resolve_config(cfg, signal, phase, params, omega)
+    return phase, omega, params, resolve_config(cfg, signal, phase, params, omega)
 
 
 def denoise(
     signal: Signal,
     r_peaks: RPeaks,
-    params: GaussianWaveParams,
+    params: GaussianWaveParams | None,
     cfg: FilterConfig = FilterConfig(),
 ) -> Signal:
     """Run the full filter over a noisy recording: a batch of one, see :func:`denoise_batch`."""
@@ -282,11 +298,11 @@ def denoise_batch(jobs) -> list[Signal]:
     """Run the filter over equal-length recordings in lockstep.
 
     jobs: (signal, r_peaks, params, cfg) tuples, the arguments of
-    :func:`denoise`, all with one length and one ensemble size.  Row b of the
-    (B, N) member arrays is job b's ensemble; its morphology (wave arrays
-    stacked to (5, B, 1)), phase steps and resolved noise levels ((B, 1)
-    columns) are its own.  Each row builds the observed phase from its R
-    peaks and draws all its noise from one stream, substream(seed, 0): first
+    :func:`denoise`, all with one length and one ensemble size.  Row b of
+    the (B, N) member arrays is job b's ensemble; its morphology (wave
+    arrays stacked to (5, B, 1)), observed phase, phase steps and resolved
+    noise levels ((B, 1) columns) are its own, from :func:`prepare_inputs`.
+    Each row draws all its noise from one stream, substream(seed, 0): first
     its initial members around the first observation, then draw_noise's
     draws for samples 1, 2, ... in order.  Those draws, the observed phase
     and amplitude and the phase step omega * delta are stacked NOISE_BLOCK
@@ -300,7 +316,7 @@ def denoise_batch(jobs) -> list[Signal]:
     """
     signals = [job[0] for job in jobs]
     inputs = [prepare_inputs(*job) for job in jobs]
-    cfgs = [resolved for _, _, resolved in inputs]
+    cfgs = [resolved for *_, resolved in inputs]
     n, size = len(signals[0]), cfgs[0].n_ensemble
     if any(len(sig) != n for sig in signals) or any(c.n_ensemble != size for c in cfgs):
         raise ValueError("a lockstep batch needs one signal length and one ensemble size")
@@ -309,11 +325,11 @@ def denoise_batch(jobs) -> list[Signal]:
         **{f: np.array([[getattr(c, f)] for c in cfgs]) for f in ("q_theta", "q_z", "q_z_activity", "r_phi", "r_s")}
     )
     morphology = SimpleNamespace(
-        **{f: np.stack([getattr(job[2], f) for job in jobs], axis=1)[..., None] for f in ("alpha", "b", "theta")}
+        **{f: np.stack([getattr(p, f) for _, _, p, _ in inputs], axis=1)[..., None] for f in ("alpha", "b", "theta")}
     )
     rows = [
         (c, phase, sig.samples, omega, 1.0 / sig.fs, substream(c.seed, 0))
-        for (phase, omega, c), sig in zip(inputs, signals)
+        for (phase, omega, _, c), sig in zip(inputs, signals)
     ]
 
     theta = np.empty((len(jobs), size))

@@ -119,15 +119,6 @@ def wave_increment(theta, params: GaussianWaveParams, phase_step):
     return -np.add.reduce(alpha * d * (phase_step / b2) * np.exp((d * d) / -(2.0 * b2)), axis=0)
 
 
-def wave_increment_dtheta(theta, params: GaussianWaveParams, phase_step: float):
-    """Derivative of :func:`wave_increment` with respect to theta."""
-    th = np.asarray(theta, dtype=np.float64)
-    d = wrap_centered(th[..., None] - params.theta)
-    b2 = params.b**2
-    e = np.exp(-(d * d) / (2.0 * b2))
-    return -np.sum(params.alpha * (phase_step / b2) * e * (1.0 - (d * d) / b2), axis=-1)
-
-
 def synthesize(
     params: GaussianWaveParams,
     rr_intervals,

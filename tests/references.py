@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ecgdenoise.core import RPeaks, Signal, TWO_PI, wrap_phase
+from ecgdenoise.core import RPeaks, Signal, TWO_PI, wrap_centered, wrap_phase
 from ecgdenoise.model import GaussianWaveParams, wave_increment
 from ecgdenoise.wfdbio import CsvParseError
 
@@ -14,6 +14,16 @@ def transition(theta: float, z: float, params: GaussianWaveParams, phase_step: f
     """Advance one sample: phase rotates by phase_step = omega*delta, z accumulates the wave derivative."""
     dz = wave_increment(theta, params, phase_step)
     return float(wrap_phase(theta + phase_step)), float(z + dz + eta)
+
+
+def wave_increment_dtheta(theta, params: GaussianWaveParams, phase_step: float):
+    """Derivative of ``model.wave_increment`` with respect to theta: the EKF's
+    Jacobian entry, which ``baselines.ekf_denoise`` writes out inline."""
+    th = np.asarray(theta, dtype=np.float64)
+    d = wrap_centered(th[..., None] - params.theta)
+    b2 = params.b**2
+    e = np.exp(-(d * d) / (2.0 * b2))
+    return -np.sum(params.alpha * (phase_step / b2) * e * (1.0 - (d * d) / b2), axis=-1)
 
 
 def observed_phase_loop(r_peaks: RPeaks, length: int) -> np.ndarray:

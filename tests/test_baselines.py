@@ -35,9 +35,9 @@ from ecgdenoise.model import (
     default_morphology,
     synthesize,
     wave_increment,
-    wave_increment_dtheta,
     wave_sum,
 )
+from references import wave_increment_dtheta
 
 # Both canceller kernels call BLAS and LAPACK, so CI runs this module again
 # under single-thread BLAS.
@@ -123,7 +123,7 @@ def taut_string(y, lam):
 def matrix_ekf(signal, r_peaks, params, cfg):
     """The EKF recursion written with numpy 2x2 matrices: the reference for
     the scalar ekf_denoise."""
-    phase, omega, cfg = prepare_inputs(signal, r_peaks, params, cfg)
+    phase, omega, params, cfg = prepare_inputs(signal, r_peaks, params, cfg)
     q_theta = np.diag([cfg.q_theta**2, 0.0])
     r = np.diag([cfg.r_phi**2, cfg.r_s**2])
     x = np.array([phase[0], signal.samples[0]])
@@ -375,7 +375,7 @@ class TestWavelet:
         rng = np.random.default_rng(1)
         for n in (64, 100, 137, 4096):
             x = rng.normal(size=n) * 3
-            out = wavelet_denoise(sig(x), levels=4, threshold_rule="fixed", threshold=0.0)
+            out = wavelet_denoise(sig(x), levels=4, threshold=0.0)
             rel = np.abs(out.samples - x).max() / np.abs(x).max()
             assert rel < 1e-8
 
@@ -410,7 +410,7 @@ class TestWavelet:
     @pytest.mark.parametrize("bad", [-0.1, float("nan")])
     def test_negative_or_nan_fixed_threshold_rejected_by_name(self, bad):
         with pytest.raises(ValueError, match="^threshold must be non-negative"):
-            wavelet_denoise(sig(np.zeros(64)), levels=2, threshold_rule="fixed", threshold=bad)
+            wavelet_denoise(sig(np.zeros(64)), levels=2, threshold=bad)
 
 
 class TestAdaptive:

@@ -20,7 +20,7 @@ import pytest
 import wfdbgen
 from ecgdenoise import baselines, bench, cli, enkf, wfdbio
 from ecgdenoise.core import Signal
-from ecgdenoise.model import default_morphology, synthesize
+from ecgdenoise.model import default_morphology, mean_beat, synthesize
 from ecgdenoise.svgplot import PlotError, Series, render_line_chart
 
 
@@ -107,6 +107,17 @@ def _library_defaults():
     cases += [(cmd, "n_ensemble", n, "FilterConfig.n_ensemble") for cmd in ("denoise", "bench")]
     plan = [f for f in fields(bench.BenchPlan) if f.default is not MISSING]
     cases += [("bench", f.name, f.default, f"BenchPlan.{f.name}") for f in plan]
+    # The input flags, the seeds and the fit's bins; --fs has no library
+    # default, but one rate for all four subcommands (MIT-BIH's).
+    default = lambda f, name: inspect.signature(f).parameters[name].default
+    cases += [(cmd, "channel", bench.BenchPlan.channel, "BenchPlan.channel") for cmd in ("fit", "mix", "denoise")]
+    cases += [(cmd, "fs", 360.0, "fs") for cmd in ("synth", "fit", "mix", "denoise")]
+    cases += [
+        ("denoise", "seed", enkf.FilterConfig.seed, "FilterConfig.seed"),
+        ("synth", "seed", default(synthesize, "seed"), "synthesize.seed"),
+        ("synth", "noise_std", default(synthesize, "noise_std"), "synthesize.noise_std"),
+        ("fit", "n_bins", default(mean_beat, "n_bins"), "mean_beat.n_bins"),
+    ]
     return [pytest.param(cmd, k, v, id=f"{cmd}-{source}") for cmd, k, v, source in cases]
 
 
@@ -116,7 +127,13 @@ class TestMethodTable:
         """A flag's default is the one its library parameter has (so --taps
         must be both nlms's and rls's); bench's flags are read through the
         plan cmd_bench builds from them."""
-        argv = {"denoise": ["denoise", "x.csv", "--method", "sg"], "bench": ["bench", "--records", "118"]}[command]
+        argv = {
+            "denoise": ["denoise", "x.csv", "--method", "sg"],
+            "bench": ["bench", "--records", "118"],
+            "synth": ["synth"],
+            "fit": ["fit", "x.csv"],
+            "mix": ["mix", "x.csv", "y.csv", "--level", "6"],
+        }[command]
         args = cli.build_parser().parse_args(["--data-root", str(tmp_path), *argv])
         if command == "bench":
 
@@ -227,15 +244,15 @@ class TestBenchRun:
         )
         clean_run = bench.run_bench(plan, data_root)
         faulty_seed = bench.cell_seed(plan.seed, "119", "enkf", 12.0)
-        model_inputs = bench._model_inputs
+        resolve_config = enkf.resolve_config
 
-        def faulty(noisy, ctx):
-            peaks, morphology, cfg = model_inputs(noisy, ctx)
-            if ctx.seed == faulty_seed:
-                cfg = replace(cfg, q_theta=0.0, q_z=0.0, r_phi=0.0, r_s=1e-200)
-            return peaks, morphology, cfg
+        def faulty(cfg, *args):
+            resolved = resolve_config(cfg, *args)
+            if cfg.seed == faulty_seed:
+                resolved = replace(resolved, q_theta=0.0, q_z=0.0, r_phi=0.0, r_s=1e-200)
+            return resolved
 
-        monkeypatch.setattr(bench, "_model_inputs", faulty)
+        monkeypatch.setattr(enkf, "resolve_config", faulty)
         cells = bench.run_bench(plan, data_root)
         rows = bench.table_csv(cells, plan).splitlines()
         want = bench.table_csv(clean_run, plan).splitlines()
@@ -350,15 +367,15 @@ class TestBenchRun:
         lockstep row whose fault each forked child inherits."""
         plan = self.JOBS_PLAN
         faulty_seed = bench.cell_seed(plan.seed, "119", "enkf", 12.0)
-        model_inputs = bench._model_inputs
+        resolve_config = enkf.resolve_config
 
-        def faulty(noisy, ctx):
-            peaks, morphology, cfg = model_inputs(noisy, ctx)
-            if ctx.seed == faulty_seed:
-                cfg = replace(cfg, q_theta=0.0, q_z=0.0, r_phi=0.0, r_s=1e-200)
-            return peaks, morphology, cfg
+        def faulty(cfg, *args):
+            resolved = resolve_config(cfg, *args)
+            if cfg.seed == faulty_seed:
+                resolved = replace(resolved, q_theta=0.0, q_z=0.0, r_phi=0.0, r_s=1e-200)
+            return resolved
 
-        monkeypatch.setattr(bench, "_model_inputs", faulty)
+        monkeypatch.setattr(enkf, "resolve_config", faulty)
         fork_share, forks = bench._fork_share, []
         monkeypatch.setattr(bench, "_fork_share", lambda *a: forks.append(1) or fork_share(*a))
         outputs = {}
@@ -649,6 +666,17 @@ class TestCliSynthFit:
         assert pct < 20.0
 
 
+_WAVES = default_morphology().to_dict()
+# Morphology files that are not valid: name -> (content, the error naming it).
+BAD_PARAMS = {
+    "no-b": (json.dumps({"alpha": _WAVES["alpha"], "theta": _WAVES["theta"]}), "KeyError: 'b'"),
+    "list": ("[1, 2]", "TypeError: list indices must be integers"),
+    "3-waves": (json.dumps({k: v[:3] for k, v in _WAVES.items()}), "ValueError: alpha must have exactly 5 entries"),
+    "nan-width": (json.dumps({**_WAVES, "b": [0.25, float("nan"), 0.1, 0.1, 0.4]}), "ValueError: b contains non-finite"),
+    "broken-json": ('{"alpha": [1,', "JSONDecodeError: Expecting value"),
+}
+
+
 class TestCliMixDenoise:
     def test_mix_check_level(self, data_root, tmp_path, capsys):
         rc = cli.main(
@@ -862,12 +890,20 @@ class TestCliMixDenoise:
                 "--seconds must be from 0 to 2.502e+13 s at 360 Hz, got 1e+300",
                 id="fit-seconds-count",
             ),
+            # A bad --params file, on both subcommands that read one.
+            *(
+                pytest.param(cmd + ["--params", f"{name}.json"], f"params file {name}.json: {err}", id=f"{cmd[0]}-{name}")
+                for cmd in (["synth", "--out-dir", "new"], ["denoise", "signal.csv", "--method", "ekf"])
+                for name, (_, err) in BAD_PARAMS.items()
+            ),
         ],
     )
     def test_bad_size_or_encoding_is_a_usage_error(self, data_root, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)
         assert cli.main(["synth", "--out-dir", ".", "--beats", "12"]) == 0
         Path("latin1.csv").write_bytes(b"mv\n1\n\xb5\n")
+        for name, (doc, _) in BAD_PARAMS.items():
+            Path(f"{name}.json").write_text(doc)
         before = sorted(tmp_path.rglob("*"))
         capsys.readouterr()
         assert cli.main([str(data_root) if a == "DATA" else a for a in argv]) == 2

@@ -130,7 +130,7 @@ NAN, INF = float("nan"), float("inf")
         ("polyorder", lambda d: baselines.sg_filter(X, 5, -1)),
         ("levels", lambda d: baselines.wavelet_denoise(X, 0)),
         ("levels", lambda d: baselines.wavelet_denoise(X, 7)),
-        ("threshold", lambda d: baselines.wavelet_denoise(X, 2, "fixed", -1.0)),
+        ("threshold", lambda d: baselines.wavelet_denoise(X, 2, -1.0)),
         ("taps", lambda d: baselines.nlms_batch([X], [X], 0, 0.5)),
         ("mu", lambda d: baselines.nlms_batch([X], [X], 4, 2.0)),
         ("taps", lambda d: baselines.rls_batch([X], [X], 0, 0.999, 100.0)),

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ecgdenoise import enkf
+from ecgdenoise.baselines import ekf_denoise
 from ecgdenoise.core import RPeaks, Signal, TWO_PI, wrap_phase
 from ecgdenoise.enkf import (
     AmbiguousPhaseError,
@@ -31,7 +32,15 @@ from ecgdenoise.enkf import (
     substream,
     update,
 )
-from ecgdenoise.model import GaussianWaveParams, default_morphology, synthesize
+from ecgdenoise.model import (
+    GaussianWaveParams,
+    default_morphology,
+    detect_r_peaks,
+    fit_params,
+    mean_beat,
+    observed_phase,
+    synthesize,
+)
 from references import angular_velocity_loop, observed_phase_loop, transition
 
 
@@ -55,7 +64,7 @@ def step_function_loop(noisy, peaks, p, cfg):
     """The step functions, one sample at a time, each drawing its sample's
     noise with draw_noise from the row's one stream, substream(seed, 0), right
     after the initial members: the pinned reference for any faster kernel."""
-    phase, omega, resolved = prepare_inputs(noisy, peaks, p, cfg)
+    phase, omega, p, resolved = prepare_inputs(noisy, peaks, p, cfg)
     size = resolved.n_ensemble
     rng = substream(resolved.seed, 0)
     theta = wrap_phase(phase[0] + rng.normal(0.0, resolved.r_phi, size=size))
@@ -284,7 +293,7 @@ class TestEstimate:
 
 def _clock(peaks, n, fs):
     """The observed phase and angular velocity the filters get."""
-    phase, omega, _ = prepare_inputs(Signal(np.zeros(n), fs), RPeaks(peaks), default_morphology(), FilterConfig())
+    phase, omega, _, _ = prepare_inputs(Signal(np.zeros(n), fs), RPeaks(peaks), default_morphology(), FilterConfig())
     return phase, omega
 
 
@@ -495,6 +504,38 @@ class TestDenoiseBatch:
         b = _batch_job([0.8] * 3, 2, default_morphology(), 5, 450)
         with pytest.raises(ValueError, match="one signal length"):
             denoise_batch([a, b])
+
+
+# The model-based filters, each through prepare_inputs: the EnKF alone, as
+# the second row of a lockstep batch, and the EKF.
+MODEL_BASED = {
+    "denoise": denoise,
+    "denoise_batch": lambda *job: denoise_batch([job, job])[1],
+    "ekf_denoise": ekf_denoise,
+}
+
+
+class TestFrontEnd:
+    @pytest.fixture(scope="class")
+    def noisy(self):
+        clean, _, peaks = synthesize(default_morphology(), [0.8, 0.75, 0.85] * 4, 360.0, noise_std=0.002, seed=6)
+        noise = np.random.default_rng(6).normal(0.0, 0.05, len(clean))
+        return Signal(clean.samples + noise, clean.fs), peaks
+
+    @pytest.mark.parametrize("run", MODEL_BASED.values(), ids=MODEL_BASED)
+    def test_no_params_fits_the_morphology_on_the_observed_phase(self, noisy, run):
+        signal, peaks = noisy
+        cfg = FilterConfig(n_ensemble=12, seed=3)
+        fitted = fit_params(mean_beat(signal, observed_phase(peaks, len(signal))))
+        assert np.array_equal(run(signal, peaks, None, cfg).samples, run(signal, peaks, fitted, cfg).samples)
+
+    @pytest.mark.parametrize("run", MODEL_BASED.values(), ids=MODEL_BASED)
+    def test_no_peaks_detects_them(self, noisy, run):
+        signal, _ = noisy
+        cfg, p = FilterConfig(n_ensemble=12, seed=3), default_morphology()
+        detected = detect_r_peaks(signal)
+        assert len(detected) >= 2
+        assert np.array_equal(run(signal, RPeaks([]), p, cfg).samples, run(signal, detected, p, cfg).samples)
 
 
 class TestTracerContract:
