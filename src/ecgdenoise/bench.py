@@ -220,13 +220,16 @@ def plan_cells(plan: BenchPlan) -> list[tuple[str, str, float]]:
 # an nlms or rls row its reference) until the unit is scored, and at its peak
 # the kernel adds float64 arrays of the row's length: nlms and rls the output
 # buffer and zero-padded reference; enkf the observed phase, angular velocity
-# and output buffer (which becomes the output Signal one row at a time), plus
-# one noise block (enkf.NOISE_BLOCK samples, 205 kB at N = 100).  That is
-# 32 B per sample for all three (tracemalloc on run_cell units reads 32, 32
-# and 29; tests hold all three to it); an nlms unit adds at most
-# baselines.NLMS_CHUNK_BYTES of chunk arrays, an rls row about 19 kB of state
-# at 16 taps.  At the full 648,000 samples (30 min at 360 Hz) a row holds
-# 20.7 MB: 332 MB for 16 rows, and bench --jobs J holds up to J units at once.
+# and output buffer (one per cell, however many segments enkf.segments cuts
+# it into; it becomes the output Signal one cell at a time), plus one noise
+# block (enkf.NOISE_BLOCK samples, 205 kB at N = 100) per segment: at most 16
+# blocks, 3.3 MB, for a cell of 4 min or more at 360 Hz.  That is 32 B per
+# sample for all three (tracemalloc on run_cell units reads 32, 32 and 29;
+# tests hold all three to it, and a split enkf cell to it plus its blocks);
+# an nlms unit adds at most baselines.NLMS_CHUNK_BYTES of chunk arrays, an
+# rls row about 19 kB of state at 16 taps.  At the full 648,000 samples
+# (30 min at 360 Hz) a row holds 20.7 MB, an enkf row 24.0 MB with its 16
+# blocks: 384 MB for 16 rows, and bench --jobs J holds up to J units at once.
 BATCH_ROWS = 16
 
 

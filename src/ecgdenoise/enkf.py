@@ -37,11 +37,20 @@ class DegenerateEnsembleError(ValueError):
     """Fewer than two members: sample covariances are undefined."""
 
 
-class SingularInnovationError(RuntimeError):
+class StepError(RuntimeError):
+    """A filter step failed; rows holds the flat indices of the failing rows
+    over the leading (batch) axes, so a caller can name where it failed."""
+
+    def __init__(self, message: str, failed=True):
+        super().__init__(message)
+        self.rows = np.flatnonzero(failed)
+
+
+class SingularInnovationError(StepError):
     """Innovation covariance is not invertible; observation noise is mis-sized."""
 
 
-class AmbiguousPhaseError(RuntimeError):
+class AmbiguousPhaseError(StepError):
     """Circular mean undefined: member phases cancel out."""
 
 
@@ -87,14 +96,26 @@ def substream(master_seed: int, *key) -> np.random.Generator:
 # each row holds a (NOISE_BLOCK, 4, N) float64 block, 205 kB at N = 100.
 NOISE_BLOCK = 64
 
+# The split of a long job into lockstep segments (see :func:`segments`): at
+# most MAX_SEGMENTS of them, each keeping at least MIN_SEGMENT_S seconds of
+# output and starting SPIN_UP_S seconds before the span it keeps, long enough
+# for the filter to forget its initial members (an exponentially stable
+# filter forgets its initial condition: Anderson & Moore, Optimal Filtering,
+# 1979).  The spin-up is a cheap stand-in for the exact temporal
+# parallelization of Sarkka & Garcia-Fernandez (IEEE TAC 66(1), 2021).
+SPIN_UP_S = 2.0
+MIN_SEGMENT_S = 15.0
+MAX_SEGMENTS = 16
+
 
 def circular_mean(theta: np.ndarray):
     """Circular mean over the last (member) axis, one value per leading index."""
     n = theta.shape[-1]
     s = np.add.reduce(np.sin(theta), axis=-1) / n
     c = np.add.reduce(np.cos(theta), axis=-1) / n
-    if (s * s + c * c < 1e-24).any():
-        raise AmbiguousPhaseError("member phases cancel; circular mean undefined")
+    cancel = s * s + c * c < 1e-24
+    if cancel.any():
+        raise AmbiguousPhaseError("member phases cancel; circular mean undefined", cancel)
     return wrap_phase(np.arctan2(s, c))
 
 
@@ -184,8 +205,9 @@ def kalman_gain(p: np.ndarray, cfg: FilterConfig) -> np.ndarray:
     s[..., 1, 1] += np.square(cfg.r_s).reshape(rows)
     det = s[..., 0, 0] * s[..., 1, 1] - s[..., 0, 1] * s[..., 1, 0]
     size = np.abs(det)
-    if not ((size >= 1e-300) & (size < np.inf)).all():
-        raise SingularInnovationError("innovation covariance is singular; increase r_phi/r_s")
+    invertible = (size >= 1e-300) & (size < np.inf)
+    if not invertible.all():
+        raise SingularInnovationError("innovation covariance is singular; increase r_phi/r_s", ~invertible)
     adjugate = s.swapaxes(-1, -2)[..., ::-1, ::-1] * _ADJUGATE_SIGNS
     return p @ (adjugate / det[..., None, None])
 
@@ -284,6 +306,24 @@ def prepare_inputs(
     return phase, omega, params, resolve_config(cfg, signal, phase, params, omega)
 
 
+def segments(n: int, fs: float) -> tuple[int, list[tuple[int, int]]]:
+    """Split n samples at rate fs into lockstep segments of one length L.
+
+    S = min(MAX_SEGMENTS, n // round(MIN_SEGMENT_S * fs)), at least 1 (and 1
+    when that span rounds to fewer than 2 samples); with the spin-up
+    W = round(SPIN_UP_S * fs), L = ceil((n + (S - 1) * W) / S).  Segment s
+    starts at min(s * (L - W), n - L) and keeps its samples from the previous
+    segment's end onward, so the kept spans tile [0, n).  Returns L and each
+    segment's (start, first kept sample), both record sample indices.
+    """
+    span = round(MIN_SEGMENT_S * fs)
+    count = max(1, min(MAX_SEGMENTS, n // span)) if span >= 2 else 1
+    spin = round(SPIN_UP_S * fs)
+    length = -(-(n + (count - 1) * spin) // count)
+    starts = [min(s * (length - spin), n - length) for s in range(count)]
+    return length, list(zip(starts, [0] + [start + length for start in starts[:-1]]))
+
+
 def denoise(
     signal: Signal,
     r_peaks: RPeaks,
@@ -298,72 +338,95 @@ def denoise_batch(jobs) -> list[Signal]:
     """Run the filter over equal-length recordings in lockstep.
 
     jobs: (signal, r_peaks, params, cfg) tuples, the arguments of
-    :func:`denoise`, all with one length and one ensemble size.  Row b of
-    the (B, N) member arrays is job b's ensemble; its morphology (wave
-    arrays stacked to (5, B, 1)), observed phase, phase steps and resolved
-    noise levels ((B, 1) columns) are its own, from :func:`prepare_inputs`.
-    Each row draws all its noise from one stream, substream(seed, 0): first
-    its initial members around the first observation, then draw_noise's
-    draws for samples 1, 2, ... in order.  Those draws, the observed phase
-    and amplitude and the phase step omega * delta are stacked NOISE_BLOCK
-    samples at a time, so per sample all rows take one predict, sample
-    covariances, gain and perturbed update together on views of the blocks.
-    The output sample is the members' amplitude mean; the circular phase mean
-    is taken only of the predicted members, by sample_covariances.  Rows
-    never mix, so each output equals a lone run of its job bit for bit, for
-    any block size.  A SingularInnovationError or AmbiguousPhaseError in any
-    row names the sample index.
+    :func:`denoise`, all with one length, one rate and one ensemble size.
+    Each job is cut into the segments of :func:`segments`, one row each: a
+    slice of the job's samples, observed phase and omega from
+    :func:`prepare_inputs` over the whole record, with the job's morphology
+    (wave arrays stacked to (5, rows, 1)) and resolved noise levels ((rows,
+    1) columns).  Row b of the (rows, N) member arrays is one segment's
+    ensemble.  Segment s of a job draws all its noise from one stream,
+    substream(seed, s): first its initial members around its first
+    observation, then draw_noise's draws for its samples 1, 2, ... in order.
+    Those draws, the observed phase and amplitude and the phase step
+    omega * delta are stacked NOISE_BLOCK samples at a time, so per sample
+    all rows take one predict, sample covariances, gain and perturbed update
+    together on views of the blocks.  The output sample is the members'
+    amplitude mean, written into the job's output only over the segment's
+    kept span; the circular phase mean is taken only of the predicted
+    members, by sample_covariances.  Rows never mix and the split depends
+    only on the length and rate, so each output equals a lone run of its job
+    bit for bit, for any block size; a job of one segment is the whole
+    record filtered from its first sample.  A SingularInnovationError or
+    AmbiguousPhaseError names the record sample of the first failing row.
     """
     signals = [job[0] for job in jobs]
     inputs = [prepare_inputs(*job) for job in jobs]
     cfgs = [resolved for *_, resolved in inputs]
-    n, size = len(signals[0]), cfgs[0].n_ensemble
-    if any(len(sig) != n for sig in signals) or any(c.n_ensemble != size for c in cfgs):
-        raise ValueError("a lockstep batch needs one signal length and one ensemble size")
+    n, fs, size = len(signals[0]), signals[0].fs, cfgs[0].n_ensemble
+    if any(len(sig) != n or sig.fs != fs for sig in signals) or any(c.n_ensemble != size for c in cfgs):
+        raise ValueError("a lockstep batch needs one signal length, one rate and one ensemble size")
 
+    # One row per segment of each job: (job, start, first kept sample, stream).
+    length, split = segments(n, fs)
+    rows = [
+        (job, start, kept, substream(cfgs[job].seed, s))
+        for job in range(len(jobs))
+        for s, (start, kept) in enumerate(split)
+    ]
     levels = SimpleNamespace(
-        **{f: np.array([[getattr(c, f)] for c in cfgs]) for f in ("q_theta", "q_z", "q_z_activity", "r_phi", "r_s")}
+        **{
+            f: np.array([[getattr(cfgs[job], f)] for job, *_ in rows])
+            for f in ("q_theta", "q_z", "q_z_activity", "r_phi", "r_s")
+        }
     )
     morphology = SimpleNamespace(
-        **{f: np.stack([getattr(p, f) for _, _, p, _ in inputs], axis=1)[..., None] for f in ("alpha", "b", "theta")}
+        **{
+            f: np.stack([getattr(inputs[job][2], f) for job, *_ in rows], axis=1)[..., None]
+            for f in ("alpha", "b", "theta")
+        }
     )
-    rows = [
-        (c, phase, sig.samples, omega, 1.0 / sig.fs, substream(c.seed, 0))
-        for (phase, omega, _, c), sig in zip(inputs, signals)
-    ]
 
-    theta = np.empty((len(jobs), size))
-    z = np.empty((len(jobs), size))
-    for row, (c, phases, samples, _, _, rng) in enumerate(rows):
-        theta[row] = wrap_phase(phases[0] + rng.normal(0.0, c.r_phi, size=size))
-        z[row] = samples[0] + rng.normal(0.0, c.r_s, size=size)
+    delta = 1.0 / fs
+    theta = np.empty((len(rows), size))
+    z = np.empty((len(rows), size))
+    for row, (job, start, _, rng) in enumerate(rows):
+        theta[row] = wrap_phase(inputs[job][0][start] + rng.normal(0.0, cfgs[job].r_phi, size=size))
+        z[row] = signals[job].samples[start] + rng.normal(0.0, cfgs[job].r_s, size=size)
 
-    noise = np.empty((min(NOISE_BLOCK, n - 1), len(jobs), 4, size))
-    obs = np.empty(noise.shape[:2] + (3,))  # per sample and row: observed phase and amplitude, phase step
-    estimates = np.empty(noise.shape[:2])  # per sample and row: the output, copied to each row's buffer per block
     outs = [np.empty(n) for _ in jobs]
+
+    def keep(estimates, first):
+        """Write each row's estimates of its samples first, first + 1, ...
+        into its job's output, over the row's kept span only."""
+        for row, (job, start, kept, _) in enumerate(rows):
+            lo, hi = max(start + first, kept), start + first + len(estimates)
+            if lo < hi:
+                outs[job][lo:hi] = estimates[lo - start - first :, row]
+
+    noise = np.empty((min(NOISE_BLOCK, length - 1), len(rows), 4, size))
+    obs = np.empty(noise.shape[:2] + (3,))  # per sample and row: observed phase and amplitude, phase step
+    estimates = np.empty(noise.shape[:2])  # per sample and row: the output, kept once per block
     k = 0
     try:
-        for out, first in zip(outs, np.add.reduce(z, axis=-1) / size):
-            out[0] = first
-        for start in range(1, n, NOISE_BLOCK):
-            count = min(NOISE_BLOCK, n - start)
-            ahead = slice(start, start + count)
-            for row, (c, phases, samples, omega, delta, rng) in enumerate(rows):
+        keep((np.add.reduce(z, axis=-1) / size)[None], 0)
+        for first in range(1, length, NOISE_BLOCK):
+            count = min(NOISE_BLOCK, length - first)
+            for row, (job, start, _, rng) in enumerate(rows):
+                phases, omega, _, c = inputs[job]
+                ahead = slice(start + first, start + first + count)
                 noise[:count, row] = draw_noise(rng, c, size, count)
                 obs[:count, row, 0] = phases[ahead]
-                obs[:count, row, 1] = samples[ahead]
+                obs[:count, row, 1] = signals[job].samples[ahead]
                 np.multiply(omega[ahead], delta, out=obs[:count, row, 2])
-            for k in range(start, start + count):
-                drawn, seen = noise[k - start], obs[k - start]
+            for k in range(first, first + count):
+                drawn, seen = noise[k - first], obs[k - first]
                 theta, z = predict(theta, z, morphology, seen[:, 2:], levels, drawn[:, :2])
                 gain = kalman_gain(sample_covariances(theta, z), levels)
                 theta, z = update(theta, z, seen[:, :1], seen[:, 1:2], gain, levels, drawn[:, 2:])
-                estimates[k - start] = np.add.reduce(z, axis=-1) / size  # the amplitude half of estimate
-            for row, out in enumerate(outs):
-                out[ahead] = estimates[:count, row]
-    except (SingularInnovationError, AmbiguousPhaseError) as exc:
-        raise type(exc)(f"{exc} at sample {k}") from None
-    # Signal copies its samples; popping each row's buffer frees it once
-    # copied, so only one row's output ever exists twice.
+                estimates[k - first] = np.add.reduce(z, axis=-1) / size  # the amplitude half of estimate
+            keep(estimates[:count], first)
+    except StepError as exc:
+        raise type(exc)(f"{exc} at sample {rows[exc.rows[0]][1] + k}") from None
+    # Signal copies its samples; popping each job's buffer frees it once
+    # copied, so only one job's output ever exists twice.
     return [Signal(outs.pop(0), sig.fs) for sig in signals]

@@ -486,6 +486,41 @@ class TestBenchRun:
         assert 24 <= per_sample <= row_bytes + 4
 
 
+    def test_split_enkf_unit_memory_per_row(self, monkeypatch):
+        """A job cut into S lockstep segments holds S noise blocks, and still
+        32 B per sample (its output buffer is one n-sample array, written
+        over each segment's kept span): the traced peak of a split enkf unit
+        grows per job by at most that, plus for each of its S lockstep rows
+        the slack a lone row gets (its stream, members, observation block
+        and step temporaries).  The rule is shortened here so a 4,000-sample
+        job runs as 11 segments, which keeps the test fast and makes the
+        blocks outweigh the samples."""
+        monkeypatch.setattr(enkf, "MIN_SEGMENT_S", 1.0)
+        monkeypatch.setattr(enkf, "SPIN_UP_S", 0.25)
+        row_bytes, n_ensemble, n = 32, 20, 4000
+        segments = len(enkf.segments(n, 360.0)[1])
+        assert segments == 11
+        clean, _, peaks = synthesize(default_morphology(), [0.8] * 16, 360.0, noise_std=0.0, seed=3)
+        loaded = {n: bench.trim(clean, peaks, n / 360.0)}
+        noise = Signal(np.random.default_rng(1).normal(size=5000), 360.0)
+        plan = bench.BenchPlan(records=("118",), n_ensemble=n_ensemble)
+
+        def peak(rows):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                unit = [(n, "enkf", level) for level in (0.0, 6.0, 12.0, 18.0)[:rows]]
+                cells = bench.run_cell(unit, loaded, noise, plan)
+                top = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert all(c.report is not None for c in cells)
+            return top
+
+        block = enkf.NOISE_BLOCK * 4 * n_ensemble * 8
+        grown = (peak(4) - peak(2)) / 2
+        assert segments * block <= grown <= row_bytes * n + segments * (block + 16_000)
+
     def test_nlms_unit_memory_per_row_and_sample(self):
         """The traced peak of an nlms unit is the bytes per sample the
         BATCH_ROWS comment counts for each row (32: noisy signal, reference,

@@ -32,6 +32,7 @@ from ecgdenoise.enkf import (
     substream,
     update,
 )
+from ecgdenoise.metrics import report
 from ecgdenoise.model import (
     GaussianWaveParams,
     default_morphology,
@@ -60,17 +61,18 @@ def brute_force_covariances(theta, z):
     return p / n
 
 
-def step_function_loop(noisy, peaks, p, cfg):
+def step_function_loop(noisy, peaks, p, cfg, start=0, stop=None, segment=0):
     """The step functions, one sample at a time, each drawing its sample's
-    noise with draw_noise from the row's one stream, substream(seed, 0), right
-    after the initial members: the pinned reference for any faster kernel."""
+    noise with draw_noise from the row's one stream, substream(seed, segment),
+    right after the initial members: the pinned reference for any faster
+    kernel.  It filters samples start to stop of the whole record's inputs."""
     phase, omega, p, resolved = prepare_inputs(noisy, peaks, p, cfg)
     size = resolved.n_ensemble
-    rng = substream(resolved.seed, 0)
-    theta = wrap_phase(phase[0] + rng.normal(0.0, resolved.r_phi, size=size))
-    z = noisy.samples[0] + rng.normal(0.0, resolved.r_s, size=size)
+    rng = substream(resolved.seed, segment)
+    theta = wrap_phase(phase[start] + rng.normal(0.0, resolved.r_phi, size=size))
+    z = noisy.samples[start] + rng.normal(0.0, resolved.r_s, size=size)
     want = [estimate(theta, z)[1]]
-    for k in range(1, len(noisy)):
+    for k in range(start + 1, len(noisy) if stop is None else stop):
         noise = draw_noise(rng, resolved, size, 1)[0]
         theta, z = predict(theta, z, p, float(omega[k]) * (1.0 / noisy.fs), resolved, noise[:2])
         gain = kalman_gain(sample_covariances(theta, z), resolved)
@@ -504,6 +506,139 @@ class TestDenoiseBatch:
         b = _batch_job([0.8] * 3, 2, default_morphology(), 5, 450)
         with pytest.raises(ValueError, match="one signal length"):
             denoise_batch([a, b])
+
+    def test_unequal_rates_rejected(self):
+        # The split into segments is computed once per batch, from one rate.
+        a = _batch_job([0.8] * 3, 1, default_morphology(), 5, 500)
+        noisy, peaks, p, cfg = _batch_job([0.8] * 3, 2, default_morphology(), 5, 500)
+        with pytest.raises(ValueError, match="one signal length, one rate"):
+            denoise_batch([a, (Signal(noisy.samples, 250.0), peaks, p, cfg)])
+
+
+def _long_job(seconds, seed, n_ensemble, noise_std=0.1):
+    """A noisy synthetic job of whole seconds at 360 Hz, its clean record and
+    its filter settings (default morphology)."""
+    fs, n = 360.0, int(seconds * 360)
+    rr = 0.8 + 0.1 * np.sin(np.arange(int(seconds / 0.7) + 2))
+    clean, _, peaks = synthesize(default_morphology(), list(rr), fs, noise_std=0.0, seed=seed)
+    clean = Signal(clean.samples[:n], fs)
+    noisy = Signal(clean.samples + noise_std * np.random.default_rng(seed).normal(size=n), fs)
+    job = (noisy, RPeaks(peaks.indices[peaks.indices < n]), default_morphology(), FilterConfig(n_ensemble, seed=seed))
+    return clean, job
+
+
+class TestSegments:
+    """A long job runs as overlapping lockstep segments (enkf.segments)."""
+
+    def test_rule(self):
+        # 60 s at 360 Hz: four segments of 5,940 samples, each after the first
+        # starting 2 s (720 samples) before the span it keeps.
+        assert enkf.segments(21_600, 360.0) == (5940, [(0, 0), (5220, 5940), (10_440, 11_160), (15_660, 16_380)])
+        # Shorter than 30 s: one segment, the whole job.
+        assert enkf.segments(10_799, 360.0) == (10_799, [(0, 0)])
+        # 30 min: sixteen segments.
+        length, split = enkf.segments(648_000, 360.0)
+        assert len(split) == 16 and length == 41_175
+        # 15 s rounds to 0 or 1 samples: one segment, not a division by zero.
+        for fs in (0.01, 0.05):
+            assert enkf.segments(1000, fs) == (1000, [(0, 0)])
+
+    @settings(max_examples=200)
+    @given(n=st.integers(1, 2_000_000), fs=st.floats(0.01, 2000.0))
+    def test_kept_spans_tile_the_record(self, n, fs):
+        length, split = enkf.segments(n, fs)
+        spin, span = round(2 * fs), round(15 * fs)
+        assert 1 <= len(split) <= 16 and 1 <= length <= n
+        assert len(split) == 1 or len(split) * span <= n
+        ends = [kept for _, kept in split[1:]] + [n]
+        for (start, kept), end in zip(split, ends):
+            assert 0 <= start <= kept <= end <= start + length <= n
+            assert kept == 0 or kept - start >= spin  # a spin-up of at least W before the kept span
+        assert split[0] == (0, 0) and split[-1][0] + length == n
+
+    @pytest.fixture(scope="class")
+    def split_pair(self):
+        """Two 30-s jobs (two segments each) and their lone runs."""
+        jobs = [_long_job(30, seed, 10)[1] for seed in (3, 4)]
+        return jobs, [denoise(*job).samples for job in jobs]
+
+    def test_segment_zero_equals_the_one_segment_run(self, split_pair, monkeypatch):
+        jobs, outs = split_pair
+        length, split = enkf.segments(len(jobs[0][0]), 360.0)
+        assert len(split) == 2
+        monkeypatch.setattr(enkf, "MAX_SEGMENTS", 1)
+        whole = denoise(*jobs[0]).samples
+        assert np.array_equal(outs[0][:length], whole[:length])
+        assert not np.array_equal(outs[0][length:], whole[length:])  # segment 1 draws substream(seed, 1)
+
+    def test_segments_equal_the_step_function_loop(self, split_pair):
+        """Each segment's kept span is the reference loop over its slice of
+        the whole record's inputs, drawing from substream(seed, s)."""
+        jobs, outs = split_pair
+        length, split = enkf.segments(len(jobs[0][0]), 360.0)
+        ends = [kept for _, kept in split[1:]] + [len(outs[0])]
+        for s, ((start, kept), end) in enumerate(zip(split, ends)):
+            want = step_function_loop(*jobs[0], start=start, stop=start + length, segment=s)
+            assert np.array_equal(outs[0][kept:end], want[kept - start : end - start])
+
+    @pytest.mark.parametrize("block", [None, 10_000], ids=["NOISE_BLOCK", "one block"])
+    def test_split_jobs_in_a_batch_equal_lone_runs(self, split_pair, monkeypatch, block):
+        # In one block a segment's spin-up and the previous segment's end are
+        # estimated in the same block: only the kept spans reach the output.
+        jobs, outs = split_pair
+        if block is not None:
+            monkeypatch.setattr(enkf, "NOISE_BLOCK", block)
+        for out, alone in zip(denoise_batch(jobs), outs):
+            assert np.all(np.isfinite(out.samples))
+            assert np.array_equal(out.samples, alone)
+
+    @pytest.mark.parametrize("error", [AmbiguousPhaseError, SingularInnovationError])
+    def test_failure_names_the_record_sample(self, monkeypatch, error):
+        # 40 s: two segments of 7,560 samples; segment 1 starts at 6,840.  The
+        # fault hits row 1 (job 0's segment 1) only, at its local sample 5.
+        jobs = [_long_job(40, seed, 10)[1] for seed in (1, 2)]
+        assert enkf.segments(len(jobs[0][0]), 360.0)[1][1][0] == 6840
+        calls = []
+        if error is AmbiguousPhaseError:
+            predict = enkf.predict
+
+            def faulty(*args):
+                theta, z = predict(*args)
+                calls.append(None)
+                if len(calls) == 5:  # predict's k-th call is local sample k
+                    theta[1] = 0.0
+                    theta[1, 1::2] = np.pi  # row 1's members cancel in pairs
+                return theta, z
+
+            monkeypatch.setattr(enkf, "predict", faulty)
+        else:
+            covariances = enkf.sample_covariances
+
+            def faulty(theta, z):
+                p = covariances(theta, z)
+                calls.append(None)
+                if len(calls) == 5:
+                    p[1] = 1e150  # row 1's innovation covariance has determinant 0
+                return p
+
+            monkeypatch.setattr(enkf, "sample_covariances", faulty)
+        with pytest.raises(error, match=r" at sample 6845$"):
+            denoise_batch(jobs)
+
+    def test_split_keeps_the_mean_gain(self, monkeypatch):
+        """Over 16 filter seeds run as lockstep rows, the split mean SNR gain
+        lies within two standard errors of the one-segment run's."""
+        clean, (noisy, peaks, p, _) = _long_job(30, 7, 16)
+        jobs = [(noisy, peaks, p, FilterConfig(n_ensemble=16, seed=seed)) for seed in range(16)]
+
+        def gains():
+            return np.array([report(clean, noisy, out).snr_improvement for out in denoise_batch(jobs)])
+
+        split = gains()
+        monkeypatch.setattr(enkf, "MAX_SEGMENTS", 1)
+        whole = gains()
+        assert whole.mean() > 3.0
+        assert abs(split.mean() - whole.mean()) <= 2 * whole.std(ddof=1) / np.sqrt(len(whole))
 
 
 # The model-based filters, each through prepare_inputs: the EnKF alone, as
