@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .core import RPeaks, SettingError, Signal, require_valid, wrap_centered, wrap_phase
+from .core import RPeaks, SettingError, Signal, paired, require_valid, wrap_centered, wrap_phase
 from .enkf import FilterConfig, prepare_inputs
 from .model import GaussianWaveParams
 
@@ -265,9 +265,10 @@ def _check_batch(primaries, references, taps: int) -> None:
     n = len(primaries[0])
     if any(len(primary) != n for primary in primaries):
         raise ValueError("a lockstep batch needs one signal length")
-    if len(references) != len(primaries) or any(len(ref) != n for ref in references):
-        raise ValueError("reference must match the primary signal length")
-    for ref in references:
+    if len(references) != len(primaries):
+        raise ValueError(f"reference must match each primary: {len(references)} for {len(primaries)}")
+    for primary, ref in zip(primaries, references):
+        paired(primary, ref, "reference")
         require_valid(ref, "reference")
     if taps < 1:
         raise SettingError("taps", "at least 1", taps)

@@ -379,12 +379,7 @@ def _load_noise(plan: BenchPlan, data_root: Path, fs: float) -> Signal:
     """The noise record, or a "t,mv" CSV checked against the records' rate fs."""
     if plan.noise.endswith(".csv"):
         path = Path(plan.noise)
-        data = path.read_bytes()
-        if data.lstrip().split(b"\n", 1)[0].strip().lower() == b"mv":
-            raise BenchError(
-                f"noise CSV {path} has no t column, so its rate cannot be checked against the records' {fs:g} Hz"
-            )
-        return wfdbio.read_named_csv(data, fs, f"noise CSV {path}")
+        return wfdbio.read_named_csv(path.read_bytes(), fs, f"noise CSV {path}", timed=True)
     return load_record(data_root, plan.noise)[0]
 
 

@@ -25,14 +25,13 @@ from .model import (
     MIN_DETECT_S,
     FitDivergenceError,
     GaussianWaveParams,
+    beat_phase,
     default_morphology,
     defines_phase,
     detectable,
     fit_params,
     fit_residual_rms,
     mean_beat,
-    observed_phase,
-    phase_peaks,
     synthesize,
 )
 
@@ -138,14 +137,13 @@ def cmd_fit(args) -> int:
     if args.seconds is not None:
         signal, peaks = bench.trim(signal, peaks, args.seconds)
         _require(len(signal) > 0, "--seconds", args.seconds, f"long enough to keep a sample at {signal.fs:g} Hz")
-        if not defines_phase(peaks):  # so phase_peaks detects them
+        if not defines_phase(peaks):  # so beat_phase detects them
             enough = detectable(sample_count(args.seconds, signal.fs), signal.fs)
             _require(enough, "--seconds", args.seconds, f"at least {MIN_DETECT_S:g} s to detect R peaks")
-    peaks = phase_peaks(signal, peaks)
+    peaks, phase = beat_phase(signal, peaks)  # the filters' peaks and phase
     if len(peaks) < 10:
         print(f"error: need at least 10 beats to fit, found {len(peaks)}", file=sys.stderr)
         return 1
-    phase = observed_phase(peaks, len(signal))
     template = mean_beat(signal, phase, n_bins=args.n_bins)
     trace: list = []
     try:

@@ -156,6 +156,16 @@ def require_valid(signal: Signal, what: str = "signal") -> None:
         raise ValueError(f"invalid {what}: {diag}")
 
 
+def paired(signal: Signal, other: Signal, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The pair rule, stated once: other (named what) has signal's length and rate.  Returns both sample arrays."""
+    if len(other) != len(signal) or other.fs != signal.fs:
+        raise ValueError(
+            f"{what} must match the signal's length and rate: {len(other)} samples at {other.fs:g} Hz, "
+            f"signal {len(signal)} at {signal.fs:g} Hz"
+        )
+    return signal.samples, other.samples
+
+
 def slice_signal(signal: Signal, start: int, length: int) -> Signal:
     """Contiguous subsequence [start, start+length), same sampling rate."""
     if start < 0 or length < 0 or start + length > len(signal):

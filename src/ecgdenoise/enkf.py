@@ -20,14 +20,13 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core import RPeaks, SettingError, Signal, TWO_PI, require_valid, wrap_centered, wrap_phase
+from .core import RPeaks, SettingError, Signal, TWO_PI, wrap_centered, wrap_phase
 from .model import (
     GaussianWaveParams,
     beat_intervals,
+    beat_phase,
     fit_params,
     mean_beat,
-    observed_phase,
-    phase_peaks,
     wave_increment,
     wave_sum,
 )
@@ -54,6 +53,10 @@ class AmbiguousPhaseError(StepError):
     """Circular mean undefined: member phases cancel out."""
 
 
+# FilterConfig's noise levels: each non-negative, one column per lockstep row.
+NOISE_LEVELS = ("q_theta", "q_z", "q_z_activity", "r_phi", "r_s")
+
+
 @dataclass(frozen=True)
 class FilterConfig:
     """Ensemble size, noise levels and master seed.
@@ -74,7 +77,7 @@ class FilterConfig:
     def __post_init__(self):
         if self.n_ensemble < 2:
             raise SettingError("n_ensemble", "at least 2 for a sample covariance", self.n_ensemble)
-        for name in ("q_theta", "q_z", "q_z_activity", "r_phi", "r_s"):
+        for name in NOISE_LEVELS:
             v = getattr(self, name)
             if v is not None and not v >= 0:
                 raise SettingError(name, "non-negative", v)
@@ -288,18 +291,15 @@ def prepare_inputs(
     cfg: FilterConfig,
 ) -> tuple[np.ndarray, np.ndarray, GaussianWaveParams, FilterConfig]:
     """Front end shared with the EKF, the one place a model-based run's
-    inputs are decided: validate the signal, pick the R peaks by
-    :func:`ecgdenoise.model.phase_peaks` and check them, build the observed
-    phase once, fit the morphology on that phase's mean beat when params is
-    None (binning across all beats averages the additive noise away), then
-    return the phase, per-sample angular velocity, morphology and resolved
-    configuration.  Phase and omega come from each sample's R-R interval
-    (see :func:`ecgdenoise.model.beat_intervals`): omega is 2*pi over its
+    inputs are decided: pick and check the R peaks and build their observed
+    phase once (:func:`ecgdenoise.model.beat_phase`), fit the morphology on
+    that phase's mean beat when params is None (binning across all beats
+    averages the additive noise away), then return the phase, per-sample
+    angular velocity, morphology and resolved configuration.  Phase and
+    omega come from each sample's R-R interval (see
+    :func:`ecgdenoise.model.beat_intervals`): omega is 2*pi over its
     length in seconds."""
-    require_valid(signal)
-    r_peaks = phase_peaks(signal, r_peaks)
-    r_peaks.check_against(len(signal), signal.fs)
-    phase = observed_phase(r_peaks, len(signal))
+    r_peaks, phase = beat_phase(signal, r_peaks)
     if params is None:
         params = fit_params(mean_beat(signal, phase))
     omega = TWO_PI / (beat_intervals(r_peaks, len(signal))[1] / signal.fs)
@@ -373,12 +373,7 @@ def denoise_batch(jobs) -> list[Signal]:
         for job in range(len(jobs))
         for s, (start, kept) in enumerate(split)
     ]
-    levels = SimpleNamespace(
-        **{
-            f: np.array([[getattr(cfgs[job], f)] for job, *_ in rows])
-            for f in ("q_theta", "q_z", "q_z_activity", "r_phi", "r_s")
-        }
-    )
+    levels = SimpleNamespace(**{f: np.array([[getattr(cfgs[job], f)] for job, *_ in rows]) for f in NOISE_LEVELS})
     morphology = SimpleNamespace(
         **{
             f: np.stack([getattr(inputs[job][2], f) for job, *_ in rows], axis=1)[..., None]

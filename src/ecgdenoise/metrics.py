@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SettingError, Signal
+from .core import SettingError, Signal, paired
 
 
 class UndefinedMetricError(ValueError):
@@ -19,12 +19,6 @@ class UndefinedMetricError(ValueError):
 _TINY = sys.float_info.min  # smallest normal double
 
 
-def _pair(clean: Signal, other: Signal) -> tuple[np.ndarray, np.ndarray]:
-    if len(clean) != len(other):
-        raise ValueError(f"length mismatch: {len(clean)} vs {len(other)}")
-    return clean.samples, other.samples
-
-
 def snr(clean: Signal, denoised: Signal) -> float:
     """10*log10 of signal energy over error energy, in dB.
 
@@ -32,7 +26,7 @@ def snr(clean: Signal, denoised: Signal) -> float:
     ratio outside the normal double range (an underflowed or subnormal
     error energy, a subnormal or overflowing ratio) is taken in logs.
     """
-    x, y = _pair(clean, denoised)
+    x, y = paired(clean, denoised, "denoised")
     sig = float(x @ x)
     if sig == 0.0:
         raise UndefinedMetricError("SNR undefined for an all-zero reference")
@@ -58,7 +52,7 @@ def _error_norm(err: np.ndarray, energy: float) -> float:
 
 
 def rmse(clean: Signal, denoised: Signal) -> float:
-    x, y = _pair(clean, denoised)
+    x, y = paired(clean, denoised, "denoised")
     err = x - y
     return float(np.sqrt((err @ err) / x.size))
 
@@ -69,7 +63,7 @@ def prd(clean: Signal, denoised: Signal) -> float:
     No mean subtraction, so values above 100 are possible.  Out of the normal
     double range the two roots are taken apart, as in snr.
     """
-    x, y = _pair(clean, denoised)
+    x, y = paired(clean, denoised, "denoised")
     sig = float(x @ x)
     if sig == 0.0:
         raise UndefinedMetricError("PRD undefined for an all-zero reference")
@@ -82,7 +76,7 @@ def prd(clean: Signal, denoised: Signal) -> float:
 
 def corr(clean: Signal, denoised: Signal) -> float:
     """Pearson correlation coefficient, clamped to [-1, 1] against rounding."""
-    x, y = _pair(clean, denoised)
+    x, y = paired(clean, denoised, "denoised")
     xc = x - x.mean()
     yc = y - y.mean()
     sx = float(xc @ xc)
@@ -121,7 +115,7 @@ def calibrate_gain(clean: Signal, noise: Signal, target_snr_db: float) -> float:
     """Gain g so that snr(clean, clean + g*noise) equals the target exactly."""
     if not math.isfinite(target_snr_db):
         raise SettingError("target_snr_db", "finite", target_snr_db)
-    x, v = _pair(clean, noise)
+    x, v = paired(clean, noise, "noise")
     sig = float(x @ x)
     pwr = float(v @ v)
     if sig == 0.0:
@@ -153,10 +147,9 @@ def mix(clean: Signal, noise: Signal, target_snr_db: float) -> NoisyMix:
     """Contaminate the clean signal at an exactly calibrated SNR.
 
     The scaled noise is retained as the reference channel for adaptive
-    noise cancellation.  Both records must share one sampling rate.
+    noise cancellation.  Both records must share one sampling rate: the
+    tiled noise meets calibrate_gain's pair rule.
     """
-    if noise.fs != clean.fs:
-        raise ValueError(f"noise sampled at {noise.fs:g} Hz cannot mix into a {clean.fs:g} Hz record")
     noise = tile_to_length(noise, len(clean))
     g = calibrate_gain(clean, noise, target_snr_db)
     scaled = Signal(g * noise.samples, clean.fs)

@@ -182,10 +182,14 @@ def defines_phase(r_peaks: RPeaks) -> bool:
     return len(r_peaks) >= 2
 
 
-def phase_peaks(signal: Signal, r_peaks: RPeaks) -> RPeaks:
-    """The R peaks a beat phase comes from: the given ones if they define
-    one, else the ones detect_r_peaks finds in signal."""
-    return r_peaks if defines_phase(r_peaks) else detect_r_peaks(signal)
+def beat_phase(signal: Signal, r_peaks: RPeaks) -> tuple[RPeaks, np.ndarray]:
+    """The R peaks a beat phase comes from, and that phase: validate signal,
+    take the given peaks if they define a phase, else detect them, check them
+    against signal (bounds, refractory floor), return them and their observed_phase."""
+    require_valid(signal)
+    r_peaks = r_peaks if defines_phase(r_peaks) else detect_r_peaks(signal)
+    r_peaks.check_against(len(signal), signal.fs)
+    return r_peaks, observed_phase(r_peaks, len(signal))
 
 
 def beat_intervals(r_peaks: RPeaks, length: int) -> tuple[np.ndarray, np.ndarray]:

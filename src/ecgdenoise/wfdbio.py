@@ -278,12 +278,12 @@ CSV_BLOCK_ROWS = 16_384  # rows formatted by one % operation
 _PLAIN = b"0123456789.eE+-,\r\n"  # finite numbers, commas and line breaks
 
 
-def read_csv(data: bytes, fs: float) -> Signal:
+def read_csv(data: bytes, fs: float, timed: bool = False) -> Signal:
     """Read a one-sample-per-row CSV with header "mv" or "t,mv".
 
     A "t" column must be finite and put data row k (from 0) at t_0 + k/fs
     within 1 us, so a file sampled at another rate is rejected rather than
-    relabelled as fs.
+    relabelled as fs.  With timed, a file without a "t" column is rejected too.
 
     A file whose first line is "mv" or "t,mv" and whose other bytes are all
     in _PLAIN, as write_csv writes finite samples, is parsed by np.loadtxt.
@@ -297,6 +297,8 @@ def read_csv(data: bytes, fs: float) -> Signal:
     if table is None:
         table = _read_rows(data)
     values = table[:, -1]
+    if timed and table.shape[1] == 1:
+        raise CsvParseError(f"no t column, so its rate cannot be checked against {fs:g} Hz")
     if table.shape[1] == 2 and len(table):
         times = table[:, 0]
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite t or an inf span is a bad row
@@ -318,10 +320,10 @@ def read_csv(data: bytes, fs: float) -> Signal:
     return Signal(values, fs)
 
 
-def read_named_csv(data: bytes, fs: float, name: str) -> Signal:
+def read_named_csv(data: bytes, fs: float, name: str, timed: bool = False) -> Signal:
     """read_csv, with a parse error that starts with the name of the file."""
     try:
-        return read_csv(data, fs)
+        return read_csv(data, fs, timed)
     except CsvParseError as exc:
         raise CsvParseError(f"{name}: {exc}") from None
 

@@ -609,6 +609,23 @@ class TestAdaptive:
         with pytest.raises(ValueError, match=r"^invalid reference: non-finite at index 50$"):
             run([y, sig(bad)])
 
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda y, r: nlms_denoise(y, r, 8, 0.5),
+            lambda y, r: rls_denoise(y, r, 8, 0.999, 100.0),
+            lambda y, r: nlms_batch([y, y], [y, r], 8, 0.5),
+            lambda y, r: rls_batch([y, y], [y, r], 8, 0.999, 100.0),
+        ],
+        ids=["nlms_denoise", "rls_denoise", "nlms_batch", "rls_batch"],
+    )
+    def test_reference_at_another_rate_rejected(self, run):
+        y = sig(np.sin(np.arange(64.0)))
+        ref = sig(np.cos(np.arange(64.0)), fs=250.0)
+        message = r"^reference must match the signal's length and rate: 64 samples at 250 Hz, signal 64 at 360 Hz$"
+        with pytest.raises(ValueError, match=message):
+            run(y, ref)
+
     def test_batch_rejects_unequal_lengths_and_mismatched_references(self):
         a, b = sig(np.ones(10)), sig(np.ones(11))
         with pytest.raises(ValueError, match="one signal length"):

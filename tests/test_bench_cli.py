@@ -96,6 +96,21 @@ def sparse_root(data_root, tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def close_root(data_root, tmp_path_factory):
+    """The dataset plus "close": 121's signal and annotated beats, with one
+    more beat annotated 50 samples (0.14 s at 360 Hz) after its sixth.
+    Returns the root and the two close peaks."""
+    root = tmp_path_factory.mktemp("close")
+    for f in data_root.iterdir():
+        (root / f.name).symlink_to(f)
+    (root / "close.hea").write_text((data_root / "121.hea").read_text())
+    beats = wfdbio.read_annotations((data_root / "121.atr").read_bytes()).indices.tolist()
+    beats.insert(6, beats[5] + 50)
+    (root / "close.atr").write_bytes(wfdbgen.write_annotations([(b, 1) for b in beats]))
+    return root, beats[5], beats[6]
+
+
 class _Plan(Exception):
     pass
 
@@ -208,6 +223,24 @@ class TestBenchRun:
     def test_model_based_cells_detect_the_peaks_of_an_unannotated_record(self, sparse_root):
         plan = bench.BenchPlan(records=("121",), methods=("enkf", "ekf"), snr_levels=(12.0,), duration_s=10.0, n_ensemble=10)
         assert [c.error for c in bench.run_bench(plan, sparse_root)] == [None, None]
+
+    def test_annotated_beats_closer_than_the_refractory_floor_fail_the_model_based_cells(self, close_root):
+        """Two annotated beats 0.14 s apart fail the record's enkf and ekf
+        cells, naming both annotated peaks, rather than dropping a beat.  The
+        record's other cells run, and a batch-mate's rows (the failed unit is
+        rerun one cell at a time) equal those of a run without the record."""
+        root, first, second = close_root
+        plan = bench.BenchPlan(
+            records=("close", "121"), methods=("enkf", "ekf", "sg"), snr_levels=(12.0,), duration_s=10.0, n_ensemble=10
+        )
+        cells = {(c.record_id, c.method): c for c in bench.run_bench(plan, root)}
+        message = f"ValueError: peaks {first} and {second} violate the 0.2 s refractory floor"
+        assert cells["close", "enkf"].error == cells["close", "ekf"].error == message
+        assert cells["close", "enkf"].report is cells["close", "ekf"].report is None
+        assert cells["close", "sg"].error is None and cells["close", "sg"].report is not None
+        outcome = lambda c: (c.method, c.seed, c.report, c.error)
+        alone = [outcome(c) for c in bench.run_bench(replace(plan, records=("121",)), root)]
+        assert [outcome(c) for (rid, _), c in cells.items() if rid == "121"] == alone
 
     def test_single_cell_plan_gives_one_data_and_one_aggregate_row(self, data_root):
         plan = bench.BenchPlan(
@@ -440,12 +473,21 @@ class TestBenchRun:
             bench.run_bench(plan(timed), data_root)
         untimed = tmp_path / "noise_mv.csv"
         untimed.write_bytes(wfdbio.format_rows(np.zeros(3000), head=b"mv\n"))
-        with pytest.raises(bench.BenchError, match="noise_mv.csv has no t column"):
+        with pytest.raises(wfdbio.CsvParseError, match="noise_mv.csv: no t column"):
             bench.run_bench(plan(untimed), data_root)
         ok = tmp_path / "noise360.csv"
         ok.write_bytes(wfdbio.write_csv(Signal(np.random.default_rng(0).normal(size=30000), 360.0)))
         cells = bench.run_bench(replace(plan(ok), duration_s=8.0), data_root)
         assert cells[0].report is not None
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r", b"\x0c"], ids=["lf", "crlf", "cr", "ff"])
+    def test_untimed_noise_csv_exits_2_for_any_line_break(self, data_root, tmp_path, capsys, newline):
+        noise = tmp_path / "noise_mv.csv"
+        noise.write_bytes(newline.join([b"mv", *(b"%d" % (k % 7) for k in range(3000))]) + newline)
+        argv = ["--data-root", str(data_root), "bench", "--records", "122", "--methods", "sg", "--levels", "12"]
+        assert cli.main(argv + ["--noise", str(noise), "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: noise CSV {noise}: no t column, so its rate cannot be checked against 360 Hz\n"
 
     def test_snr_in_tracks_target(self, small_result):
         # Metrics run on the post-warm-up window, so the measured input SNR
@@ -690,6 +732,32 @@ class TestCliSynthFit:
         assert cli.main(["--data-root", str(data_root), "fit", "118", "--seconds", "40.3"]) == 0
         assert seen == [14508]
         assert len(bench.trim(*bench.load_record(data_root, "118"), 40.3)[0]) == 14508
+
+    @pytest.mark.parametrize("command", ["fit", "enkf", "ekf"])
+    def test_fit_rejects_close_annotated_beats_as_the_filters_do(self, close_root, tmp_path, monkeypatch, capsys, command):
+        root, first, second = close_root
+        monkeypatch.chdir(tmp_path)
+        argv = ["fit", "close"] if command == "fit" else ["denoise", "close", "--method", command]
+        assert cli.main(["--data-root", str(root), *argv]) == 1
+        message = f"peaks {first} and {second} violate the 0.2 s refractory floor"
+        assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+        assert list(tmp_path.iterdir()) == []  # nothing written
+
+    @pytest.mark.parametrize("method", ["enkf", "ekf"])
+    @pytest.mark.parametrize("source", ["csv", "record"])
+    def test_fit_writes_the_morphology_the_filters_fit(self, data_root, tmp_path, monkeypatch, source, method):
+        """A filter given fit's JSON writes the same bytes as one that fits
+        its own morphology: detected peaks on a CSV, annotated on a record."""
+        monkeypatch.chdir(tmp_path)
+        if source == "csv":
+            assert cli.main(["synth", "--out-dir", "s", "--beats", "16", "--seed", "5"]) == 0
+        x = "s/signal.csv" if source == "csv" else "121"
+        base = ["--data-root", str(data_root)]
+        assert cli.main(base + ["fit", x, "--out", "m.json"]) == 0
+        denoise = base + ["denoise", x, "--method", method, "--n-ensemble", "10", "--out"]
+        assert cli.main(denoise + ["own.csv"]) == 0
+        assert cli.main(denoise + ["given.csv", "--params", "m.json"]) == 0
+        assert Path("own.csv").read_bytes() == Path("given.csv").read_bytes()
 
     def test_fit_record_residual(self, data_root, capsys):
         rc = cli.main(

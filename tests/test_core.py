@@ -12,6 +12,7 @@ from ecgdenoise.core import (
     RPeaks,
     SettingError,
     Signal,
+    paired,
     sample_count,
     slice_signal,
     validate,
@@ -52,6 +53,26 @@ class TestRPeaks:
         with pytest.raises(ValueError, match="refractory"):
             RPeaks([100, 150]).check_against(1000, 360.0)
         RPeaks([100, 180]).check_against(1000, 360.0)  # 222 ms: fine
+
+
+class TestPaired:
+    def test_returns_both_sample_arrays(self):
+        a, b = Signal([1.0, 2.0], 360.0), Signal([3.0, 4.0], 360.0)
+        x, y = paired(a, b, "reference")
+        assert x is a.samples and y is b.samples
+
+    @pytest.mark.parametrize(
+        "other, message",
+        [
+            (Signal(np.zeros(9), 360.0), "9 samples at 360 Hz, signal 10 at 360 Hz"),
+            (Signal(np.zeros(10), 250.0), "10 samples at 250 Hz, signal 10 at 360 Hz"),
+        ],
+        ids=["length", "rate"],
+    )
+    def test_names_the_partner_both_lengths_and_both_rates(self, other, message):
+        with pytest.raises(ValueError) as err:
+            paired(Signal(np.zeros(10), 360.0), other, "noise")
+        assert str(err.value) == f"noise must match the signal's length and rate: {message}"
 
 
 class TestWrap:

@@ -188,6 +188,18 @@ class TestMixer:
         with pytest.raises(ValueError, match=f"^target_snr_db must be finite, got {target}$"):
             calibrate_gain(sig([1.0, -1.0]), sig([0.5, 0.5]), target)
 
+    @pytest.mark.parametrize(
+        "score",
+        [snr, rmse, prd, corr, lambda clean, noise: calibrate_gain(clean, noise, 6.0)],
+        ids=["snr", "rmse", "prd", "corr", "calibrate_gain"],
+    )
+    def test_partner_at_another_rate_rejected(self, score):
+        clean = sig(np.sin(np.arange(16.0)))
+        partner = Signal(np.cos(np.arange(16.0)), 250.0)
+        message = r"^\w+ must match the signal's length and rate: 16 samples at 250 Hz, signal 16 at 360 Hz$"
+        with pytest.raises(ValueError, match=message):
+            score(clean, partner)
+
     def test_sample_rate_mismatch_rejected(self):
         clean = sig(np.ones(16))
         noise = Signal(np.concatenate([np.ones(8), -np.ones(8)]), 250.0)

@@ -15,6 +15,7 @@ from ecgdenoise.model import (
     DetectionFailureError,
     GaussianWaveParams,
     InsufficientFiducialsError,
+    beat_phase,
     default_morphology,
     detect_r_peaks,
     detectable,
@@ -255,6 +256,41 @@ class TestFitParams:
         fit_params(self._template_from(p), init=init, objective_trace=trace)
         assert len(trace) >= 2
         assert all(b < a for a, b in zip(trace, trace[1:]))
+
+
+class TestBeatPhase:
+    def test_given_peaks_that_define_a_phase_are_kept(self):
+        sig, _, truth = synthesize(default_morphology(), [1.0] * 6, 360.0, 0.0, seed=2)
+        given_peaks = RPeaks(truth.indices[1:] + 3)
+        peaks, phase = beat_phase(sig, given_peaks)
+        assert peaks is given_peaks
+        assert np.array_equal(phase, observed_phase(given_peaks, len(sig)))
+
+    @pytest.mark.parametrize("given_peaks", [[], [700]], ids=["none", "one"])
+    def test_fewer_than_two_peaks_are_detected(self, given_peaks):
+        sig, _, _ = synthesize(default_morphology(), [1.0] * 6, 360.0, 0.0, seed=2)
+        peaks, phase = beat_phase(sig, RPeaks(given_peaks))
+        assert np.array_equal(peaks.indices, detect_r_peaks(sig).indices)
+        assert np.array_equal(phase, observed_phase(peaks, len(sig)))
+
+    @pytest.mark.parametrize(
+        "given_peaks, message",
+        [
+            ([100, 150, 500], "^peaks 100 and 150 violate the 0.2 s refractory floor$"),
+            ([100, 2160], r"^peak index out of range \[0, 2160\)$"),
+        ],
+        ids=["refractory", "range"],
+    )
+    def test_peaks_are_checked_against_the_signal(self, given_peaks, message):
+        sig, _, _ = synthesize(default_morphology(), [1.0] * 6, 360.0, 0.0, seed=2)
+        with pytest.raises(ValueError, match=message):
+            beat_phase(sig, RPeaks(given_peaks))
+
+    def test_signal_is_validated_first(self):
+        samples = np.zeros(1000)
+        samples[7] = np.nan
+        with pytest.raises(ValueError, match="^invalid signal: non-finite at index 7$"):
+            beat_phase(Signal(samples, 360.0), RPeaks([100, 500]))
 
 
 class TestDetectRPeaks:

@@ -235,6 +235,15 @@ class TestCsv:
         with pytest.raises(wfdbio.CsvParseError, match=r"^row 2: .* the t column runs at 0 Hz$"):
             wfdbio.read_csv(b"t,mv\n-1.7e308,1\n1.7e308,2\n", fs=360.0)
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r", b"\x0c"], ids=["lf", "crlf", "cr", "ff"])
+    def test_timed_read_needs_a_t_column(self, newline):
+        data = newline.join([b"mv", b"1", b"2", b"3"]) + newline
+        assert wfdbio.read_csv(data, fs=360.0).samples.tolist() == [1.0, 2.0, 3.0]
+        with pytest.raises(wfdbio.CsvParseError, match=r"^no t column, so its rate cannot be checked against 360 Hz$"):
+            wfdbio.read_csv(data, fs=360.0, timed=True)
+        timed = wfdbio.write_csv(Signal(np.arange(3.0), 360.0))
+        assert wfdbio.read_csv(timed, fs=360.0, timed=True).samples.tolist() == [0.0, 1.0, 2.0]
+
     def test_bad_header(self):
         with pytest.raises(wfdbio.CsvParseError, match="header"):
             wfdbio.read_csv(b"volts\n1.0\n", fs=360.0)
