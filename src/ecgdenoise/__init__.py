@@ -2,7 +2,7 @@
 model, six classical baseline filters, calibrated noise mixing, and a
 benchmark harness for PhysioNet-style records."""
 
-from .core import RPeaks, Signal, slice_signal, validate
+from .core import RPeaks, Signal, slice_signal
 from .enkf import FilterConfig, denoise
 from .metrics import MetricReport, NoisyMix, calibrate_gain, corr, mix, prd, report, rmse, snr
 from .model import GaussianWaveParams, default_morphology, detect_r_peaks, fit_params, mean_beat, observed_phase, synthesize
@@ -29,7 +29,6 @@ __all__ = [
     "slice_signal",
     "snr",
     "synthesize",
-    "validate",
 ]
 
 __version__ = "0.1.0"

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .core import RPeaks, SettingError, Signal, paired, require_valid, wrap_centered, wrap_phase
+from .core import RPeaks, SettingError, Signal, paired, wrap_centered, wrap_phase
 from .enkf import FilterConfig, prepare_inputs
 from .model import GaussianWaveParams
 
@@ -116,7 +116,6 @@ def sg_filter(signal: Signal, window: int, polyorder: int) -> Signal:
     half a window of either edge are fit on the truncated asymmetric window
     (no zero padding), which preserves polynomial reproduction at the edges.
     """
-    require_valid(signal)
     n = len(signal)
     if window % 2 == 0 or window < 1:
         raise SettingError("window", "odd and positive", window)
@@ -126,7 +125,7 @@ def sg_filter(signal: Signal, window: int, polyorder: int) -> Signal:
         raise SettingError("window", f"at most {n} for {n} samples", window)
     x = signal.samples
     if window == 1:
-        return Signal(x.copy(), signal.fs)
+        return Signal(x, signal.fs)
 
     half = window // 2
     offsets = np.arange(-half, half + 1, dtype=np.float64)
@@ -234,7 +233,6 @@ def wavelet_denoise(signal: Signal, levels: int, threshold: float | None = None)
     threshold None means the universal rule, sigma*sqrt(2 ln n) with sigma
     estimated as median(|finest details|)/0.6745 (noise_sigma_estimate).
     """
-    require_valid(signal)
     n = len(signal)
     if levels < 1:
         raise SettingError("levels", "at least 1", levels)
@@ -260,8 +258,6 @@ def noise_sigma_estimate(signal: Signal) -> float:
 
 
 def _check_batch(primaries, references, taps: int) -> None:
-    for primary in primaries:
-        require_valid(primary)
     n = len(primaries[0])
     if any(len(primary) != n for primary in primaries):
         raise ValueError("a lockstep batch needs one signal length")
@@ -269,7 +265,6 @@ def _check_batch(primaries, references, taps: int) -> None:
         raise ValueError(f"reference must match each primary: {len(references)} for {len(primaries)}")
     for primary, ref in zip(primaries, references):
         paired(primary, ref, "reference")
-        require_valid(ref, "reference")
     if taps < 1:
         raise SettingError("taps", "at least 1", taps)
 
@@ -463,14 +458,13 @@ def tvd_denoise(signal: Signal, lam: float | None) -> Signal:
     segment when it cannot.  Non-iterative; optimality is checkable through
     the KKT conditions on that running sum.
     """
-    require_valid(signal)
     if lam is None:
         lam = 0.2 * noise_sigma_estimate(signal)
     if not lam >= 0:
         raise SettingError("lam", "non-negative", lam)
     y = signal.samples
     if lam == 0.0 or len(y) == 1:
-        return Signal(y.copy(), signal.fs)
+        return Signal(y, signal.fs)
     # The constant mean is optimal once lam bounds every partial sum of
     # (y - mean); this also keeps an infinite or overflowing lam out of the loop.
     mean = y.mean()

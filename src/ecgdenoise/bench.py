@@ -1,6 +1,7 @@
 """Benchmark harness: run records x methods x SNR levels, aggregate, and emit
 deterministic CSV tables and SVG plots.  METHODS is the one table of
-denoisers; the `bench` command calls it via run_cell, `denoise` via run_method.
+denoisers; the `bench` command calls it via run_cell, `denoise` calls an
+entry's run directly.
 
 Every cell derives its own seed from the master seed and its coordinates, so
 results are independent of execution order and of which other cells run.
@@ -21,7 +22,7 @@ from signal import SIGKILL
 from typing import Any, BinaryIO, Callable
 
 from . import baselines, enkf, metrics, wfdbio
-from .core import RPeaks, SettingError, Signal, require_valid, sample_count, slice_signal
+from .core import RPeaks, SettingError, Signal, sample_count, slice_signal
 from .model import GaussianWaveParams
 from .svgplot import Series, render_line_chart
 
@@ -84,15 +85,6 @@ METHODS: dict[str, Method] = {
     ),
     "tvd": Method({"lam": None}, lambda x, p, c: baselines.tvd_denoise(x, **p)),
 }
-
-
-def run_method(name: str, noisy: Signal, ctx: MethodContext, params: dict[str, Any] | None = None) -> Signal:
-    """Denoise with one table entry (params default to its default settings).
-    Non-finite output is an error, never a plausible-looking result."""
-    method = METHODS[name]
-    denoised = method.run(noisy, method.params if params is None else params, ctx)
-    require_valid(denoised, f"{name} output")
-    return denoised
 
 
 CSV_COLUMNS = (
@@ -192,8 +184,11 @@ def load_record(root: Path, name: str, channel: int = 0) -> tuple[Signal, RPeaks
 
 def trim(signal: Signal, peaks: RPeaks, duration_s: float) -> tuple[Signal, RPeaks]:
     """The first duration_s seconds (rounded to whole samples; all of a
-    shorter signal) and their peaks."""
-    n = len(signal) if duration_s * signal.fs >= len(signal) else sample_count(duration_s, signal.fs)
+    shorter signal) and their peaks; a duration that keeps no sample breaks
+    the duration_s rule."""
+    n = len(signal) if duration_s * signal.fs >= len(signal) else sample_count(duration_s, signal.fs, "duration_s")
+    if n == 0:
+        raise SettingError("duration_s", f"long enough to keep a sample at {signal.fs:g} Hz", duration_s)
     kept = peaks.indices[peaks.indices < n]
     return slice_signal(signal, 0, n), RPeaks(kept)
 
@@ -330,14 +325,15 @@ def _fork_share(run_share, share) -> tuple[int, BinaryIO]:
 
 
 def run_cell(unit: list[tuple[str, str, float]], loaded, noise: Signal, plan: BenchPlan) -> list[BenchCell]:
-    """Mix, denoise, validate and score a work unit: (record, method, level)
+    """Mix, denoise and score a work unit: (record, method, level)
     coordinates of one method, with loaded mapping record to (clean, peaks).
 
     A unit of several cells makes one call to the method's batch callable, a
-    unit of one calls its run callable.  If mixing or the call raises, a unit
-    of several reruns as units of one, so only a faulty cell becomes a failed
-    row, with the error a lone run gives.  A cell's wall time is an equal
-    share of the mixing and the call plus its own scoring.
+    unit of one calls its run callable.  If mixing or the call raises (as it
+    does for a non-finite output, which no Signal holds), a unit of several
+    reruns as units of one, so only a faulty cell becomes a failed row, with
+    the error a lone run gives.  A cell's wall time is an equal share of the
+    mixing and the call plus its own scoring.
     """
     name = unit[0][1]
     method = METHODS[name]
@@ -367,7 +363,6 @@ def run_cell(unit: list[tuple[str, str, float]], loaded, noise: Signal, plan: Be
     for (rid, _, level), seed, x, y in zip(unit, seeds, noisy, outputs):
         t0 = time.perf_counter()
         try:
-            require_valid(y, f"{name} output")
             rep, err = _score(loaded[rid][0], x, y), None
         except Exception as exc:
             rep, err = None, f"{type(exc).__name__}: {exc}"

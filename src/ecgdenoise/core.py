@@ -2,9 +2,10 @@
 
 Everything downstream trades in two value types: a uniformly sampled
 waveform (:class:`Signal`) and R-wave fiducial indices (:class:`RPeaks`).
-Both are immutable after construction; a per-sample beat phase is a plain
-float64 array (see :func:`ecgdenoise.model.observed_phase`).  Every
-operation here is a pure function.
+Both check their rules when made and are immutable after; a per-sample
+beat phase is a plain float64 array (see
+:func:`ecgdenoise.model.observed_phase`).  Every operation here is a pure
+function.
 """
 
 from __future__ import annotations
@@ -73,7 +74,9 @@ def wrap_centered(delta):
 class Signal:
     """A uniformly sampled waveform in millivolts.
 
-    samples: amplitude sequence (mV once WFDB gain conversion has happened)
+    samples: amplitude sequence (mV once WFDB gain conversion has happened);
+        at least one sample, every one finite (the sample rule, stated here
+        only: no Signal holds a bad sample, so nothing that takes one checks)
     fs: sampling frequency in samples/second (check_rate's rule)
     """
 
@@ -82,7 +85,13 @@ class Signal:
 
     def __post_init__(self):
         check_rate(self.fs)
-        object.__setattr__(self, "samples", _as_readonly(np.asarray(self.samples, dtype=np.float64)))
+        samples = _as_readonly(np.asarray(self.samples, dtype=np.float64))
+        if not len(samples):
+            raise ValueError("invalid signal: empty")
+        finite = np.isfinite(samples)
+        if not finite.all():
+            raise ValueError(f"invalid signal: non-finite at index {int(np.argmin(finite))}")
+        object.__setattr__(self, "samples", samples)
 
     def __len__(self) -> int:
         return self.samples.shape[0]
@@ -137,23 +146,6 @@ def sample_count(seconds: float, fs: float, name: str = "seconds") -> int:
             raise SettingError("fs", f"at most {MAX_SAMPLES / seconds:g} for {seconds:g} s", fs)
         raise SettingError(name, f"from 0 to {MAX_SAMPLES / fs:g} s at {fs:g} Hz", seconds)
     return int(round(n))
-
-
-def validate(signal: Signal) -> str | None:
-    """Check a Signal's samples (its rate is checked when it is made); return
-    None if ok, else a diagnostic naming the first violation."""
-    if len(signal) == 0:
-        return "empty"
-    finite = np.isfinite(signal.samples)
-    if not finite.all():
-        return f"non-finite at index {int(np.argmin(finite))}"
-    return None
-
-
-def require_valid(signal: Signal, what: str = "signal") -> None:
-    diag = validate(signal)
-    if diag is not None:
-        raise ValueError(f"invalid {what}: {diag}")
 
 
 def paired(signal: Signal, other: Signal, what: str) -> tuple[np.ndarray, np.ndarray]:

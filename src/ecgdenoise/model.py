@@ -20,7 +20,6 @@ from .core import (
     Signal,
     TWO_PI,
     _as_readonly,
-    require_valid,
     sample_count,
     wrap_centered,
     wrap_phase,
@@ -183,10 +182,9 @@ def defines_phase(r_peaks: RPeaks) -> bool:
 
 
 def beat_phase(signal: Signal, r_peaks: RPeaks) -> tuple[RPeaks, np.ndarray]:
-    """The R peaks a beat phase comes from, and that phase: validate signal,
-    take the given peaks if they define a phase, else detect them, check them
-    against signal (bounds, refractory floor), return them and their observed_phase."""
-    require_valid(signal)
+    """The R peaks a beat phase comes from, and that phase: take the given
+    peaks if they define a phase, else detect them, check them against
+    signal (bounds, refractory floor), return them and their observed_phase."""
     r_peaks = r_peaks if defines_phase(r_peaks) else detect_r_peaks(signal)
     r_peaks.check_against(len(signal), signal.fs)
     return r_peaks, observed_phase(r_peaks, len(signal))
@@ -243,7 +241,6 @@ def mean_beat(signal: Signal, phase: np.ndarray, n_bins: int = 64) -> BeatTempla
     Every bin must receive at least one sample; an unfilled bin means the
     record is too short (or n_bins too large) to define a template.
     """
-    require_valid(signal)
     if n_bins < MIN_BINS:
         raise SettingError("n_bins", f"at least {MIN_BINS}", n_bins)
     if len(phase) != len(signal):
@@ -448,7 +445,6 @@ def detect_r_peaks(signal: Signal) -> RPeaks:
     dual threshold and a REFRACTORY_S refractory period.  Each accepted envelope
     peak is localized at the raw-signal maximum within +-50 ms.
     """
-    require_valid(signal)
     fs = signal.fs
     if not detectable(len(signal), fs):
         raise ValueError(f"need at least {MIN_DETECT_S:g} s of signal to detect R peaks")

@@ -9,6 +9,7 @@ belongs to the CLI layer.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,8 +136,8 @@ def _parse_signal_line(lineno: int, line: str) -> SignalSpec:
             raise HeaderParseError(f"line {lineno}: unreadable gain {tok[2]!r}") from None
         if gain == 0.0:
             gain = 200.0
-    if gain < 0:
-        raise HeaderParseError(f"line {lineno}: gain must be positive")
+    if not 0 < gain < math.inf:
+        raise HeaderParseError(f"line {lineno}: gain must be finite and positive, got {gain:g}")
 
     def _int_field(pos: int, default: int | None) -> int | None:
         if len(tok) > pos:
@@ -188,12 +189,7 @@ def signal_checksum(adc: np.ndarray) -> int:
 
 def to_millivolts(adc: np.ndarray, header: RecordHeader) -> list[Signal]:
     """Convert decoded ADC frames to one millivolt Signal per channel."""
-    out = []
-    for ch, spec in enumerate(header.signals):
-        if spec.gain <= 0:
-            raise ValueError(f"channel {ch}: gain must be positive")
-        out.append(Signal((adc[:, ch] - spec.baseline) / spec.gain, header.fs))
-    return out
+    return [Signal((adc[:, ch] - spec.baseline) / spec.gain, header.fs) for ch, spec in enumerate(header.signals)]
 
 
 def read_annotations(data: bytes) -> RPeaks:
@@ -284,6 +280,8 @@ def read_csv(data: bytes, fs: float, timed: bool = False) -> Signal:
     A "t" column must be finite and put data row k (from 0) at t_0 + k/fs
     within 1 us, so a file sampled at another rate is rejected rather than
     relabelled as fs.  With timed, a file without a "t" column is rejected too.
+    Every "mv" cell must be finite, and there must be at least one: the
+    Signal sample rule, checked here so the error names the row.
 
     A file whose first line is "mv" or "t,mv" and whose other bytes are all
     in _PLAIN, as write_csv writes finite samples, is parsed by np.loadtxt.
@@ -299,7 +297,9 @@ def read_csv(data: bytes, fs: float, timed: bool = False) -> Signal:
     values = table[:, -1]
     if timed and table.shape[1] == 1:
         raise CsvParseError(f"no t column, so its rate cannot be checked against {fs:g} Hz")
-    if table.shape[1] == 2 and len(table):
+    if not len(table):
+        raise CsvParseError("no data rows after the header")
+    if table.shape[1] == 2:
         times = table[:, 0]
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite t or an inf span is a bad row
             off = np.abs((times - times[0]) - np.arange(len(times)) / fs)
@@ -317,6 +317,10 @@ def read_csv(data: bytes, fs: float, timed: bool = False) -> Signal:
                 f"row {k + 1}: t = {times[k]:.9g} s is not sample {k} at {fs:g} Hz; "
                 f"the t column runs at {k / span if span else float('inf'):.6g} Hz"
             )
+    finite = np.isfinite(values)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise CsvParseError(f"row {k + 1}: mv = {values[k]:g} is not a finite sample")
     return Signal(values, fs)
 
 

@@ -90,7 +90,9 @@ def read_csv_rows(data: bytes, fs: float) -> Signal:
         except ValueError:
             what = "invalid UTF-8" if any(0xDC80 <= ord(c) <= 0xDCFF for c in ln) else "non-numeric value"
             raise CsvParseError(f"row {k + 1}: {what} in {ln!r}") from None
-    if timed and len(times):
+    if not len(values):
+        raise CsvParseError("no data rows after the header")
+    if timed:
         finite = np.isfinite(times)
         if not finite.all():
             k = int(np.argmin(finite))
@@ -105,6 +107,9 @@ def read_csv_rows(data: bytes, fs: float) -> Signal:
                 f"row {k + 1}: t = {times[k]:.9g} s is not sample {k} at {fs:g} Hz; "
                 f"the t column runs at {k / span if span else float('inf'):.6g} Hz"
             )
+    for k, v in enumerate(values):
+        if not np.isfinite(v):
+            raise CsvParseError(f"row {k + 1}: mv = {v:g} is not a finite sample")
     return Signal(values, fs)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import wfdbgen
-from ecgdenoise import baselines, bench, cli, enkf, wfdbio
+from ecgdenoise import baselines, bench, cli, enkf, metrics, wfdbio
 from ecgdenoise.core import Signal
 from ecgdenoise.model import default_morphology, mean_beat, synthesize
 from ecgdenoise.svgplot import PlotError, Series, render_line_chart
@@ -176,19 +176,22 @@ class TestMethodTable:
             inspect.signature(f).bind(*inputs, **method.params)  # TypeError on a missing or unknown keyword
 
     def test_non_finite_output_fails_cell_and_denoise(self, data_root, tmp_path, monkeypatch, capsys):
+        # The filter's output Signal rejects its own non-finite samples.
         nan_filter = lambda x, p, c: Signal(np.full(len(x), np.nan), x.fs)
         monkeypatch.setitem(bench.METHODS, "sg", replace(bench.METHODS["sg"], run=nan_filter))
         plan = bench.BenchPlan(records=("122",), methods=("sg",), snr_levels=(12.0,), duration_s=8.0)
         cells = bench.run_bench(plan, data_root)
         assert cells[0].report is None
-        assert "sg output" in cells[0].error and "non-finite" in cells[0].error
+        assert cells[0].error == "ValueError: invalid signal: non-finite at index 0"
         assert "failed: " in bench.table_csv(cells, plan)
 
         synth_dir = tmp_path / "s"
         assert cli.main(["synth", "--out-dir", str(synth_dir), "--beats", "8"]) == 0
+        capsys.readouterr()
         rc = cli.main(["denoise", str(synth_dir / "signal.csv"), "--method", "sg", "--out", str(tmp_path / "o.csv")])
         assert rc == 1
-        assert "invalid sg output: non-finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: ValueError: invalid signal: non-finite at index 0\n"
+        assert not (tmp_path / "o.csv").exists()
 
     def test_cli_import_needs_no_scipy(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -303,22 +306,25 @@ class TestBenchRun:
         batch-mates' rows equal those of a run without the fault."""
         plan = bench.BenchPlan(records=("118", "119"), methods=("nlms",), snr_levels=(12.0, 18.0), duration_s=4.0)
         clean_run = bench.run_bench(plan, data_root)
-        nlms_batch = baselines.nlms_batch
+        clean = bench.trim(*bench.load_record(data_root, "118"), plan.duration_s)[0]
+        target = metrics.mix(clean, bench._load_noise(plan, data_root, clean.fs), 18.0).noisy.samples
+        nlms_blocks = baselines._nlms_blocks
 
         def faulty(primaries, references, taps, mu):
-            out = nlms_batch(primaries, references, taps, mu)
-            samples = out[1].samples.copy()
-            samples[7] = np.nan
-            out[1] = Signal(samples, out[1].fs)
+            # The kernel puts a NaN in the 118 @ 18 dB row, in the lockstep unit and in its lone rerun.
+            out = nlms_blocks(primaries, references, taps, mu)
+            for row, primary in zip(out, primaries):
+                if np.array_equal(primary.samples, target):
+                    row[7] = np.nan
             return out
 
-        monkeypatch.setattr(baselines, "nlms_batch", faulty)
+        monkeypatch.setattr(baselines, "_nlms_blocks", faulty)
         cells = bench.run_bench(plan, data_root)
         rows = bench.table_csv(cells, plan).splitlines()
         want = bench.table_csv(clean_run, plan).splitlines()
-        bad = [r for r in rows if r.startswith("118,0,nlms,18,")]  # row 1 of the one batch, in plan order
+        bad = [r for r in rows if r.startswith("118,0,nlms,18,")]
         assert len(bad) == 1
-        assert bad[0].endswith(",failed: ValueError: invalid nlms output: non-finite at index 7")
+        assert bad[0].endswith(",failed: ValueError: invalid signal: non-finite at index 7")
         for row in rows:
             if row.startswith(("118,0,nlms,12,", "119,")):
                 assert row in want
@@ -716,13 +722,6 @@ class TestCliSynthFit:
             )
             assert rel.max() < 0.2
 
-    def test_fit_rejects_two_beats(self, tmp_path, capsys):
-        synth_dir = tmp_path / "s2"
-        assert cli.main(["synth", "--out-dir", str(synth_dir), "--beats", "3", "--rr", "1.0"]) == 0
-        rc = cli.main(["fit", str(synth_dir / "signal.csv"), "--fs", "360"])
-        assert rc == 1
-        assert "beats" in capsys.readouterr().err
-
     def test_fit_seconds_trims_like_bench(self, data_root, monkeypatch):
         # 40.3 s at 360 Hz is 14507.999... samples: truncating keeps 14507,
         # the bench's rounding keeps 14508.
@@ -744,14 +743,16 @@ class TestCliSynthFit:
         assert list(tmp_path.iterdir()) == []  # nothing written
 
     @pytest.mark.parametrize("method", ["enkf", "ekf"])
-    @pytest.mark.parametrize("source", ["csv", "record"])
+    @pytest.mark.parametrize("source", ["csv", "record", "csv-6-beats"])
     def test_fit_writes_the_morphology_the_filters_fit(self, data_root, tmp_path, monkeypatch, source, method):
         """A filter given fit's JSON writes the same bytes as one that fits
-        its own morphology: detected peaks on a CSV, annotated on a record."""
+        its own morphology: detected peaks on a CSV (of only 6 beats too, as
+        fit has no beat-count rule the filters lack), annotated on a record."""
         monkeypatch.chdir(tmp_path)
-        if source == "csv":
-            assert cli.main(["synth", "--out-dir", "s", "--beats", "16", "--seed", "5"]) == 0
-        x = "s/signal.csv" if source == "csv" else "121"
+        if source != "record":
+            beats = "6" if source == "csv-6-beats" else "16"
+            assert cli.main(["synth", "--out-dir", "s", "--beats", beats, "--seed", "5"]) == 0
+        x = "s/signal.csv" if source != "record" else "121"
         base = ["--data-root", str(data_root)]
         assert cli.main(base + ["fit", x, "--out", "m.json"]) == 0
         denoise = base + ["denoise", x, "--method", method, "--n-ensemble", "10", "--out"]
@@ -889,10 +890,45 @@ class TestCliMixDenoise:
         Path("good.csv").write_bytes(wfdbio.write_csv(Signal(np.sin(np.arange(2000) / 9.0), 360.0)))
         ref = np.random.default_rng(0).normal(size=2000)
         ref[50] = np.nan
-        Path("ref.csv").write_bytes(wfdbio.write_csv(Signal(ref, 360.0)))
-        assert cli.main(["denoise", "good.csv", "--method", method, "--reference", "ref.csv"]) == 1
-        assert capsys.readouterr().err == "error: ValueError: invalid reference: non-finite at index 50\n"
+        Path("ref.csv").write_bytes(wfdbio.format_rows(ref, 360.0, head=b"t,mv\n"))
+        assert cli.main(["denoise", "good.csv", "--method", method, "--reference", "ref.csv"]) == 2
+        assert capsys.readouterr().err == "error: ref.csv: row 51: mv = nan is not a finite sample\n"
         assert not Path("denoised.csv").exists()
+
+    @pytest.mark.parametrize("content, message", [
+        (b"t,mv\n0,1\n0.002777778,inf\n", "row 2: mv = inf is not a finite sample"),
+        (b"t,mv\n", "no data rows after the header"),
+    ])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["denoise", "bad.csv", "--method", "sg"],
+            ["denoise", "good.csv", "--method", "nlms", "--reference", "bad.csv"],
+            ["denoise", "good.csv", "--method", "sg", "--clean", "bad.csv"],
+            ["mix", "good.csv", "bad.csv", "--level", "6"],
+        ],
+    )
+    def test_non_finite_or_empty_csv_named(self, tmp_path, monkeypatch, capsys, argv, content, message):
+        monkeypatch.chdir(tmp_path)
+        Path("good.csv").write_bytes(wfdbio.write_csv(Signal(np.sin(np.arange(2000) / 9.0), 360.0)))
+        Path("bad.csv").write_bytes(content)
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: bad.csv: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv", "good.csv"]  # nothing written
+
+    def test_denoise_clean_checked_before_filtering(self, tmp_path, monkeypatch, capsys):
+        """A --clean reference of another length fails before the filter runs, naming clean."""
+        monkeypatch.chdir(tmp_path)
+        Path("long.csv").write_bytes(wfdbio.write_csv(Signal(np.sin(np.arange(2000) / 9.0), 360.0)))
+        Path("short.csv").write_bytes(wfdbio.write_csv(Signal(np.sin(np.arange(1000) / 9.0), 360.0)))
+        filtered = []
+        sg_filter = baselines.sg_filter
+        monkeypatch.setattr(baselines, "sg_filter", lambda *a, **k: filtered.append(1) or sg_filter(*a, **k))
+        assert cli.main(["denoise", "long.csv", "--method", "sg", "--clean", "short.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: ValueError: clean must match the signal's length and rate: 1000 samples at 360 Hz, "
+                       "signal 2000 at 360 Hz\n")
+        assert filtered == [] and not Path("denoised.csv").exists()
 
     def test_denoise_rls_unfactorable_block_exits_1(self, tmp_path, monkeypatch, capsys):
         """A forgetting factor too small for the block form fails the command
@@ -1078,6 +1114,8 @@ class TestCliBench:
             pytest.param(["--levels", "inf"], "--levels must be finite, got inf", id="flags6-snr_levels"),
             (["--jobs", "0"], "--jobs must be at least 1, got 0"),
             (["--jobs", "-2"], "--jobs must be at least 1, got -2"),
+            pytest.param(["--duration", "0.001"], "--duration must be long enough to keep a sample at 360 Hz, got 0.001",
+                         id="flags9-duration_s"),  # keeps no sample: bench.trim's rule
         ],
     )
     def test_bad_plan_is_a_usage_error(self, data_root, tmp_path, capsys, flags, field):

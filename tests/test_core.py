@@ -1,4 +1,4 @@
-"""Core types: construction invariants, slice, validate; every library setting rule's SettingError."""
+"""Core types: construction invariants (the Signal sample rule among them), slice; every library setting rule's SettingError."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from ecgdenoise.core import (
     paired,
     sample_count,
     slice_signal,
-    validate,
     wrap_centered,
     wrap_phase,
 )
@@ -106,29 +105,34 @@ class TestSlice:
 
     @given(st.data())
     def test_composition(self, data):
+        # Slices of at least one sample: a Signal holds at least one.
         n = data.draw(st.integers(4, 30))
         s = Signal(np.arange(n, dtype=float), 100.0)
         a = data.draw(st.integers(0, n - 1))
-        m = data.draw(st.integers(0, n - a))
-        b = data.draw(st.integers(0, m))
-        k = data.draw(st.integers(0, m - b))
+        m = data.draw(st.integers(1, n - a))
+        b = data.draw(st.integers(0, m - 1))
+        k = data.draw(st.integers(1, m - b))
         inner = slice_signal(slice_signal(s, a, m), b, k)
         direct = slice_signal(s, a + b, k)
         assert inner.samples.tolist() == direct.samples.tolist()
 
 
 class TestValidate:
+    """A Signal checks its samples and its rate when it is made, so none holds a bad one."""
+
     def test_ok(self):
-        assert validate(Signal([1.0, 2.0], 360.0)) is None
+        assert Signal([1.0, 2.0], 360.0).samples.tolist() == [1.0, 2.0]
 
     def test_non_finite(self):
-        assert validate(Signal([1.0, np.nan], 360.0)) == "non-finite at index 1"
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="^invalid signal: non-finite at index 1$"):
+                Signal([1.0, bad, 3.0, bad], 360.0)
 
     def test_empty(self):
-        assert validate(Signal([], 360.0)) == "empty"
+        with pytest.raises(ValueError, match="^invalid signal: empty$"):
+            Signal([], 360.0)
 
     def test_bad_fs(self):
-        # No Signal holds a bad rate, so validate never sees one.
         for fs in (0.0, -360.0, float("nan"), float("inf")):
             with pytest.raises(SettingError, match=f"^fs must be finite and positive, got {fs:g}$"):
                 Signal([1.0], fs)
@@ -162,6 +166,7 @@ NAN, INF = float("nan"), float("inf")
         ("q_theta", lambda d: FilterConfig(q_theta=-1.0)),
         ("snr_levels", lambda d: BenchPlan(("x",), snr_levels=(6.0, INF))),
         ("duration_s", lambda d: BenchPlan(("x",), duration_s=0.0)),
+        pytest.param("duration_s", lambda d: trim(X, RPeaks([]), 0.001), id="duration_s-trim-keeps-no-sample"),
         ("n_ensemble", lambda d: BenchPlan(("x",), n_ensemble=1)),
         ("jobs", lambda d: run_bench(BenchPlan(("x",)), d, 0)),
         ("channel", lambda d: load_record(d, "x", -1)),

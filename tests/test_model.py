@@ -287,6 +287,7 @@ class TestBeatPhase:
             beat_phase(sig, RPeaks(given_peaks))
 
     def test_signal_is_validated_first(self):
+        # No Signal holds a non-finite sample, so beat_phase never sees one.
         samples = np.zeros(1000)
         samples[7] = np.nan
         with pytest.raises(ValueError, match="^invalid signal: non-finite at index 7$"):

@@ -59,6 +59,13 @@ class TestReadHeader:
         with pytest.raises(wfdbio.HeaderParseError, match=f"^line 2: fs must be finite and positive, got {rate}$"):
             wfdbio.read_header(text)
 
+    @pytest.mark.parametrize("gain", ["nan", "inf", "-200"])
+    def test_bad_gain_names_its_line(self, gain):
+        # A nan gain would decode to all-NaN millivolts, an inf one to all zeros.
+        text = f"x 1 360 100\nx.dat 212 {gain} 11 0 0 0 0 L\n"
+        with pytest.raises(wfdbio.HeaderParseError, match=f"^line 2: gain must be finite and positive, got {gain}$"):
+            wfdbio.read_header(text)
+
     def test_missing_signal_lines(self):
         with pytest.raises(wfdbio.HeaderParseError, match="declares 2"):
             wfdbio.read_header("x 2 360 100\nx.dat 212 200\n")
@@ -231,6 +238,18 @@ class TestCsv:
         with pytest.raises(wfdbio.CsvParseError, match=rf"^row {row}: t = \S+ is not a finite time$"):
             wfdbio.read_csv(data, fs=360.0)
 
+    @pytest.mark.parametrize(
+        "data, row, value",
+        [
+            (b"mv\n1\nnan\n", 2, "nan"),
+            (b"mv\n1e400\n2\n", 1, "inf"),  # the plain path: np.loadtxt reads inf
+            (b"t,mv\n0,1\n0.002777778,-inf\n", 2, "-inf"),
+        ],
+    )
+    def test_non_finite_sample_named_by_row(self, data, row, value):
+        with pytest.raises(wfdbio.CsvParseError, match=rf"^row {row}: mv = {value} is not a finite sample$"):
+            wfdbio.read_csv(data, fs=360.0)
+
     def test_time_span_overflow_is_a_bad_row(self):
         with pytest.raises(wfdbio.CsvParseError, match=r"^row 2: .* the t column runs at 0 Hz$"):
             wfdbio.read_csv(b"t,mv\n-1.7e308,1\n1.7e308,2\n", fs=360.0)
@@ -272,7 +291,7 @@ class TestCsvCodec:
 
     @settings(max_examples=40)
     @given(
-        n=st.integers(0, 2 * BLOCK + 2),
+        n=st.integers(1, 2 * BLOCK + 2),  # a Signal holds at least one sample
         pool=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=16),
         seed=st.integers(0, 2**32 - 1),
         fs=st.sampled_from([360.0, 250.0, 128.0, 1000.0, 0.3]),
@@ -293,9 +312,11 @@ class TestCsvCodec:
             assert wfdbio.format_rows(head) == ("\n".join(f"{v:.17g}" for v in head) + "\n").encode()
 
     def test_write_keeps_non_finite_text(self):
-        sig = Signal(np.array([np.nan, np.inf, -np.inf, 1.0]), 360.0)
-        assert wfdbio.write_csv(sig) == write_csv_rows(sig)
-        assert wfdbio.format_rows(sig.samples, head=b"mv\n") == write_csv_rows(sig, with_time=False)
+        # No Signal holds these; format_rows writes any array, as the fit trace needs.
+        values = np.array([np.nan, np.inf, -np.inf, 1.0])
+        assert wfdbio.format_rows(values, head=b"mv\n") == b"mv\nnan\ninf\n-inf\n1\n"
+        timed = b"0.000000000,nan\n0.002777778,inf\n0.005555556,-inf\n0.008333333,1\n"
+        assert wfdbio.format_rows(values, 360.0) == timed
         assert wfdbio.format_rows([]) == b""
 
     @pytest.mark.parametrize(
@@ -374,10 +395,11 @@ class TestCsvCodec:
         _assert_reads_like_rows((head + body).encode("ascii"), fs=1.0)
 
     @pytest.mark.parametrize("data", [b"t,mv\n", b"mv\n\r\n\n"])
-    def test_header_only_reads_without_warning(self, data):
+    def test_header_only_is_rejected_without_warning(self, data):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert len(wfdbio.read_csv(data, fs=360.0)) == 0
+            with pytest.raises(wfdbio.CsvParseError, match="^no data rows after the header$"):
+                wfdbio.read_csv(data, fs=360.0)
 
     def test_written_files_take_the_plain_path(self):
         sig = Signal(np.array(EXTREME + [1.5, -2.25]), 360.0)
