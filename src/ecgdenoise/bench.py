@@ -22,7 +22,7 @@ from signal import SIGKILL
 from typing import Any, BinaryIO, Callable
 
 from . import baselines, enkf, metrics, wfdbio
-from .core import RPeaks, SettingError, Signal, sample_count, slice_signal
+from .core import InputError, RPeaks, SettingError, Signal, sample_count, slice_signal
 from .model import GaussianWaveParams
 from .svgplot import Series, render_line_chart
 
@@ -170,15 +170,17 @@ def params_digest(plan: BenchPlan) -> str:
 
 
 def load_record(root: Path, name: str, channel: int = 0) -> tuple[Signal, RPeaks]:
-    """Read {root}/{name}.hea/.dat[/.atr] and return one channel plus its beats."""
-    hea = (root / f"{name}.hea").read_text()
-    header = wfdbio.read_header(hea)
-    if not 0 <= channel < header.n_signals:
-        raise SettingError("channel", f"from 0 to {header.n_signals - 1} in record {name}", channel)
-    dat = (root / header.signals[channel].filename).read_bytes()
-    atr_path = root / f"{name}.atr"
-    atr = atr_path.read_bytes() if atr_path.exists() else None
-    record = wfdbio.assemble_record(header, dat, atr)
+    """One channel of {root}/{name}.hea/.dat[/.atr] and its beats; an InputError names the record."""
+    try:
+        # A byte that is not UTF-8 fails the field that holds it, and no comment.
+        header = wfdbio.read_header((root / f"{name}.hea").read_text(errors="surrogateescape"))
+        if not 0 <= channel < header.n_signals:
+            raise SettingError("channel", f"from 0 to {header.n_signals - 1} in record {name}", channel)
+        dat = (root / header.signals[channel].filename).read_bytes()
+        atr_path = root / f"{name}.atr"
+        record = wfdbio.assemble_record(header, dat, atr_path.read_bytes() if atr_path.exists() else None)
+    except InputError as exc:
+        raise exc.at(f"record {name}") from None
     return record.channels[channel], record.r_peaks
 
 
@@ -374,7 +376,10 @@ def _load_noise(plan: BenchPlan, data_root: Path, fs: float) -> Signal:
     """The noise record, or a "t,mv" CSV checked against the records' rate fs."""
     if plan.noise.endswith(".csv"):
         path = Path(plan.noise)
-        return wfdbio.read_named_csv(path.read_bytes(), fs, f"noise CSV {path}", timed=True)
+        try:
+            return wfdbio.read_csv(path.read_bytes(), fs, timed=True)
+        except InputError as exc:
+            raise exc.at(f"noise CSV {path}") from None
     return load_record(data_root, plan.noise)[0]
 
 

@@ -1,6 +1,8 @@
 """Command-line front end: synth | fit | mix | denoise | bench.
 
-Exit codes: 0 success, 1 computational failure, 2 usage or I/O error.
+Exit codes: 0 success; 2 bad input: a core.InputError, which names the record,
+file or flag at fault, an OSError, or a SettingError that a flag fed; 1 any
+other failure, a filter's included.
 Dataset root comes from --data-root or the ECGDENOISE_DATA environment
 variable; record arguments name WFDB records under that root, anything
 ending in .csv is read as CSV.
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, enkf, metrics, model, wfdbio
-from .core import RPeaks, SettingError, Signal, paired, sample_count
+from .core import InputError, RPeaks, SettingError, Signal, paired, sample_count
 from .model import (
     MIN_DETECT_S,
     FitDivergenceError,
@@ -38,35 +40,33 @@ from .model import (
 DATA_ENV = "ECGDENOISE_DATA"
 
 
-class UsageError(Exception):
-    """Bad arguments or unreadable files; exits with status 2."""
-
-
 def _data_root(args) -> Path:
     root = args.data_root or os.environ.get(DATA_ENV)
     if not root:
-        raise UsageError(f"no dataset root: pass --data-root or set {DATA_ENV}")
-    path = Path(root)
-    if not path.is_dir():
-        raise UsageError(f"dataset root {path} is not a directory")
-    return path
+        raise InputError(f"no dataset root: pass --data-root or set {DATA_ENV}")
+    return Path(root)
 
 
 def _load_input(args, name: str) -> tuple[Signal, RPeaks]:
     """Resolve an input argument: .csv path (no R peaks) or WFDB record name."""
     if name.endswith(".csv"):
-        path = Path(name)
-        if not path.is_file():
-            raise UsageError(f"input file {path} does not exist")
-        return _read_csv(path, args.fs), RPeaks([])
-    try:
-        return bench.load_record(_data_root(args), name, args.channel)
-    except FileNotFoundError as exc:
-        raise UsageError(f"cannot read record {name!r}: {exc}") from None
+        return _read_csv(Path(name), args.fs), RPeaks([])
+    return bench.load_record(_data_root(args), name, args.channel)
 
 
 def _read_csv(path: Path, fs: float) -> Signal:
-    return wfdbio.read_named_csv(path.read_bytes(), fs, str(path))
+    try:
+        return wfdbio.read_csv(path.read_bytes(), fs)
+    except InputError as exc:
+        raise exc.at(str(path)) from None
+
+
+def _check_paired(signal: Signal, other: Signal, flag: str) -> None:
+    """core.paired's rule on a flag's input: a mismatch is bad input naming the flag."""
+    try:
+        paired(signal, other, flag)
+    except ValueError as exc:
+        raise InputError(exc) from None
 
 
 def _write(path: Path, data: bytes | str) -> None:
@@ -78,7 +78,7 @@ def _write(path: Path, data: bytes | str) -> None:
 
 def _require(ok: bool, flag: str, value, rule: str) -> None:
     if not ok:
-        raise UsageError(f"{flag} must be {rule}, got {value:g}")
+        raise InputError(f"{flag} must be {rule}, got {value:g}")
 
 
 def _usable_cpus() -> int:
@@ -92,13 +92,10 @@ def _usable_cpus() -> int:
 def _load_params(path: str | None) -> GaussianWaveParams:
     if path is None:
         return default_morphology()
-    p = Path(path)
-    if not p.is_file():
-        raise UsageError(f"params file {p} does not exist")
     try:  # broken JSON, a missing key, a wrong shape or an invalid morphology
-        return GaussianWaveParams.from_dict(json.loads(p.read_text()))
+        return GaussianWaveParams.from_dict(json.loads(Path(path).read_text()))
     except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"params file {p}: {type(exc).__name__}: {exc}") from None
+        raise InputError(f"params file {path}: {type(exc).__name__}: {exc}") from None
 
 
 def _default(function, name: str):
@@ -184,8 +181,9 @@ def cmd_denoise(args) -> int:
     reference = morphology = None
     if method.needs_reference:
         if not args.reference:
-            raise UsageError(f"--method {args.method} requires --reference (the noise channel)")
+            raise InputError(f"--method {args.method} requires --reference (the noise channel)")
         reference = _read_csv(Path(args.reference), signal.fs)
+        _check_paired(signal, reference, "--reference")
     if not method.params and args.params:  # the model-based filters take a morphology, no settings
         morphology = _load_params(args.params)
     ctx = bench.MethodContext(reference, peaks, morphology, args.seed, args.n_ensemble)
@@ -194,7 +192,7 @@ def cmd_denoise(args) -> int:
     # peak RSS of denoise --method nlms on a 30-min record from 133 to 145 MB.
     if args.clean:
         clean, _ = _load_input(args, args.clean)
-        paired(signal, clean, "clean")
+        _check_paired(signal, clean, "--clean")
     settings = {name: getattr(args, name) for name in method.params}  # each setting's flag has its name as dest
     denoised = method.run(signal, settings, ctx)
 
@@ -229,7 +227,7 @@ def cmd_bench(args) -> int:
     except SettingError:
         raise
     except ValueError as exc:  # an unreadable level, an empty list or an unknown method
-        raise UsageError(exc) from None
+        raise InputError(exc) from None
     t0 = time.perf_counter()
     cells = bench.run_bench(plan, _data_root(args), args.jobs)
     wall = time.perf_counter() - t0
@@ -348,14 +346,7 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         print(f"error: {args.flags[exc.name]} must be {exc.rule}, got {exc.value:g}", file=sys.stderr)
         return 2
-    except (
-        UsageError,
-        FileNotFoundError,
-        PermissionError,
-        wfdbio.HeaderParseError,
-        wfdbio.CsvParseError,
-        wfdbio.AnnotationParseError,
-    ) as exc:
+    except (InputError, OSError) as exc:  # bad input, or a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

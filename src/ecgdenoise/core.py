@@ -30,6 +30,14 @@ class SettingError(ValueError):
         self.name, self.rule, self.value = name, rule, value
 
 
+class InputError(ValueError):
+    """Bad input (a record, a file or a flag's value); the message names it."""
+
+    def at(self, where: str) -> InputError:
+        """The same error with where, the source read, in front."""
+        return type(self)(f"{where}: {self}")
+
+
 def check_rate(fs: float) -> None:
     """The sampling-rate rule, the one place it is stated."""
     if not 0 < fs < math.inf:

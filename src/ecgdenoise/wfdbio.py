@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RPeaks, SettingError, Signal, check_rate
+from .core import InputError, RPeaks, SettingError, Signal, check_rate
 
 # Annotation codes that mark a beat (the standard WFDB beat set).
 BEAT_CODES = frozenset(range(1, 14)) | {25, 34, 38}
@@ -22,23 +22,23 @@ BEAT_CODES = frozenset(range(1, 14)) | {25, 34, 38}
 _SKIP, _NUM, _SUB, _CHAN, _AUX = 59, 60, 61, 62, 63
 
 
-class HeaderParseError(ValueError):
+class HeaderParseError(InputError):
     """Malformed or unsupported header content; names the offending line."""
 
 
-class SignalDataError(ValueError):
+class SignalDataError(InputError):
     """Signal payload truncated or inconsistent with the header."""
 
 
-class AnnotationParseError(ValueError):
+class AnnotationParseError(InputError):
     """Malformed annotation stream; names the byte offset."""
 
 
-class ChecksumError(ValueError):
+class ChecksumError(InputError):
     """Decoded samples do not match the header checksum."""
 
 
-class CsvParseError(ValueError):
+class CsvParseError(InputError):
     """Non-numeric CSV cell; names the data row."""
 
 
@@ -88,6 +88,8 @@ def read_header(text: str) -> RecordHeader:
         raise HeaderParseError(f"line {lineno}: {exc}") from None
     if n_signals < 1:
         raise HeaderParseError(f"line {lineno}: signal count must be at least 1")
+    if n_samples < 0:
+        raise HeaderParseError(f"line {lineno}: sample count must be non-negative")
     try:
         check_rate(fs)
     except SettingError as exc:  # the header, not a caller's setting, holds it
@@ -253,11 +255,10 @@ def assemble_record(
     dat: bytes,
     atr: bytes | None = None,
 ) -> AnnotatedRecord:
-    """Decode a record's signal payload and annotations against its header."""
-    n_samples = header.n_samples
+    """Decode a record's payload and annotations against its header; no samples or a beat outside them is bad input."""
+    n_samples = header.n_samples or (len(dat) * 2) // (3 * header.n_signals)  # 0: as many as dat holds
     if n_samples == 0:
-        frames_bytes = len(dat)
-        n_samples = (frames_bytes * 2) // (3 * header.n_signals)
+        raise SignalDataError(f"no samples in {len(dat)} bytes of signal data")
     adc = decode_212(dat, n_samples, header.n_signals)
     for ch, spec in enumerate(header.signals):
         if spec.checksum is None:
@@ -267,6 +268,9 @@ def assemble_record(
             raise ChecksumError(f"channel {ch}: checksum {got} does not match header {spec.checksum}")
     channels = tuple(to_millivolts(adc, header))
     peaks = read_annotations(atr) if atr is not None else RPeaks(np.empty(0, dtype=np.int64))
+    outside = peaks.indices[(peaks.indices < 0) | (peaks.indices >= n_samples)]
+    if outside.size:
+        raise AnnotationParseError(f"beat at sample {outside[0]} lies outside samples 0 to {n_samples - 1}")
     return AnnotatedRecord(channels=channels, r_peaks=peaks)
 
 
@@ -322,14 +326,6 @@ def read_csv(data: bytes, fs: float, timed: bool = False) -> Signal:
         k = int(np.argmin(finite))
         raise CsvParseError(f"row {k + 1}: mv = {values[k]:g} is not a finite sample")
     return Signal(values, fs)
-
-
-def read_named_csv(data: bytes, fs: float, name: str, timed: bool = False) -> Signal:
-    """read_csv, with a parse error that starts with the name of the file."""
-    try:
-        return read_csv(data, fs, timed)
-    except CsvParseError as exc:
-        raise CsvParseError(f"{name}: {exc}") from None
 
 
 def _read_plain(data: bytes) -> np.ndarray | None:

@@ -19,7 +19,7 @@ import pytest
 
 import wfdbgen
 from ecgdenoise import baselines, bench, cli, enkf, metrics, wfdbio
-from ecgdenoise.core import Signal
+from ecgdenoise.core import InputError, Signal
 from ecgdenoise.model import default_morphology, mean_beat, synthesize
 from ecgdenoise.svgplot import PlotError, Series, render_line_chart
 
@@ -109,6 +109,45 @@ def close_root(data_root, tmp_path_factory):
     beats.insert(6, beats[5] + 50)
     (root / "close.atr").write_bytes(wfdbgen.write_annotations([(b, 1) for b in beats]))
     return root, beats[5], beats[6]
+
+
+@pytest.fixture(scope="module")
+def bad_root(tmp_path_factory):
+    """The synthetic records 121 (7,200 samples) and em, whatever
+    ECGDENOISE_DATA holds, plus one bad record per way a WFDB record can be
+    wrong, each but "empty" and "badhea" built on 121."""
+    root = tmp_path_factory.mktemp("bad")
+    wfdbgen.make_ecg_record(root, "121", wfdbgen.RECORD_SECONDS["121"])
+    wfdbgen.make_noise_record(root, "em", wfdbgen.NOISE_SECONDS["em"])
+    hea, dat = (root / "121.hea").read_text(), (root / "121.dat").read_bytes()
+    for name in ("trunc", "sum", "late"):
+        (root / f"{name}.hea").write_text(hea.replace("121.dat", f"{name}.dat"))
+    (root / "trunc.dat").write_bytes(dat[:1000])
+    assert dat[3000:3003] != bytes(3)
+    (root / "sum.dat").write_bytes(dat[:3000] + bytes(3) + dat[3003:])
+    (root / "late.dat").write_bytes(dat)
+    beats = wfdbio.read_annotations((root / "121.atr").read_bytes()).indices.tolist()
+    (root / "late.atr").write_bytes(wfdbgen.write_annotations([(b, 1) for b in beats + [7200]]))
+    (root / "empty.hea").write_text("empty 1 360 0\nempty.dat 212\n")
+    (root / "empty.dat").write_bytes(b"")
+    (root / "badhea.hea").write_text("badhea 1 360\nbadhea.dat 16\n")
+    # Bytes that are not UTF-8: in a field, and (a good record) in a comment.
+    (root / "latin.hea").write_bytes(hea.replace("121.dat 212", "121.dat 2\xb512", 1).encode("latin-1"))
+    (root / "comment.hea").write_bytes((hea + "# caf\xe9\n").encode("latin-1"))
+    return root
+
+
+# Each bad record, and the message that names it.
+BAD_RECORDS = {
+    "trunc": "record trunc: signal payload truncated: need 21600 bytes, have 1000",
+    "sum": "record sum: channel 0: checksum 5505 does not match header 6528",
+    "empty": "record empty: no samples in 0 bytes of signal data",
+    "late": "record late: beat at sample 7200 lies outside samples 0 to 7199",
+    "badhea": "record badhea: line 2: unsupported format code 16 (only 212 is handled)",
+    "latin": "record latin: line 2: unreadable format code '2\\udcb512'",
+    "nope": "[Errno 2] No such file or directory: 'ROOT/nope.hea'",
+}
+PAIR = "must match the signal's length and rate: {} samples at 360 Hz, signal 2000 at 360 Hz"
 
 
 class _Plan(Exception):
@@ -917,16 +956,17 @@ class TestCliMixDenoise:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv", "good.csv"]  # nothing written
 
     def test_denoise_clean_checked_before_filtering(self, tmp_path, monkeypatch, capsys):
-        """A --clean reference of another length fails before the filter runs, naming clean."""
+        """A --clean reference of another length is bad input: it fails
+        before the filter runs, naming --clean."""
         monkeypatch.chdir(tmp_path)
         Path("long.csv").write_bytes(wfdbio.write_csv(Signal(np.sin(np.arange(2000) / 9.0), 360.0)))
         Path("short.csv").write_bytes(wfdbio.write_csv(Signal(np.sin(np.arange(1000) / 9.0), 360.0)))
         filtered = []
         sg_filter = baselines.sg_filter
         monkeypatch.setattr(baselines, "sg_filter", lambda *a, **k: filtered.append(1) or sg_filter(*a, **k))
-        assert cli.main(["denoise", "long.csv", "--method", "sg", "--clean", "short.csv"]) == 1
+        assert cli.main(["denoise", "long.csv", "--method", "sg", "--clean", "short.csv"]) == 2
         err = capsys.readouterr().err
-        assert err == ("error: ValueError: clean must match the signal's length and rate: 1000 samples at 360 Hz, "
+        assert err == ("error: --clean must match the signal's length and rate: 1000 samples at 360 Hz, "
                        "signal 2000 at 360 Hz\n")
         assert filtered == [] and not Path("denoised.csv").exists()
 
@@ -1048,6 +1088,71 @@ class TestCliMixDenoise:
         assert cli.main([str(data_root) if a == "DATA" else a for a in argv]) == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before  # nothing written
+
+
+class TestBadInput:
+    """Every bad record, file or flag is a core.InputError or an OSError, so
+    exit 2, whichever reader raised it; its message names the record, file or
+    flag at fault, and nothing is written."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            *(
+                pytest.param(cmd, message, id=f"{cmd[0]}-{name}")
+                for name, message in BAD_RECORDS.items()
+                for cmd in (
+                    ["denoise", name, "--method", "ekf"],
+                    ["fit", name],
+                    ["bench", "--records", f"121,{name}", "--methods", "sg", "--levels", "12", "--duration", "4"],
+                )
+            ),
+            (["denoise", "long.csv", "--method", "sg", "--clean", "short.csv"], "--clean " + PAIR.format(1000)),
+            (["denoise", "long.csv", "--method", "sg", "--clean", "121"], "--clean " + PAIR.format(7200)),
+            (["denoise", "long.csv", "--method", "nlms", "--reference", "short.csv"], "--reference " + PAIR.format(1000)),
+            (["denoise", "long.csv", "--method", "rls", "--reference", "short.csv"], "--reference " + PAIR.format(1000)),
+            # A missing file: the read's own OSError names it.
+            *(
+                pytest.param(argv, "[Errno 2] No such file or directory: 'nope.csv'", id=f"missing-{flag}")
+                for flag, argv in {
+                    "input": ["denoise", "nope.csv", "--method", "sg"],
+                    "reference": ["denoise", "long.csv", "--method", "nlms", "--reference", "nope.csv"],
+                    "clean": ["denoise", "long.csv", "--method", "sg", "--clean", "nope.csv"],
+                    "params": ["denoise", "long.csv", "--method", "ekf", "--params", "nope.csv"],
+                    "noise": ["bench", "--records", "121", "--methods", "sg", "--levels", "12", "--noise", "nope.csv"],
+                }.items()
+            ),
+        ],
+    )
+    def test_bad_input_exits_2_naming_it(self, bad_root, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)  # every default output path lands here
+        Path("long.csv").write_bytes(wfdbio.write_csv(Signal(np.sin(np.arange(2000) / 9.0), 360.0)))
+        Path("short.csv").write_bytes(wfdbio.write_csv(Signal(np.sin(np.arange(1000) / 9.0), 360.0)))
+        assert cli.main(["--data-root", str(bad_root), *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message.replace('ROOT', str(bad_root))}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["long.csv", "short.csv"]  # nothing written
+
+    def test_header_comment_need_not_be_utf8(self, bad_root):
+        samples = lambda name: bench.load_record(bad_root, name)[0].samples
+        assert np.array_equal(samples("comment"), samples("121"))
+
+    def test_any_input_error_exits_2(self, tmp_path, monkeypatch, capsys):
+        """The exit code follows the type: an InputError subclass that cli.py
+        never names exits 2, named after the file it came from."""
+
+        class OddInputError(InputError):
+            pass
+
+        def odd(*args, **kwargs):
+            raise OddInputError("an odd input")
+
+        monkeypatch.chdir(tmp_path)
+        Path("signal.csv").write_bytes(wfdbio.write_csv(Signal(np.sin(np.arange(2000) / 9.0), 360.0)))
+        monkeypatch.setattr(wfdbio, "read_csv", odd)
+        assert "OddInputError" not in Path(cli.__file__).read_text()
+        assert cli.main(["denoise", "signal.csv", "--method", "sg"]) == 2
+        assert capsys.readouterr().err == "error: signal.csv: an odd input\n"
+        assert not Path("denoised.csv").exists()
 
 
 class TestCliBench:

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from ecgdenoise import baselines, wfdbio
 from ecgdenoise.bench import BenchPlan, load_record, run_bench, trim
 from ecgdenoise.core import (
+    InputError,
     RPeaks,
     SettingError,
     Signal,
@@ -72,6 +73,13 @@ class TestPaired:
         with pytest.raises(ValueError) as err:
             paired(Signal(np.zeros(10), 360.0), other, "noise")
         assert str(err.value) == f"noise must match the signal's length and rate: {message}"
+
+
+class TestInputError:
+    def test_at_names_the_source_and_keeps_the_type(self):
+        err = wfdbio.CsvParseError("row 2: bad").at("x.csv").at("noise CSV")
+        assert type(err) is wfdbio.CsvParseError and isinstance(err, InputError)
+        assert str(err) == "noise CSV: x.csv: row 2: bad"
 
 
 class TestWrap:

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import wfdbgen
 from ecgdenoise import wfdbio
-from ecgdenoise.core import Signal
+from ecgdenoise.core import InputError, Signal
 from references import read_csv_rows, write_csv_rows
 
 
@@ -196,6 +196,41 @@ class TestAssembleRecord:
         assert len(rec.channels) == 2
         assert all(len(c) == header.n_samples for c in rec.channels)
         assert len(rec.r_peaks) > 10
+
+    def test_no_samples_is_a_signal_data_error(self):
+        # A count of 0 means "as many as the data holds": here none.
+        header = wfdbio.read_header("x 1 360 0\nx.dat 212\n")
+        for dat in (b"", b"\0"):
+            with pytest.raises(wfdbio.SignalDataError, match=f"^no samples in {len(dat)} bytes of signal data$"):
+                wfdbio.assemble_record(header, dat)
+
+    def test_negative_sample_count_names_its_line(self):
+        with pytest.raises(wfdbio.HeaderParseError, match="^line 1: sample count must be non-negative$"):
+            wfdbio.read_header("x 1 360 -4\nx.dat 212\n")
+
+    @pytest.mark.parametrize(
+        "atr, outside",
+        [
+            (wfdbgen.write_annotations([(1, 1), (3, 1), (4, 1)]), 4),
+            (wfdbgen.write_annotations([(2, 1), (900, 1)]), 900),
+            # A SKIP of -2 samples, then a beat: the stream puts it at sample -2.
+            (bytes([0, 59 << 2, 0xFF, 0xFF, 0xFE, 0xFF, 0, 1 << 2, 0, 0]), -2),
+        ],
+    )
+    def test_beat_outside_the_samples_is_an_annotation_error(self, atr, outside):
+        header = wfdbio.read_header("x 1 360 4\nx.dat 212\n")
+        dat = wfdbgen.encode_212(np.zeros((4, 1), dtype=np.int64))
+        inside = wfdbgen.write_annotations([(0, 1), (3, 1)])
+        assert wfdbio.assemble_record(header, dat, inside).r_peaks.indices.tolist() == [0, 3]
+        message = f"^beat at sample {outside} lies outside samples 0 to 3$"
+        with pytest.raises(wfdbio.AnnotationParseError, match=message):
+            wfdbio.assemble_record(header, dat, atr)
+
+    def test_every_reader_error_is_an_input_error(self):
+        own = {k: v for k, v in vars(wfdbio).items() if isinstance(v, type) and v.__module__ == wfdbio.__name__}
+        errors = {k for k in own if k.endswith("Error")}
+        assert errors == {"HeaderParseError", "SignalDataError", "AnnotationParseError", "ChecksumError", "CsvParseError"}
+        assert all(issubclass(own[k], InputError) for k in errors)
 
 
 class TestCsv:
