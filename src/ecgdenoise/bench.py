@@ -123,16 +123,16 @@ class BenchPlan:
     n_ensemble: int = enkf.FilterConfig.n_ensemble
 
     def __post_init__(self):
-        if not self.records or not self.methods or not self.snr_levels:
-            raise ValueError("records, methods and snr_levels must be non-empty")
+        for name in ("records", "methods", "snr_levels"):
+            if not getattr(self, name):
+                raise SettingError(name, "non-empty", getattr(self, name))
         for m in self.methods:
             if m not in METHODS:
-                raise ValueError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
+                raise SettingError("methods", f"one of {', '.join(METHODS)}", m)
         for level in self.snr_levels:
             if not math.isfinite(level):
                 raise SettingError("snr_levels", "finite", level)
-        if not 0 < self.duration_s < math.inf:
-            raise SettingError("duration_s", "finite and positive", self.duration_s)
+        # duration_s is bench.trim's, checked as each record is trimmed, before any cell runs.
         enkf.FilterConfig(n_ensemble=self.n_ensemble)  # its rule, checked before any cell runs
 
 
@@ -176,19 +176,26 @@ def load_record(root: Path, name: str, channel: int = 0) -> tuple[Signal, RPeaks
         header = wfdbio.read_header((root / f"{name}.hea").read_text(errors="surrogateescape"))
         if not 0 <= channel < header.n_signals:
             raise SettingError("channel", f"from 0 to {header.n_signals - 1} in record {name}", channel)
-        dat = (root / header.signals[channel].filename).read_bytes()
+        # A file holds the frames of the signals whose lines name it, in line order.
+        spec = header.signals[channel]
+        mine = tuple(s for s in header.signals if s.filename == spec.filename)
+        dat = (root / spec.filename).read_bytes()
         atr_path = root / f"{name}.atr"
+        header = wfdbio.RecordHeader(len(mine), header.fs, header.n_samples, mine)
         record = wfdbio.assemble_record(header, dat, atr_path.read_bytes() if atr_path.exists() else None)
     except InputError as exc:
         raise exc.at(f"record {name}") from None
-    return record.channels[channel], record.r_peaks
+    return record.channels[mine.index(spec)], record.r_peaks
 
 
 def trim(signal: Signal, peaks: RPeaks, duration_s: float) -> tuple[Signal, RPeaks]:
     """The first duration_s seconds (rounded to whole samples; all of a
-    shorter signal) and their peaks; a duration that keeps no sample breaks
-    the duration_s rule."""
-    n = len(signal) if duration_s * signal.fs >= len(signal) else sample_count(duration_s, signal.fs, "duration_s")
+    shorter signal) and their peaks.  The duration_s rule, the one place it
+    is stated: finite and positive, core.sample_count's size rule, and
+    keeping a sample."""
+    if not 0 < duration_s < math.inf:
+        raise SettingError("duration_s", "finite and positive", duration_s)
+    n = min(sample_count(duration_s, signal.fs, "duration_s"), len(signal))
     if n == 0:
         raise SettingError("duration_s", f"long enough to keep a sample at {signal.fs:g} Hz", duration_s)
     kept = peaks.indices[peaks.indices < n]

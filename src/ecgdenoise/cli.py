@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import math
 import os
 import sys
 import time
@@ -76,11 +75,6 @@ def _write(path: Path, data: bytes | str) -> None:
     path.write_bytes(data)
 
 
-def _require(ok: bool, flag: str, value, rule: str) -> None:
-    if not ok:
-        raise InputError(f"{flag} must be {rule}, got {value:g}")
-
-
 def _usable_cpus() -> int:
     """The CPUs this process may run on (all of them where that is unknown)."""
     try:
@@ -98,6 +92,13 @@ def _load_params(path: str | None) -> GaussianWaveParams:
         raise InputError(f"params file {path}: {type(exc).__name__}: {exc}") from None
 
 
+def _listed(kind):
+    """An argparse type: a comma-separated list of kind, as a tuple."""
+    convert = lambda text: tuple(kind(v) for v in text.split(","))
+    convert.__name__ = f"{kind.__name__} list"  # argparse names the type in its error
+    return convert
+
+
 def _default(function, name: str):
     """The default value of one of a library function's parameters."""
     return inspect.signature(function).parameters[name].default
@@ -109,7 +110,8 @@ def _default(function, name: str):
 
 
 def cmd_synth(args) -> int:
-    _require(args.beats >= 1, "--beats", args.beats, "at least 1")
+    if args.beats < 1:
+        raise SettingError("beats", "at least 1", args.beats)
     if args.rr_intervals is not None:
         rr = [args.rr_intervals] * args.beats
     else:  # R-R intervals drawn around 0.85 s (about 70 bpm)
@@ -128,14 +130,12 @@ def cmd_synth(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    if args.duration_s is not None:
-        _require(0 < args.duration_s < math.inf, "--seconds", args.duration_s, "finite and positive")
     signal, peaks = _load_input(args, args.input)
     if args.duration_s is not None:
         signal, peaks = bench.trim(signal, peaks, args.duration_s)
-        if not defines_phase(peaks):  # so beat_phase detects them
-            enough = detectable(sample_count(args.duration_s, signal.fs, "duration_s"), signal.fs)
-            _require(enough, "--seconds", args.duration_s, f"at least {MIN_DETECT_S:g} s to detect R peaks")
+        # Without peaks beat_phase detects them, in at least MIN_DETECT_S of signal.
+        if not defines_phase(peaks) and not detectable(sample_count(args.duration_s, signal.fs), signal.fs):
+            raise SettingError("duration_s", f"at least {MIN_DETECT_S:g} s to detect R peaks", args.duration_s)
     peaks, phase = beat_phase(signal, peaks)  # the filters' peaks and phase
     template = mean_beat(signal, phase, n_bins=args.n_bins)
     trace: list = []
@@ -210,24 +210,8 @@ def cmd_denoise(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    try:
-        lists = {
-            "methods": args.methods and tuple(args.methods.split(",")),
-            "snr_levels": args.snr_levels and tuple(float(v) for v in args.snr_levels.split(",")),
-        }
-        plan = bench.BenchPlan(
-            records=tuple(args.records.split(",")),
-            channel=args.channel,
-            noise=args.noise,
-            seed=args.seed,
-            duration_s=args.duration_s,
-            n_ensemble=args.n_ensemble,
-            **{name: v for name, v in lists.items() if v},  # an empty or absent list: the plan's default
-        )
-    except SettingError:
-        raise
-    except ValueError as exc:  # an unreadable level, an empty list or an unknown method
-        raise InputError(exc) from None
+    fields = inspect.signature(bench.BenchPlan).parameters  # each field's flag has its name as dest
+    plan = bench.BenchPlan(**{name: getattr(args, name) for name in fields})
     t0 = time.perf_counter()
     cells = bench.run_bench(plan, _data_root(args), args.jobs)
     wall = time.perf_counter() - t0
@@ -315,10 +299,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_denoise)
 
     p = sub.add_parser("bench", help="run the records x methods x levels benchmark")
-    p.add_argument("--records", required=True, help="comma-separated record names")
-    p.add_argument("--methods", help=f"comma-separated subset of {','.join(bench.METHODS)}")
-    p.add_argument("--levels", dest="snr_levels", help="comma-separated SNR levels in dB")
     plan = bench.BenchPlan  # its fields' defaults are the flags'
+    p.add_argument("--records", type=_listed(str), required=True, help="comma-separated record names")
+    methods = ",".join(bench.METHODS)
+    p.add_argument("--methods", type=_listed(str), default=plan.methods, help=f"comma-separated subset of {methods}")
+    p.add_argument(
+        "--levels", dest="snr_levels", type=_listed(float), default=plan.snr_levels, help="comma-separated SNR levels in dB"
+    )
     p.add_argument("--noise", default=plan.noise, help="noise record name or .csv path")
     p.add_argument("--channel", type=int, default=plan.channel)
     p.add_argument("--seed", type=int, default=plan.seed)
@@ -344,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
         if exc.name not in args.flags:  # no flag fed it: a computational failure
             print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 1
-        print(f"error: {args.flags[exc.name]} must be {exc.rule}, got {exc.value:g}", file=sys.stderr)
+        print(f"error: {exc.named(args.flags[exc.name])}", file=sys.stderr)
         return 2
     except (InputError, OSError) as exc:  # bad input, or a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)

@@ -11,6 +11,7 @@ function.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,13 @@ class SettingError(ValueError):
     """A setting outside its rule; name is the parameter that holds it."""
 
     def __init__(self, name: str, rule: str, value):
-        super().__init__(f"{name} must be {rule}, got {value:g}")
         self.name, self.rule, self.value = name, rule, value
+        super().__init__(self.named(name))
+
+    def named(self, name: str) -> str:
+        """The message, naming the setting name, such as the flag that fed it."""
+        shown = f"{self.value:g}" if isinstance(self.value, numbers.Real) else repr(self.value)
+        return f"{name} must be {self.rule}, got {shown}"
 
 
 class InputError(ValueError):
@@ -128,7 +134,7 @@ class RPeaks:
         if idx.size and (idx[0] < 0 or idx[-1] >= n_samples):
             raise ValueError(f"peak index out of range [0, {n_samples})")
         if idx.size > 1:
-            floor = REFRACTORY_S * fs
+            floor = sample_count(REFRACTORY_S, fs)  # detect_r_peaks' floor, in whole samples
             gaps = np.diff(idx)
             if np.any(gaps < floor):
                 k = int(np.argmax(gaps < floor))

@@ -61,16 +61,18 @@ NOISE_LEVELS = ("q_theta", "q_z", "q_z_activity", "r_phi", "r_s")
 class FilterConfig:
     """Ensemble size, noise levels and master seed.
 
-    q_z, r_phi and r_s may be None, in which case they are resolved from the
+    q_z and r_s may be None, in which case they are resolved from the
     fitted morphology and the first two seconds of the input (see
     :func:`resolve_config`).  All defaults are explicit after resolution.
+    r_phi is a constant: the observed phase and the angular velocity share
+    one R-R interval rule (model.beat_intervals), so their mismatch is rounding.
     """
 
     n_ensemble: int = 100
     q_theta: float = 0.01  # process noise on phase, rad
     q_z: float | None = None  # process noise on amplitude, mV
     q_z_activity: float = 0.5  # extra amplitude noise per unit |model increment|
-    r_phi: float | None = None  # observation noise on phase, rad
+    r_phi: float = 1e-3  # observation noise on phase, rad
     r_s: float | None = None  # observation noise on amplitude, mV
     seed: int = 0
 
@@ -263,13 +265,12 @@ def resolve_config(
 
     q_z defaults to 10% of the mean absolute model increment over one beat at
     the record's mean rate.  r_s defaults to the residual std of the first
-    two seconds against the fitted template; r_phi to the std of the observed
-    phase-increment irregularity over the same window.  Small floors keep the
-    filter away from exactly-zero observation noise.
+    two seconds against the fitted template, with a small floor that keeps
+    the filter away from exactly-zero observation noise.
     """
     fs = signal.fs
     head = slice(0, max(int(2 * fs), 2))
-    q_z, r_phi, r_s = cfg.q_z, cfg.r_phi, cfg.r_s
+    q_z, r_s = cfg.q_z, cfg.r_s
     if q_z is None:
         mean_step = float(np.mean(omega)) / fs
         grid = np.linspace(0.0, TWO_PI, 512, endpoint=False)
@@ -278,10 +279,7 @@ def resolve_config(
         resid = signal.samples[head] - wave_sum(phase[head], params)
         resid = resid - resid.mean()  # the isoelectric offset is not noise
         r_s = max(float(np.std(resid)), 1e-6)
-    if r_phi is None:
-        dphi = wrap_centered(np.diff(phase[head]))
-        r_phi = max(float(np.std(dphi - omega[head][:-1] / fs)), 1e-3)
-    return replace(cfg, q_z=q_z, r_phi=r_phi, r_s=r_s)
+    return replace(cfg, q_z=q_z, r_s=r_s)
 
 
 def prepare_inputs(

@@ -459,7 +459,7 @@ def detect_r_peaks(signal: Signal) -> RPeaks:
     win = max(int(round(0.150 * fs)), 1)
     envelope = np.convolve(squared, np.ones(win) / win, mode="same")
 
-    refractory = int(round(REFRACTORY_S * fs))
+    refractory = sample_count(REFRACTORY_S, fs)
     interior = envelope[1:-1]
     raw_cand = np.nonzero((interior >= envelope[:-2]) & (interior > envelope[2:]))[0] + 1
     if raw_cand.size == 0:

@@ -46,6 +46,7 @@ class CsvParseError(InputError):
 class SignalSpec:
     """One signal line of a header."""
 
+    channel: int  # the record's channel: the line's place among the signal lines
     filename: str
     gain: float  # ADC units per mV
     baseline: int  # ADC units at 0 mV
@@ -99,13 +100,11 @@ def read_header(text: str) -> RecordHeader:
         raise HeaderParseError(
             f"line {lines[-1][0]}: header declares {n_signals} signals but has {len(lines) - 1} signal lines"
         )
-    specs = []
-    for lineno, sig_line in lines[1 : 1 + n_signals]:
-        specs.append(_parse_signal_line(lineno, sig_line))
+    specs = (_parse_signal_line(lineno, line, ch) for ch, (lineno, line) in enumerate(lines[1 : 1 + n_signals]))
     return RecordHeader(n_signals=n_signals, fs=fs, n_samples=n_samples, signals=tuple(specs))
 
 
-def _parse_signal_line(lineno: int, line: str) -> SignalSpec:
+def _parse_signal_line(lineno: int, line: str, channel: int) -> SignalSpec:
     tok = line.split()
     if len(tok) < 2:
         raise HeaderParseError(f"line {lineno}: signal line needs a filename and format")
@@ -152,6 +151,7 @@ def _parse_signal_line(lineno: int, line: str) -> SignalSpec:
     adc_zero = _int_field(4, 0)
     _int_field(5, None)  # the initial value: read only to check it
     return SignalSpec(
+        channel=channel,
         filename=filename,
         gain=gain,
         baseline=paren_baseline if paren_baseline is not None else adc_zero,
@@ -255,17 +255,17 @@ def assemble_record(
     dat: bytes,
     atr: bytes | None = None,
 ) -> AnnotatedRecord:
-    """Decode a record's payload and annotations against its header; no samples or a beat outside them is bad input."""
+    """Decode dat, the frames of the header's signals, and atr; no samples or a beat outside them is bad input."""
     n_samples = header.n_samples or (len(dat) * 2) // (3 * header.n_signals)  # 0: as many as dat holds
     if n_samples == 0:
         raise SignalDataError(f"no samples in {len(dat)} bytes of signal data")
     adc = decode_212(dat, n_samples, header.n_signals)
-    for ch, spec in enumerate(header.signals):
+    for col, spec in enumerate(header.signals):
         if spec.checksum is None:
             continue
-        got = signal_checksum(adc[:, ch])
+        got = signal_checksum(adc[:, col])
         if got != spec.checksum:
-            raise ChecksumError(f"channel {ch}: checksum {got} does not match header {spec.checksum}")
+            raise ChecksumError(f"channel {spec.channel}: checksum {got} does not match header {spec.checksum}")
     channels = tuple(to_millivolts(adc, header))
     peaks = read_annotations(atr) if atr is not None else RPeaks(np.empty(0, dtype=np.int64))
     outside = peaks.indices[(peaks.indices < 0) | (peaks.indices >= n_samples)]

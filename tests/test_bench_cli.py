@@ -19,16 +19,17 @@ import pytest
 
 import wfdbgen
 from ecgdenoise import baselines, bench, cli, enkf, metrics, wfdbio
-from ecgdenoise.core import InputError, Signal
+from ecgdenoise.core import InputError, SettingError, Signal
 from ecgdenoise.model import default_morphology, mean_beat, synthesize
 from ecgdenoise.svgplot import PlotError, Series, render_line_chart
 
 
 class TestPlanAndSeeds:
     def test_plan_validation(self):
-        with pytest.raises(ValueError, match="non-empty"):
+        with pytest.raises(SettingError, match=r"^records must be non-empty, got \(\)$"):
             bench.BenchPlan(records=())
-        with pytest.raises(ValueError, match="unknown method"):
+        methods = "enkf, ekf, sg, wavelet, nlms, rls, tvd"
+        with pytest.raises(SettingError, match=f"^methods must be one of {methods}, got 'magic'$"):
             bench.BenchPlan(records=("118",), methods=("magic",))
 
     def test_cell_count_full_protocol(self):
@@ -1155,6 +1156,60 @@ class TestBadInput:
         assert not Path("denoised.csv").exists()
 
 
+@pytest.fixture(scope="module")
+def two_file_root(tmp_path_factory):
+    """The synthetic records 121 and em, and two records whose header names
+    a file per signal, {name}_0.dat and {name}_1.dat, holding 121's two
+    signals: "two", and "twosum", whose second file has 3 zeroed bytes."""
+    root = tmp_path_factory.mktemp("two")
+    wfdbgen.make_ecg_record(root, "121", wfdbgen.RECORD_SECONDS["121"])
+    wfdbgen.make_noise_record(root, "em", wfdbgen.NOISE_SECONDS["em"])
+    record_line, *signal_lines = (root / "121.hea").read_text().splitlines()[:3]
+    frames = wfdbio.decode_212((root / "121.dat").read_bytes(), int(record_line.split()[3]), 2)
+    for name in ("two", "twosum"):
+        lines = [ln.replace("121.dat", f"{name}_{ch}.dat") for ch, ln in enumerate(signal_lines)]
+        (root / f"{name}.hea").write_text("\n".join([record_line.replace("121", name, 1), *lines]) + "\n")
+        (root / f"{name}.atr").write_bytes((root / "121.atr").read_bytes())
+        for ch in (0, 1):
+            (root / f"{name}_{ch}.dat").write_bytes(wfdbgen.encode_212(frames[:, ch : ch + 1]))
+    dat = (root / "twosum_1.dat").read_bytes()
+    assert dat[300:303] != bytes(3)
+    (root / "twosum_1.dat").write_bytes(dat[:300] + bytes(3) + dat[303:])
+    return root
+
+
+class TestMultiFileRecord:
+    """A WFDB record may keep each signal in a file of its own: a channel is
+    decoded from its own file, alone, and reads as the same channel of a
+    record that keeps both signals in one file."""
+
+    @pytest.mark.parametrize("channel", [0, 1])
+    def test_each_channel_reads_its_own_file(self, two_file_root, tmp_path, channel):
+        (mine, beats), (theirs, their_beats) = (bench.load_record(two_file_root, n, channel) for n in ("two", "121"))
+        assert np.array_equal(mine.samples, theirs.samples) and np.array_equal(beats.indices, their_beats.indices)
+        for name in ("121", "two"):
+            out = tmp_path / name
+            for argv in (
+                ["fit", name, "--out", str(out / "fit.json")],
+                ["denoise", name, "--method", "sg", "--out", str(out / "sg.csv")],
+                ["bench", "--records", name, "--methods", "sg", "--levels", "12", "--duration", "10", "--out-dir", str(out)],
+            ):
+                assert cli.main(["--data-root", str(two_file_root), *argv, "--channel", str(channel)]) == 0
+        for output in ("fit.json", "sg.csv"):
+            assert (tmp_path / "two" / output).read_bytes() == (tmp_path / "121" / output).read_bytes()
+        rows = (tmp_path / "two" / "bench.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2 and all(row.endswith(",ok") for row in rows)
+
+    def test_checksum_error_names_the_records_channel(self, two_file_root, tmp_path, capsys):
+        argv = ["--data-root", str(two_file_root), "denoise", "twosum", "--method", "sg", "--out", str(tmp_path / "x.csv")]
+        assert cli.main(argv + ["--channel", "0"]) == 0  # its own file is whole
+        capsys.readouterr()
+        assert cli.main(argv + ["--channel", "1"]) == 2
+        header = wfdbio.read_header((two_file_root / "twosum.hea").read_text())
+        got = capsys.readouterr().err
+        assert re.fullmatch(rf"error: record twosum: channel 1: checksum -?\d+ does not match header {header.signals[1].checksum}\n", got)
+
+
 class TestCliBench:
     def test_small_bench_writes_artifacts(self, data_root, tmp_path, capsys):
         out = tmp_path / "bench"
@@ -1205,11 +1260,13 @@ class TestCliBench:
         assert rc == 0
         assert "0.000000" in capsys.readouterr().out
 
-    # Each id names the plan field its flag sets.
+    # Each id names the plan field its flag sets.  An entry that a list flag's
+    # type cannot read is argparse's error, which exits through SystemExit(2).
     @pytest.mark.parametrize(
         "flags, field",
         [
-            (["--methods", "magic"], "method 'magic'"),
+            pytest.param(["--methods", "magic"], f"--methods must be one of {', '.join(bench.METHODS)}, got 'magic'",
+                         id="flags0-method 'magic'"),
             *(
                 pytest.param(["--duration", v], f"--duration must be finite and positive, got {v}", id=f"flags{k}-duration_s")
                 for k, v in enumerate(("-1", "nan", "inf", "0"), 1)
@@ -1221,12 +1278,23 @@ class TestCliBench:
             (["--jobs", "-2"], "--jobs must be at least 1, got -2"),
             pytest.param(["--duration", "0.001"], "--duration must be long enough to keep a sample at 360 Hz, got 0.001",
                          id="flags9-duration_s"),  # keeps no sample: bench.trim's rule
+            pytest.param(["--methods", ","], f"--methods must be one of {', '.join(bench.METHODS)}, got ''",
+                         id="methods-empty-entry"),
+            pytest.param(["--levels", "12,abc"], "argument --levels: invalid float list value: '12,abc'",
+                         id="snr_levels-unreadable"),
+            pytest.param(["--levels", ","], "argument --levels: invalid float list value: ','", id="snr_levels-empty-entry"),
+            pytest.param(["--duration", "1e300"], "--duration must be from 0 to 2.502e+13 s at 360 Hz, got 1e+300",
+                         id="duration_s-count"),  # core.sample_count's size rule, through bench.trim
         ],
     )
     def test_bad_plan_is_a_usage_error(self, data_root, tmp_path, capsys, flags, field):
         out = tmp_path / "bench"
         argv = ["--data-root", str(data_root), "bench", "--records", "118", "--methods", "sg", "--levels", "12"]
-        assert cli.main(argv + ["--duration", "4", "--out-dir", str(out), *flags]) == 2
+        try:
+            status = cli.main(argv + ["--duration", "4", "--out-dir", str(out), *flags])
+        except SystemExit as exc:
+            status = exc.code
+        assert status == 2
         assert field in capsys.readouterr().err
         assert not out.exists()
 

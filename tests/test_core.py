@@ -173,8 +173,9 @@ NAN, INF = float("nan"), float("inf")
         ("n_ensemble", lambda d: FilterConfig(n_ensemble=1)),
         ("q_theta", lambda d: FilterConfig(q_theta=-1.0)),
         ("snr_levels", lambda d: BenchPlan(("x",), snr_levels=(6.0, INF))),
-        ("duration_s", lambda d: BenchPlan(("x",), duration_s=0.0)),
+        ("duration_s", lambda d: trim(X, RPeaks([]), 0.0)),
         pytest.param("duration_s", lambda d: trim(X, RPeaks([]), 0.001), id="duration_s-trim-keeps-no-sample"),
+        pytest.param("duration_s", lambda d: trim(X, RPeaks([]), 1e300), id="duration_s-trim-count"),
         ("n_ensemble", lambda d: BenchPlan(("x",), n_ensemble=1)),
         ("jobs", lambda d: run_bench(BenchPlan(("x",)), d, 0)),
         ("channel", lambda d: load_record(d, "x", -1)),
@@ -201,3 +202,11 @@ def test_setting_rule_names_its_parameter(tmp_path, name, call):
         call(tmp_path)
     assert caught.value.name == name
     assert str(caught.value).startswith(f"{name} must be ")
+
+
+def test_setting_error_shows_a_number_by_g_and_anything_else_by_repr():
+    assert str(SettingError("duration_s", "finite and positive", -1.0)) == "duration_s must be finite and positive, got -1"
+    unknown = SettingError("methods", "one of sg, tvd", "magic")
+    assert str(unknown) == "methods must be one of sg, tvd, got 'magic'"
+    assert unknown.named("--methods") == "--methods must be one of sg, tvd, got 'magic'"
+    assert str(SettingError("records", "non-empty", ())) == "records must be non-empty, got ()"

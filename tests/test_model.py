@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ecgdenoise.core import RPeaks, SettingError, Signal, TWO_PI, wrap_centered
+from ecgdenoise import enkf
+from ecgdenoise.core import REFRACTORY_S, RPeaks, SettingError, Signal, TWO_PI, sample_count, wrap_centered
 from ecgdenoise.model import (
     MIN_DETECT_S,
     BeatTemplate,
@@ -316,6 +317,18 @@ class TestDetectRPeaks:
         tol = int(0.05 * sig.fs)
         matched = sum(1 for t in truth.indices if np.abs(det - t).min() <= tol)
         assert matched / len(truth) >= 0.95
+
+    @pytest.mark.parametrize("fs, rr", [(256.0, 0.2004), (512.0, 0.2002)])
+    def test_filters_accept_the_peaks_it_finds(self, fs, rr):
+        """Where 0.2 s is not whole samples, the detector and RPeaks.check_against
+        share one refractory floor, sample_count(REFRACTORY_S, fs)."""
+        sig, _, _ = synthesize(default_morphology(), [rr] * 20, fs, seed=1)
+        found = detect_r_peaks(sig)
+        assert np.diff(found.indices).min() == sample_count(REFRACTORY_S, fs) < REFRACTORY_S * fs
+        found.check_against(len(sig), fs)
+        if fs == 512.0:  # at 256 Hz a 51-sample beat leaves a phase bin of the fit empty
+            out = enkf.denoise(sig, RPeaks([]), None, enkf.FilterConfig(n_ensemble=10))
+            assert len(out) == len(sig)
 
     def test_too_short(self):
         with pytest.raises(ValueError, match="2 s"):
