@@ -9,11 +9,13 @@ results are independent of execution order and of which other cells run.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import math
 import os
 import pickle
+import tempfile
 import threading
 import time
 from dataclasses import astuple, dataclass
@@ -126,12 +128,20 @@ class BenchPlan:
         for name in ("records", "methods", "snr_levels"):
             if not getattr(self, name):
                 raise SettingError(name, "non-empty", getattr(self, name))
+        for r in self.records:
+            if not r:
+                raise SettingError("records", "non-empty record names", r)
         for m in self.methods:
             if m not in METHODS:
                 raise SettingError("methods", f"one of {', '.join(METHODS)}", m)
         for level in self.snr_levels:
             if not math.isfinite(level):
                 raise SettingError("snr_levels", "finite", level)
+        for name in ("records", "methods", "snr_levels"):  # a repeat would run and average the same cells twice
+            values = getattr(self, name)
+            for i, v in enumerate(values):
+                if v in values[:i]:
+                    raise SettingError(name, "free of repeats", v)
         # duration_s is bench.trim's, checked as each record is trimmed, before any cell runs.
         enkf.FilterConfig(n_ensemble=self.n_ensemble)  # its rule, checked before any cell runs
 
@@ -264,12 +274,16 @@ def run_bench(plan: BenchPlan, data_root: Path, jobs: int = 1) -> list[BenchCell
     """Execute every cell, one work unit at a time; failures become failed rows.
     A lockstep unit is bit-identical to its cells run one at a time.
 
-    With jobs > 1 the units are dealt round-robin into min(jobs, units)
-    shares: this process runs share 0 and a forked child runs each other
-    share (see _fork_share).  A cell's numbers depend only on its
-    coordinates, so the result does not depend on jobs; up to jobs units are
-    in memory at once.  Without os.fork, or while other threads run, every
-    share runs in this process.
+    With jobs > 1, min(jobs, units) - 1 forked children (see _fork_worker)
+    and this process each take the next unit from one queue (_UnitQueue),
+    in plan_units order, until none is left: a process that holds a long
+    unit runs nothing else while the others drain the rest (list
+    scheduling: Graham, SIAM J. Appl. Math. 17(2), 1969).  A cell's numbers
+    depend only on its coordinates, so the result does not depend on jobs
+    or on which process ran what; up to jobs units are in memory at once.
+    Once every child is reaped, a failed child raises a BenchError naming
+    the cells that did not arrive, those of the units it took.  Without
+    os.fork, or while other threads run, this process takes every unit.
     """
     if jobs < 1:
         raise SettingError("jobs", "at least 1", jobs)
@@ -278,18 +292,23 @@ def run_bench(plan: BenchPlan, data_root: Path, jobs: int = 1) -> list[BenchCell
     coords = plan_cells(plan)
     units = plan_units(plan, {rid: len(clean) for rid, (clean, _) in loaded.items()})
     jobs = min(jobs, len(units)) if hasattr(os, "fork") and threading.active_count() == 1 else 1
-    shares = [units[j::jobs] for j in range(jobs)]
 
-    def run_share(share: list[list[int]]) -> list[tuple[int, BenchCell]]:
-        return [pair for unit in share for pair in zip(unit, run_cell([coords[i] for i in unit], loaded, noise, plan))]
+    def work(queue: _UnitQueue) -> list[tuple[int, BenchCell]]:
+        return [
+            pair
+            for u in iter(queue.take, None)
+            for pair in zip(units[u], run_cell([coords[i] for i in units[u]], loaded, noise, plan))
+        ]
 
-    children: dict[int, tuple[BinaryIO, list[list[int]]]] = {}  # unreaped pid -> (its pipe, its share)
+    queue = _UnitQueue(len(units))
+    children: dict[int, BinaryIO] = {}  # unreaped pid -> its result pipe
+    failed: dict[int, str] = {}  # failed child's pid -> how it failed
     try:
-        for share in shares[1:]:
-            pid, pipe = _fork_share(run_share, share)
-            children[pid] = (pipe, share)
-        cells = dict(run_share(shares[0]))
-        for pid, (pipe, share) in list(children.items()):
+        for _ in range(jobs - 1):
+            pid, pipe = _fork_worker(work, queue)
+            children[pid] = pipe
+        cells = dict(work(queue))
+        for pid, pipe in list(children.items()):
             with pipe:
                 data = pipe.read()
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -300,24 +319,58 @@ def run_bench(plan: BenchPlan, data_root: Path, jobs: int = 1) -> list[BenchCell
             except (EOFError, pickle.UnpicklingError):
                 status = None
             if status != 0:
-                how = "sent a short result" if status is None else f"exited with status {status}"
-                named = ", ".join(f"{r}/{m}@{lv:g}dB" for unit in share for r, m, lv in (coords[i] for i in unit))
-                raise BenchError(f"bench worker {pid} for cells {named} {how}")
+                failed[pid] = "sent a short result" if status is None else f"exited with status {status}"
     finally:  # a raise, KeyboardInterrupt included, leaves no child running
-        for pid, (pipe, _) in children.items():
+        for pid, pipe in children.items():
             pipe.close()
             os.kill(pid, SIGKILL)
             os.waitpid(pid, 0)
+        queue.close()
+    if failed:  # every cell is delivered but those of the units a failed child took
+        lost = (coords[i] for unit in units if unit[0] not in cells for i in unit)
+        named = ", ".join(f"{r}/{m}@{lv:g}dB" for r, m, lv in lost)
+        raise BenchError(f"bench worker {', '.join(map(str, failed))} for cells {named} {', '.join(failed.values())}")
     return [cells[i] for i in range(len(coords))]
 
 
-def _fork_share(run_share, share) -> tuple[int, BinaryIO]:
-    """Fork a child that runs one share and sends its (cell index, BenchCell)
-    pairs back pickled over a pipe; return its pid and the pipe's read end.
-    The child never returns into the caller's stack and never flushes the
-    stdio it inherited: whatever it raises, KeyboardInterrupt included, it
-    leaves through os._exit, with status 0 only once its whole result is
-    written."""
+class _UnitQueue:
+    """Unit indices 0, 1, ... count - 1, each taken once by whichever
+    process asks next, this one or a forked child.
+
+    The next index is kept in an unlinked temporary file that the forked
+    children share by its inherited descriptor.  A taker holds a POSIX
+    record lock on the file while it reads the index and writes back its
+    successor.  The kernel drops the lock of a process that dies, so a
+    worker killed mid-take blocks no other taker."""
+
+    def __init__(self, count: int):
+        self.count = count
+        self._file = tempfile.TemporaryFile()
+        os.pwrite(self._file.fileno(), bytes(8), 0)
+
+    def take(self) -> int | None:
+        """The next unit index, or None once every unit is taken."""
+        fd = self._file.fileno()
+        fcntl.lockf(fd, fcntl.LOCK_EX)
+        try:
+            i = int.from_bytes(os.pread(fd, 8, 0), "little")
+            if i < self.count:
+                os.pwrite(fd, (i + 1).to_bytes(8, "little"), 0)
+        finally:
+            fcntl.lockf(fd, fcntl.LOCK_UN)
+        return i if i < self.count else None
+
+    def close(self) -> None:
+        self._file.close()
+
+
+def _fork_worker(work, queue: _UnitQueue) -> tuple[int, BinaryIO]:
+    """Fork a child that takes units from queue until none is left and
+    sends their (cell index, BenchCell) pairs back pickled over a pipe;
+    return its pid and the pipe's read end.  The child never returns into
+    the caller's stack and never flushes the stdio it inherited: whatever
+    it raises, KeyboardInterrupt included, it leaves through os._exit, with
+    status 0 only once its whole result is written."""
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -325,7 +378,7 @@ def _fork_share(run_share, share) -> tuple[int, BinaryIO]:
         try:
             os.close(read_fd)
             with os.fdopen(write_fd, "wb") as pipe:
-                pickle.dump(run_share(share), pipe, protocol=pickle.HIGHEST_PROTOCOL)
+                pickle.dump(work(queue), pipe, protocol=pickle.HIGHEST_PROTOCOL)
             status = 0
         finally:
             os._exit(status)

@@ -76,12 +76,26 @@ def wrap_centered(delta):
     if isinstance(delta, float) or np.ndim(delta) == 0:
         w = float(delta) % TWO_PI
         return w - TWO_PI if w > np.pi else w
-    # np.mod(delta, TWO_PI) bit for bit (fmod is exact; a negative remainder
-    # gains one period, a zero one becomes +0), at half np.mod's cost.
-    w = np.fmod(delta, TWO_PI)
-    w += (w < 0.0) * TWO_PI
+    # fmod is exact and leaves (-2*pi, 2*pi), where the near wrap holds.
+    return wrap_centered_near(np.fmod(delta, TWO_PI))
+
+
+def wrap_centered_near(delta: np.ndarray) -> np.ndarray:
+    """wrap_centered bit for bit, without its fmod, for an array whose every
+    value lies in [-2*pi, 3*pi] (:func:`in_near_range` checks it): there
+    fmod changes nothing below 2*pi, and above it subtracts the one period
+    that the last line subtracts, exactly either way.  The two lines are
+    np.mod's floored remainder (a negative value gains one period, a zero
+    becomes +0), then the upper half period moved down."""
+    w = delta + (delta < 0.0) * TWO_PI
     w -= (w > np.pi) * TWO_PI
     return w
+
+
+def in_near_range(lo, hi):
+    """Whether values from lo to hi lie in wrap_centered_near's range (per
+    element, for arrays of bounds)."""
+    return (lo >= -TWO_PI) & (hi - TWO_PI <= np.pi)
 
 
 @dataclass(frozen=True)

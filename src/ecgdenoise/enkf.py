@@ -20,7 +20,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core import RPeaks, SettingError, Signal, TWO_PI, wrap_centered, wrap_phase
+from .core import RPeaks, SettingError, Signal, TWO_PI, in_near_range, wrap_centered, wrap_centered_near, wrap_phase
 from .model import (
     GaussianWaveParams,
     beat_intervals,
@@ -182,14 +182,16 @@ def sample_covariances(theta: np.ndarray, z: np.ndarray) -> np.ndarray:
     observations are the members themselves and this one matrix is both the
     state-observation cross covariance and the innovation covariance.  Phase
     residuals are taken against the circular ensemble mean and wrapped to
-    (-pi, pi] before the outer products.  Leading axes are rows: (B, N)
+    (-pi, pi] before the outer products.  Every theta must lie in [0, 2*pi],
+    as predict and update leave it, so the residuals lie in (-2*pi, 2*pi]
+    and wrap_centered_near wraps them.  Leading axes are rows: (B, N)
     members give (B, 2, 2).
     """
     n = theta.shape[-1]
     if n < 2:
         raise DegenerateEnsembleError("need at least 2 members for sample covariances")
     resid = np.empty(theta.shape[:-1] + (2, n))
-    resid[..., 0, :] = wrap_centered(theta - np.asarray(circular_mean(theta))[..., None])
+    resid[..., 0, :] = wrap_centered_near(theta - np.asarray(circular_mean(theta))[..., None])
     np.subtract(z, np.add.reduce(z, axis=-1, keepdims=True) / n, out=resid[..., 1, :])
     return (resid @ resid.swapaxes(-1, -2)) / n
 
@@ -229,19 +231,39 @@ def update(
     """Perturbed-observation update of the members with the 2x2 gain k;
     noise[..., :2, :] is the observation part of this sample's draw_noise slab.
 
-    Each member sees its own noised copy of the observation, with the drawn
-    perturbation set re-centered to exactly zero mean so the update adds no
-    sampling bias.  The phase innovation is wrapped to (-pi, pi] and member
-    phases are re-wrapped to [0, 2*pi) afterwards.  Leading axes are rows,
-    with the observation, gain and noise levels given per row.
+    Each member sees its own noised copy of the observation (see
+    :func:`perturbed`), and :func:`assimilate` moves the members toward
+    those copies.  Leading axes are rows, with the observation, gain and
+    noise levels given per row.
     """
-    n = theta.shape[-1]
-    v_phi = cfg.r_phi * noise[..., 0, :]
-    v_s = cfg.r_s * noise[..., 1, :]
-    v_phi -= np.add.reduce(v_phi, axis=-1, keepdims=True) / n  # exactly zero-mean perturbation sets
-    v_s -= np.add.reduce(v_s, axis=-1, keepdims=True) / n
-    innov_phi = wrap_centered(y_phi + v_phi - theta)
-    innov_s = (y_s + v_s) - z
+    obs = perturbed(np.array(noise[..., :2, :]), cfg.r_phi, cfg.r_s, y_phi, y_s)
+    return assimilate(theta, z, obs[..., 0, :], obs[..., 1, :], k)
+
+
+def perturbed(noise: np.ndarray, r_phi, r_s, y_phi, y_s) -> np.ndarray:
+    """Each member's noised copy of the observation (y_phi, y_s), made in
+    place from noise (..., 2, N), the observation part of draw_noise slabs:
+    the draws scaled by r_phi and r_s, the set re-centered to exactly zero
+    mean so the update adds no sampling bias, then the observation added.
+    Leading axes broadcast against the levels and the observation."""
+    noise[..., 0, :] *= r_phi
+    noise[..., 1, :] *= r_s
+    noise -= np.add.reduce(noise, axis=-1, keepdims=True) / noise.shape[-1]
+    noise[..., 0, :] += y_phi
+    noise[..., 1, :] += y_s
+    return noise
+
+
+def assimilate(
+    theta: np.ndarray, z: np.ndarray, obs_phi, obs_s, k: np.ndarray, near: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """update's core: move each member toward its own perturbed observation
+    (obs_phi, obs_s) with the 2x2 gain k.  The phase innovation is wrapped
+    to (-pi, pi], by wrap_centered_near when near says every obs_phi - theta
+    lies in its range, and member phases are re-wrapped to [0, 2*pi)
+    afterwards."""
+    innov_phi = (wrap_centered_near if near else wrap_centered)(obs_phi - theta)
+    innov_s = obs_s - z
     k = k[..., None]  # gain entries broadcast over the member axis
     return (
         wrap_phase(theta + k[..., 0, 0, :] * innov_phi + k[..., 0, 1, :] * innov_s),
@@ -345,16 +367,21 @@ def denoise_batch(jobs) -> list[Signal]:
     ensemble.  Segment s of a job draws all its noise from one stream,
     substream(seed, s): first its initial members around its first
     observation, then draw_noise's draws for its samples 1, 2, ... in order.
-    Those draws, the observed phase and amplitude and the phase step
-    omega * delta are stacked NOISE_BLOCK samples at a time, so per sample
-    all rows take one predict, sample covariances, gain and perturbed update
-    together on views of the blocks.  The output sample is the members'
-    amplitude mean, written into the job's output only over the segment's
-    kept span; the circular phase mean is taken only of the predicted
-    members, by sample_covariances.  Rows never mix and the split depends
-    only on the length and rate, so each output equals a lone run of its job
-    bit for bit, for any block size; a job of one segment is the whole
-    record filtered from its first sample.  A SingularInnovationError or
+    Those draws, and the phase step omega * delta, are stacked NOISE_BLOCK
+    samples at a time.  Once per block, row by row and in place, the
+    observation draws become update's perturbed observations
+    (:func:`perturbed`), which depend only on the draws, the levels and the
+    observations.  So per sample all rows take one predict, sample
+    covariances and gain, then update's core (:func:`assimilate`), together
+    on views of the blocks.  The innovations skip fmod
+    (core.wrap_centered_near) in the samples whose perturbed observed phases
+    pass core.in_near_range.  The output sample is the members' amplitude
+    mean, written into the job's output only over the segment's kept span;
+    the circular phase mean is taken only of the predicted members, by
+    sample_covariances.  Rows never mix and the split depends only on the
+    length and rate, so each output equals a lone run of its job bit for
+    bit, for any block size; a job of one segment is the whole record
+    filtered from its first sample.  A SingularInnovationError or
     AmbiguousPhaseError names the record sample of the first failing row.
     """
     signals = [job[0] for job in jobs]
@@ -397,7 +424,8 @@ def denoise_batch(jobs) -> list[Signal]:
                 outs[job][lo:hi] = estimates[lo - start - first :, row]
 
     noise = np.empty((min(NOISE_BLOCK, length - 1), len(rows), 4, size))
-    obs = np.empty(noise.shape[:2] + (3,))  # per sample and row: observed phase and amplitude, phase step
+    steps = np.empty(noise.shape[:2] + (1,))  # per sample and row: the phase step omega * delta
+    near = np.empty(noise.shape[:2], dtype=bool)  # per sample and row: innovations in wrap_centered_near's range
     estimates = np.empty(noise.shape[:2])  # per sample and row: the output, kept once per block
     k = 0
     try:
@@ -407,15 +435,20 @@ def denoise_batch(jobs) -> list[Signal]:
             for row, (job, start, _, rng) in enumerate(rows):
                 phases, omega, _, c = inputs[job]
                 ahead = slice(start + first, start + first + count)
+                np.multiply(omega[ahead], delta, out=steps[:count, row, 0])
                 noise[:count, row] = draw_noise(rng, c, size, count)
-                obs[:count, row, 0] = phases[ahead]
-                obs[:count, row, 1] = signals[job].samples[ahead]
-                np.multiply(omega[ahead], delta, out=obs[:count, row, 2])
+                # Row by row, so that no temporary grows with the rows.
+                seen = phases[ahead, None], signals[job].samples[ahead, None]
+                obs = perturbed(noise[:count, row, 2:], c.r_phi, c.r_s, *seen)
+                # Members lie in [0, 2*pi), so the phase innovations lie above
+                # the lowest perturbed phase minus 2*pi and below the highest.
+                near[:count, row] = in_near_range(obs[:, 0].min(axis=-1) - TWO_PI, obs[:, 0].max(axis=-1))
+            near_all = near[:count].all(axis=1).tolist()
             for k in range(first, first + count):
-                drawn, seen = noise[k - first], obs[k - first]
-                theta, z = predict(theta, z, morphology, seen[:, 2:], levels, drawn[:, :2])
+                drawn = noise[k - first]
+                theta, z = predict(theta, z, morphology, steps[k - first], levels, drawn[:, :2])
                 gain = kalman_gain(sample_covariances(theta, z), levels)
-                theta, z = update(theta, z, seen[:, :1], seen[:, 1:2], gain, levels, drawn[:, 2:])
+                theta, z = assimilate(theta, z, drawn[:, 2], drawn[:, 3], gain, near_all[k - first])
                 estimates[k - first] = np.add.reduce(z, axis=-1) / size  # the amplitude half of estimate
             keep(estimates[:count], first)
     except StepError as exc:

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import fcntl
 import inspect
 import json
 import os
 import pickle
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -455,8 +457,8 @@ class TestBenchRun:
             return resolved
 
         monkeypatch.setattr(enkf, "resolve_config", faulty)
-        fork_share, forks = bench._fork_share, []
-        monkeypatch.setattr(bench, "_fork_share", lambda *a: forks.append(1) or fork_share(*a))
+        fork_worker, forks = bench._fork_worker, []
+        monkeypatch.setattr(bench, "_fork_worker", lambda *a: forks.append(1) or fork_worker(*a))
         outputs = {}
         for jobs in (1, 2, 50):
             forks.clear()
@@ -473,15 +475,19 @@ class TestBenchRun:
 
     @pytest.mark.single_thread_blas
     @pytest.mark.parametrize("fault", ["none", "child exits 3", "child sends short result", "parent raises"])
-    def test_no_child_left_running(self, data_root, monkeypatch, fault):
+    def test_no_child_left_running(self, data_root, monkeypatch, tmp_path, fault):
         """After a normal run, a child's failure (exit status 3 or a short
-        result: a BenchError naming its cells) and a raise in the parent's
-        own share, no child process is left, not even a zombie: the parent
-        kills and reaps them all."""
+        result: a BenchError naming the cells it took) and a raise in the
+        parent's own work, no child process is left, not even a zombie: the
+        parent kills and reaps them all."""
         plan = self.JOBS_PLAN
         parent, run_cell = os.getpid(), bench.run_cell
+        took = tmp_path / "child_took"  # each cell a child took, one line each, written before it runs them
 
         def patched(unit, *args):
+            if os.getpid() != parent:
+                with took.open("a") as fh:
+                    fh.writelines(f"{r}/{m}@{lv:g}dB\n" for r, m, lv in unit)
             if fault == "child exits 3" and os.getpid() != parent:
                 os._exit(3)
             if fault == "parent raises" and os.getpid() == parent:
@@ -501,15 +507,102 @@ class TestBenchRun:
                 bench.run_bench(plan, data_root, jobs=2)
             assert time.perf_counter() - t0 < 30
         else:
-            lengths = {r: 4 * 360 for r in plan.records}
-            coords = bench.plan_cells(plan)
-            share = [coords[i] for unit in bench.plan_units(plan, lengths)[1::2] for i in unit]
-            named = ", ".join(f"{r}/{m}@{lv:g}dB" for r, m, lv in share)
             how = "exited with status 3" if fault == "child exits 3" else "sent a short result"
-            with pytest.raises(bench.BenchError, match=rf"^bench worker \d+ for cells {re.escape(named)} {how}$"):
+            with pytest.raises(bench.BenchError) as raised:
                 bench.run_bench(plan, data_root, jobs=2)
+            named = ", ".join(took.read_text().splitlines())
+            assert re.fullmatch(rf"bench worker \d+ for cells {re.escape(named)} {how}", str(raised.value))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.single_thread_blas
+    def test_units_are_taken_from_one_queue(self, data_root, monkeypatch, tmp_path):
+        """With 2 jobs, the process that takes a slow unit runs nothing else:
+        the other process takes every other unit from the queue."""
+        plan = self.JOBS_PLAN
+        ran, run_cell = tmp_path / "ran", bench.run_cell
+        slow = bench.plan_cells(plan)[0]  # in the first unit, the enkf one
+
+        def patched(unit, *args):
+            with ran.open("a") as fh:
+                fh.writelines(f"{os.getpid()} {r}/{m}@{lv:g}dB\n" for r, m, lv in unit)
+            if slow in unit:
+                time.sleep(3.0)
+            return run_cell(unit, *args)
+
+        monkeypatch.setattr(bench, "run_cell", patched)
+        assert all(c.report is not None for c in bench.run_bench(plan, data_root, jobs=2))
+        pids = dict(line.split(" ")[::-1] for line in ran.read_text().splitlines())
+        assert len(pids) == 12
+        holder = pids["{}/{}@{:g}dB".format(*slow)]
+        alone = {cell for cell, pid in pids.items() if pid == holder}
+        assert alone == {f"{r}/enkf@{lv:g}dB" for r in plan.records for lv in plan.snr_levels}
+        assert len(set(pids.values())) == 2
+
+    def test_unit_queue_hands_out_each_unit_once(self):
+        """Five processes (four forked, more than the cores) take 20,000
+        units from one queue: every unit is taken exactly once, each
+        process's in rising order.  A lost or repeated hand-out fails the
+        count; a stuck taker fails the 60-s alarm."""
+        count, taken, pipes = 20_000, {}, {}
+
+        def expire(*_):
+            raise TimeoutError("the unit queue did not drain in 60 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        queue = bench._UnitQueue(count)
+        try:
+            work = lambda queue: list(iter(queue.take, None))
+            for _ in range(4):
+                pid, pipe = bench._fork_worker(work, queue)
+                pipes[pid] = pipe
+            taken[os.getpid()] = work(queue)
+            for pid, pipe in pipes.items():
+                with pipe:
+                    taken[pid] = pickle.load(pipe)
+            assert sorted(i for units in taken.values() for i in units) == list(range(count))
+            assert all(units == sorted(units) for units in taken.values())
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+            for pid in pipes:
+                if pid not in taken:
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            queue.close()
+
+    @pytest.mark.single_thread_blas
+    def test_child_killed_holding_the_queue_lock(self, data_root, monkeypatch, tmp_path):
+        """A child killed while it holds the queue's lock, right after it took
+        a unit, blocks no other taker: the kernel drops its lock, the parent
+        takes every other unit, and the run ends in a BenchError naming the
+        cells of the unit the child took.  A hang fails the 60-s alarm."""
+        plan = self.JOBS_PLAN
+        parent, lockf, took = os.getpid(), fcntl.lockf, tmp_path / "child_took"
+
+        def dying(fd, cmd, *args):
+            if cmd == fcntl.LOCK_UN and os.getpid() != parent:
+                took.write_text(str(int.from_bytes(os.pread(fd, 8, 0), "little") - 1))
+                os.kill(os.getpid(), signal.SIGKILL)
+            return lockf(fd, cmd, *args)
+
+        def expire(*_):
+            raise TimeoutError("the run did not end in 60 s")
+
+        monkeypatch.setattr(fcntl, "lockf", dying)
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        try:
+            with pytest.raises(bench.BenchError) as raised:
+                bench.run_bench(plan, data_root, jobs=2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        coords = bench.plan_cells(plan)
+        unit = bench.plan_units(plan, {r: 4 * 360 for r in plan.records})[int(took.read_text())]
+        named = ", ".join(f"{r}/{m}@{lv:g}dB" for r, m, lv in (coords[i] for i in unit))
+        assert re.fullmatch(rf"bench worker \d+ for cells {re.escape(named)} exited with status -9", str(raised.value))
 
     def test_noise_csv_read_at_the_record_rate(self, data_root, tmp_path):
         plan = lambda path: bench.BenchPlan(records=("122",), methods=("sg",), snr_levels=(12.0,), noise=str(path))
@@ -1285,6 +1378,10 @@ class TestCliBench:
             pytest.param(["--levels", ","], "argument --levels: invalid float list value: ','", id="snr_levels-empty-entry"),
             pytest.param(["--duration", "1e300"], "--duration must be from 0 to 2.502e+13 s at 360 Hz, got 1e+300",
                          id="duration_s-count"),  # core.sample_count's size rule, through bench.trim
+            pytest.param(["--records", "118,"], "--records must be non-empty record names, got ''", id="records-empty-entry"),
+            pytest.param(["--records", "118,119,118"], "--records must be free of repeats, got '118'", id="records-repeat"),
+            pytest.param(["--methods", "sg,tvd,sg"], "--methods must be free of repeats, got 'sg'", id="methods-repeat"),
+            pytest.param(["--levels", "12,6,12.0"], "--levels must be free of repeats, got 12", id="snr_levels-repeat"),
         ],
     )
     def test_bad_plan_is_a_usage_error(self, data_root, tmp_path, capsys, flags, field):

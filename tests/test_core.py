@@ -13,10 +13,13 @@ from ecgdenoise.core import (
     RPeaks,
     SettingError,
     Signal,
+    TWO_PI,
+    in_near_range,
     paired,
     sample_count,
     slice_signal,
     wrap_centered,
+    wrap_centered_near,
     wrap_phase,
 )
 from ecgdenoise.enkf import FilterConfig
@@ -95,6 +98,27 @@ class TestWrap:
     def test_wrap_centered_pi_boundary(self):
         assert wrap_centered(np.pi) == np.pi
         assert wrap_centered(-np.pi) == np.pi
+
+    def test_near_wrap_equals_wrap_centered_over_its_range(self):
+        """wrap_centered_near gives wrap_centered's bits, -0.0 included, on
+        [-2*pi, 3*pi] (up to the largest x with x - 2*pi <= pi), and near
+        holds exactly there."""
+        lo = -TWO_PI
+        hi = TWO_PI + np.pi
+        while hi - TWO_PI > np.pi:
+            hi = np.nextafter(hi, -np.inf)
+        step = lambda x, toward: np.nextafter(x, toward)
+        points = [0.0, np.pi, TWO_PI, 3 * np.pi, lo, hi]
+        points = [v for p in points for q in (p, -p) for v in (q, step(q, -np.inf), step(q, np.inf))]
+        x = np.array(points + list(np.random.default_rng(0).uniform(lo, hi, 100_000)))
+        x = x[(x >= lo) & (x <= hi)]
+        assert {0.0, -0.0, np.pi, -np.pi, TWO_PI, lo, hi, step(lo, np.inf), step(hi, -np.inf)} <= set(x)
+        assert np.signbit(x[x == 0.0]).any()
+        reference = np.mod(x, TWO_PI)  # the floored remainder, +0 for a zero
+        reference = np.where(reference > np.pi, reference - TWO_PI, reference)
+        assert wrap_centered_near(x).tobytes() == reference.tobytes() == wrap_centered(x).tobytes()
+        assert in_near_range(lo, hi) and in_near_range(x.min(), x.max())
+        assert not in_near_range(step(lo, -np.inf), hi) and not in_near_range(lo, step(hi, np.inf))
 
 
 class TestSlice:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ecgdenoise import enkf
+from ecgdenoise import enkf, model
 from ecgdenoise.baselines import ekf_denoise
 from ecgdenoise.core import RPeaks, Signal, TWO_PI, wrap_phase
 from ecgdenoise.enkf import (
@@ -483,6 +483,33 @@ class TestDenoiseBatch:
         for job, out in zip(jobs, denoise_batch(jobs)):
             assert np.array_equal(out.samples, denoise(*job).samples)
             assert np.array_equal(out.samples, step_function_loop(*job))
+
+    @pytest.mark.parametrize("rows", [1, 4])
+    @pytest.mark.parametrize("wide", ["q_theta", "r_phi"])
+    def test_general_wrap_path_equals_step_loop(self, monkeypatch, rows, wide):
+        """With a 50-rad phase noise the phases leave wrap_centered_near's
+        range (in wave_increment for q_theta, in the innovations for r_phi),
+        so the loop falls back to wrap_centered, and each row still equals
+        the reference loop bit for bit."""
+        calls = {enkf: 0, model: 0}
+
+        def counted(module, wrap):
+            def call(delta):
+                calls[module] += 1
+                return wrap(delta)
+
+            return call
+
+        for module in calls:
+            monkeypatch.setattr(module, "wrap_centered", counted(module, module.wrap_centered))
+        p = default_morphology()
+        jobs = [_batch_job([0.8, 0.7, 0.9], seed, p, 10, 500) for seed in range(rows)]
+        jobs = [(noisy, peaks, p, dataclasses.replace(cfg, **{wide: 50.0})) for noisy, peaks, p, cfg in jobs]
+        outs = denoise_batch(jobs)
+        assert calls[model if wide == "q_theta" else enkf] > 100
+        for job, out in zip(jobs, outs):
+            assert np.all(np.isfinite(out.samples))
+            assert out.samples.tobytes() == step_function_loop(*job).tobytes()
 
     def test_ambiguous_phase_names_the_sample(self, monkeypatch):
         predict = enkf.predict
