@@ -35,13 +35,12 @@ class MethodContext:
     method without needs_reference); and for enkf and ekf, the R peaks and
     morphology they pass to enkf.prepare_inputs as given (which detects the
     peaks unless at least 2 are given, and fits the morphology on the noisy
-    signal when it is None), the seed and N."""
+    signal when it is None), and the FilterConfig of the seed and N."""
 
     reference: Signal | None = None
     peaks: RPeaks = RPeaks([])
     morphology: GaussianWaveParams | None = None
-    seed: int = enkf.FilterConfig.seed
-    n_ensemble: int = enkf.FilterConfig.n_ensemble
+    cfg: enkf.FilterConfig = enkf.FilterConfig()
 
 
 @dataclass(frozen=True)
@@ -59,18 +58,13 @@ class Method:
     batch: Callable[[list[Signal], dict[str, Any], list[MethodContext]], list[Signal]] | None = None
 
 
-def _config(ctx: MethodContext) -> enkf.FilterConfig:
-    """A model-based filter's config, built (so its rules checked) before the filter runs."""
-    return enkf.FilterConfig(n_ensemble=ctx.n_ensemble, seed=ctx.seed)
-
-
 METHODS: dict[str, Method] = {
     "enkf": Method(
         {},
-        lambda x, p, c: enkf.denoise(x, c.peaks, c.morphology, _config(c)),
-        batch=lambda xs, p, cs: enkf.denoise_batch([(x, c.peaks, c.morphology, _config(c)) for x, c in zip(xs, cs)]),
+        lambda x, p, c: enkf.denoise(x, c.peaks, c.morphology, c.cfg),
+        batch=lambda xs, p, cs: enkf.denoise_batch([(x, c.peaks, c.morphology, c.cfg) for x, c in zip(xs, cs)]),
     ),
-    "ekf": Method({}, lambda x, p, c: baselines.ekf_denoise(x, c.peaks, c.morphology, _config(c))),
+    "ekf": Method({}, lambda x, p, c: baselines.ekf_denoise(x, c.peaks, c.morphology, c.cfg)),
     "sg": Method({"window": 15, "polyorder": 3}, lambda x, p, c: baselines.sg_filter(x, **p)),
     "wavelet": Method({"levels": 4}, lambda x, p, c: baselines.wavelet_denoise(x, **p)),
     "nlms": Method(
@@ -111,6 +105,7 @@ class BenchError(RuntimeError):
 
 # Leading seconds of each cell left out of its score while the filters settle.
 WARMUP_S = 2.0
+NOISE_CHANNEL = 0  # the channel bench and mix read a noise record from
 
 
 @dataclass(frozen=True)
@@ -119,7 +114,7 @@ class BenchPlan:
     methods: tuple[str, ...] = tuple(METHODS)
     snr_levels: tuple[float, ...] = (-6.0, 0.0, 6.0, 12.0, 18.0, 24.0)
     channel: int = 0
-    noise: str = "em"  # record name under the dataset root (channel 0), or a CSV path
+    noise: str = "em"  # record name under the dataset root (NOISE_CHANNEL), or a CSV path
     seed: int = 0
     duration_s: float = 60.0
     n_ensemble: int = enkf.FilterConfig.n_ensemble
@@ -142,14 +137,13 @@ class BenchPlan:
             for i, v in enumerate(values):
                 if v in values[:i]:
                     raise SettingError(name, "free of repeats", v)
-        # duration_s is bench.trim's, checked as each record is trimmed, before any cell runs.
+        # duration_s is bench.trim's and run_bench's, checked before any cell runs.
         enkf.FilterConfig(n_ensemble=self.n_ensemble)  # its rule, checked before any cell runs
 
 
 @dataclass(frozen=True)
 class BenchCell:
     record_id: str
-    channel: int
     method: str
     input_snr: float
     report: metrics.MetricReport | None
@@ -169,7 +163,7 @@ def params_digest(plan: BenchPlan) -> str:
     payload = {
         "channel": plan.channel,
         "noise": plan.noise,
-        "noise_channel": 0,  # fixed, like skip_warmup_s; kept so earlier digests still match
+        "noise_channel": NOISE_CHANNEL,  # fixed, like skip_warmup_s; kept so earlier digests still match
         "duration_s": plan.duration_s,
         "skip_warmup_s": WARMUP_S,
         "n_ensemble": plan.n_ensemble,
@@ -212,12 +206,16 @@ def trim(signal: Signal, peaks: RPeaks, duration_s: float) -> tuple[Signal, RPea
     return slice_signal(signal, 0, n), RPeaks(kept)
 
 
-def _score(clean: Signal, noisy: Signal, denoised: Signal) -> metrics.MetricReport:
-    skip = int(round(WARMUP_S * clean.fs))
-    if skip >= len(clean):
-        raise BenchError("warm-up skip covers the whole evaluation segment")
-    seg = lambda s: slice_signal(s, skip, len(s) - skip)
-    return metrics.report(seg(clean), seg(noisy), seg(denoised))
+def _warmup_samples(fs: float) -> int:
+    """The samples WARMUP_S rounds to at fs, left out of each cell's score."""
+    return sample_count(WARMUP_S, fs)
+
+
+def _at_rate(what: str, signal: Signal, fs: float) -> Signal:
+    """The one-rate rule: signal, a plan's record or noise named what, is at fs, its first record's rate."""
+    if signal.fs != fs:
+        raise InputError(f"{what}: sampled at {signal.fs:g} Hz, not at the {fs:g} Hz of the plan's first record")
+    return signal
 
 
 def plan_cells(plan: BenchPlan) -> list[tuple[str, str, float]]:
@@ -272,7 +270,9 @@ def plan_units(plan: BenchPlan, lengths: dict[str, int]) -> list[list[int]]:
 
 def run_bench(plan: BenchPlan, data_root: Path, jobs: int = 1) -> list[BenchCell]:
     """Execute every cell, one work unit at a time; failures become failed rows.
-    A lockstep unit is bit-identical to its cells run one at a time.
+    A lockstep unit is bit-identical to its cells run one at a time.  The
+    plan rules, one rate (records, then noise) and 2 samples per record to
+    score past the warm-up, are checked before any cell runs or worker forks.
 
     With jobs > 1, min(jobs, units) - 1 forked children (see _fork_worker)
     and this process each take the next unit from one queue (_UnitQueue),
@@ -288,7 +288,16 @@ def run_bench(plan: BenchPlan, data_root: Path, jobs: int = 1) -> list[BenchCell
     if jobs < 1:
         raise SettingError("jobs", "at least 1", jobs)
     loaded = {rid: trim(*load_record(data_root, rid, plan.channel), plan.duration_s) for rid in plan.records}
-    noise = _load_noise(plan, data_root, loaded[plan.records[0]][0].fs)
+    fs = loaded[plan.records[0]][0].fs
+    need = _warmup_samples(fs) + 2
+    if sample_count(plan.duration_s, fs) < need:
+        rule = f"long enough to score 2 samples past the {WARMUP_S:g} s warm-up at {fs:g} Hz"
+        raise SettingError("duration_s", rule, plan.duration_s)
+    for rid, (clean, _) in loaded.items():
+        _at_rate(f"record {rid}", clean, fs)
+        if len(clean) < need:  # a correlation needs two samples
+            raise InputError(f"record {rid}: {len(clean)} samples, too few to score 2 past the {WARMUP_S:g} s warm-up")
+    noise = _load_noise(plan, data_root, fs)
     coords = plan_cells(plan)
     units = plan_units(plan, {rid: len(clean) for rid, (clean, _) in loaded.items()})
     jobs = min(jobs, len(units)) if hasattr(os, "fork") and threading.active_count() == 1 else 1
@@ -399,7 +408,7 @@ def run_cell(unit: list[tuple[str, str, float]], loaded, noise: Signal, plan: Be
     """
     name = unit[0][1]
     method = METHODS[name]
-    seeds = [cell_seed(plan.seed, *coord) for coord in unit]
+    cfgs = [enkf.FilterConfig(n_ensemble=plan.n_ensemble, seed=cell_seed(plan.seed, *coord)) for coord in unit]
     t0 = time.perf_counter()
     try:
         # No NoisyMix outlives this list; only a method with needs_reference keeps the scaled noise.
@@ -408,10 +417,7 @@ def run_cell(unit: list[tuple[str, str, float]], loaded, noise: Signal, plan: Be
             for m in (metrics.mix(loaded[rid][0], noise, level) for rid, _, level in unit)
         ]
         noisy = [x for x, _ in mixed]
-        ctxs = [
-            MethodContext(reference=ref, peaks=loaded[rid][1], seed=seed, n_ensemble=plan.n_ensemble)
-            for (_, ref), (rid, _, _), seed in zip(mixed, unit, seeds)
-        ]
+        ctxs = [MethodContext(ref, loaded[rid][1], cfg=cfg) for (_, ref), (rid, _, _), cfg in zip(mixed, unit, cfgs)]
         params = method.params
         outputs = method.batch(noisy, params, ctxs) if len(unit) > 1 else [method.run(noisy[0], params, ctxs[0])]
     except Exception as exc:  # cell failures must not kill the run
@@ -419,28 +425,29 @@ def run_cell(unit: list[tuple[str, str, float]], loaded, noise: Signal, plan: Be
             return [cell for coord in unit for cell in run_cell([coord], loaded, noise, plan)]
         rid, _, level = unit[0]
         err = f"{type(exc).__name__}: {exc}"
-        return [BenchCell(rid, plan.channel, name, level, None, seeds[0], time.perf_counter() - t0, err)]
+        return [BenchCell(rid, name, level, None, cfgs[0].seed, time.perf_counter() - t0, err)]
     share = (time.perf_counter() - t0) / len(unit)
     cells = []
-    for (rid, _, level), seed, x, y in zip(unit, seeds, noisy, outputs):
+    for (rid, _, level), cfg, x, y in zip(unit, cfgs, noisy, outputs):
         t0 = time.perf_counter()
         try:
-            rep, err = _score(loaded[rid][0], x, y), None
+            skip = _warmup_samples(x.fs)
+            rep, err = metrics.report(*(slice_signal(s, skip, len(s) - skip) for s in (loaded[rid][0], x, y))), None
         except Exception as exc:
             rep, err = None, f"{type(exc).__name__}: {exc}"
-        cells.append(BenchCell(rid, plan.channel, name, level, rep, seed, share + time.perf_counter() - t0, err))
+        cells.append(BenchCell(rid, name, level, rep, cfg.seed, share + time.perf_counter() - t0, err))
     return cells
 
 
 def _load_noise(plan: BenchPlan, data_root: Path, fs: float) -> Signal:
-    """The noise record, or a "t,mv" CSV checked against the records' rate fs."""
+    """The noise record, or a "t,mv" CSV, checked against the records' rate fs."""
     if plan.noise.endswith(".csv"):
         path = Path(plan.noise)
         try:
             return wfdbio.read_csv(path.read_bytes(), fs, timed=True)
         except InputError as exc:
             raise exc.at(f"noise CSV {path}") from None
-    return load_record(data_root, plan.noise)[0]
+    return _at_rate(f"record {plan.noise}", load_record(data_root, plan.noise, NOISE_CHANNEL)[0], fs)
 
 
 def aggregate(cells: list[BenchCell]) -> list[BenchCell]:
@@ -452,17 +459,8 @@ def aggregate(cells: list[BenchCell]) -> list[BenchCell]:
     rows = []
     for (method, level), grp in sorted(groups.items()):
         per_metric = zip(*(astuple(c.report) for c in grp))
-        rows.append(
-            BenchCell(
-                record_id="mean",
-                channel=grp[0].channel,
-                method=method,
-                input_snr=level,
-                report=metrics.MetricReport(*(sum(values) / len(grp) for values in per_metric)),
-                seed=0,
-                wall_time=sum(c.wall_time for c in grp),
-            )
-        )
+        report = metrics.MetricReport(*(sum(values) / len(grp) for values in per_metric))
+        rows.append(BenchCell("mean", method, level, report, 0, sum(c.wall_time for c in grp)))
     return rows
 
 
@@ -485,7 +483,7 @@ def table_csv(cells: list[BenchCell], plan: BenchPlan) -> str:
             status = "ok"
         lines.append(
             ",".join(
-                [c.record_id, str(c.channel), c.method, *vals, digest, str(c.seed), status]
+                [c.record_id, str(plan.channel), c.method, *vals, digest, str(c.seed), status]
             )
         )
     return "\n".join(lines) + "\n"

@@ -46,11 +46,11 @@ def _data_root(args) -> Path:
     return Path(root)
 
 
-def _load_input(args, name: str) -> tuple[Signal, RPeaks]:
-    """Resolve an input argument: .csv path (no R peaks) or WFDB record name."""
+def _load_input(args, name: str, channel: int | None = None) -> tuple[Signal, RPeaks]:
+    """Resolve an input argument: .csv path (no R peaks) or WFDB record name, at channel (default --channel)."""
     if name.endswith(".csv"):
         return _read_csv(Path(name), args.fs), RPeaks([])
-    return bench.load_record(_data_root(args), name, args.channel)
+    return bench.load_record(_data_root(args), name, args.channel if channel is None else channel)
 
 
 def _read_csv(path: Path, fs: float) -> Signal:
@@ -162,7 +162,7 @@ def cmd_fit(args) -> int:
 
 def cmd_mix(args) -> int:
     clean, _ = _load_input(args, args.clean)
-    noise, _ = _load_input(args, args.noise)
+    noise, _ = _load_input(args, args.noise, bench.NOISE_CHANNEL)
     mixed = metrics.mix(clean, noise, args.target_snr_db)
     out = Path(args.out_dir)
     _write(out / "noisy.csv", wfdbio.write_csv(mixed.noisy))
@@ -176,6 +176,7 @@ def cmd_mix(args) -> int:
 
 
 def cmd_denoise(args) -> int:
+    cfg = enkf.FilterConfig(n_ensemble=args.n_ensemble, seed=args.seed)  # its rules, checked before any input is read
     signal, peaks = _load_input(args, args.input)
     method = bench.METHODS[args.method]
     reference = morphology = None
@@ -186,7 +187,7 @@ def cmd_denoise(args) -> int:
         _check_paired(signal, reference, "--reference")
     if not method.params and args.params:  # the model-based filters take a morphology, no settings
         morphology = _load_params(args.params)
-    ctx = bench.MethodContext(reference, peaks, morphology, args.seed, args.n_ensemble)
+    ctx = bench.MethodContext(reference, peaks, morphology, cfg)
     # --clean is paired before the filter runs, so a mismatch writes nothing.
     # Loaded after --reference: loaded before it, the clean record raised the
     # peak RSS of denoise --method nlms on a 30-min record from 133 to 145 MB.
@@ -303,9 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--records", type=_listed(str), required=True, help="comma-separated record names")
     methods = ",".join(bench.METHODS)
     p.add_argument("--methods", type=_listed(str), default=plan.methods, help=f"comma-separated subset of {methods}")
-    p.add_argument(
-        "--levels", dest="snr_levels", type=_listed(float), default=plan.snr_levels, help="comma-separated SNR levels in dB"
-    )
+    levels = "comma-separated SNR levels in dB; a negative first level needs the = form: --levels=-6,0,6"
+    p.add_argument("--levels", dest="snr_levels", type=_listed(float), default=plan.snr_levels, help=levels)
     p.add_argument("--noise", default=plan.noise, help="noise record name or .csv path")
     p.add_argument("--channel", type=int, default=plan.channel)
     p.add_argument("--seed", type=int, default=plan.seed)

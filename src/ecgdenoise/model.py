@@ -32,8 +32,8 @@ class InsufficientFiducialsError(ValueError):
     """Too few R peaks to construct a phase or fit a morphology."""
 
 
-class BinCoverageError(ValueError):
-    """A phase bin received no samples."""
+class BinCoverageError(SettingError):
+    """A phase bin received no samples: n_bins is more than the beats fill."""
 
 
 class FitDivergenceError(RuntimeError):
@@ -252,7 +252,8 @@ def mean_beat(signal: Signal, phase: np.ndarray, n_bins: int = 64) -> BeatTempla
     which = np.minimum((phase / TWO_PI * n_bins).astype(np.int64), n_bins - 1)
     counts = np.bincount(which, minlength=n_bins)
     if np.any(counts == 0):
-        raise BinCoverageError(f"phase bin {int(np.argmax(counts == 0))} of {n_bins} received no samples")
+        rule = f"few enough for every phase bin to receive a sample (bin {int(np.argmax(counts == 0))} received none)"
+        raise BinCoverageError("n_bins", rule, n_bins)
     means = np.bincount(which, weights=signal.samples, minlength=n_bins) / counts
     centers = np.bincount(which, weights=phase, minlength=n_bins) / counts
     return BeatTemplate(centers=centers, mean=means)

@@ -771,7 +771,7 @@ class TestCommonInvariants:
         rng = np.random.default_rng(1)
         noisy = sig(clean.samples + 0.1 * rng.normal(size=len(clean)))
         ref = sig(0.1 * rng.normal(size=len(clean)))
-        ctx = bench.MethodContext(reference=ref, peaks=peaks, morphology=p, n_ensemble=20)
+        ctx = bench.MethodContext(reference=ref, peaks=peaks, morphology=p, cfg=FilterConfig(n_ensemble=20))
         for name in bench.METHODS:
             method = bench.METHODS[name]
             out = method.run(noisy, method.params, ctx)

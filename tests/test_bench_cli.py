@@ -297,13 +297,15 @@ class TestBenchRun:
         assert lines[1].startswith("122,")
         assert lines[2].startswith("mean,")
 
-    def test_failed_cell_becomes_row_not_crash(self, data_root):
+    def test_failed_cell_becomes_row_not_crash(self, data_root, monkeypatch):
+        # More wavelet levels than 4 s of signal can halve into: the cell must fail, not the run.
+        monkeypatch.setitem(bench.METHODS, "wavelet", replace(bench.METHODS["wavelet"], params={"levels": 20}))
         plan = bench.BenchPlan(
             records=("121",),
             methods=("wavelet",),
             snr_levels=(6.0,),
             noise="em",
-            duration_s=0.02,  # far too short: the cell must fail, not the run
+            duration_s=4.0,
         )
         cells = bench.run_bench(plan, data_root)
         assert len(cells) == 1
@@ -384,7 +386,7 @@ class TestBenchRun:
         unit = bench.plan_cells(plan)
         clean_run = bench.run_cell(unit, loaded, noise, plan)
         faulty_seed = bench.cell_seed(plan.seed, "119", "rls", 12.0)
-        forgetting = lambda ctx, p: 0.3 if ctx.seed == faulty_seed else p["forgetting"]
+        forgetting = lambda ctx, p: 0.3 if ctx.cfg.seed == faulty_seed else p["forgetting"]
         monkeypatch.setitem(
             bench.METHODS,
             "rls",
@@ -933,6 +935,15 @@ class TestCliMixDenoise:
         assert rc == 0
         assert "12.000000" in capsys.readouterr().out
 
+    def test_mix_reads_the_noise_record_channel_bench_reads(self, data_root, tmp_path):
+        """--channel picks the clean record's channel; a noise record is read at bench.NOISE_CHANNEL, as bench reads it."""
+        argv = ["--data-root", str(data_root), "mix", "118", "em", "--level", "12", "--channel", "1"]
+        assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 0
+        clean = bench.load_record(data_root, "118", 1)[0]
+        noise = bench.load_record(data_root, "em", 0)[0]
+        want = wfdbio.write_csv(metrics.mix(clean, noise, 12.0).scaled_noise)
+        assert (tmp_path / "reference.csv").read_bytes() == want
+
     def test_mix_unreadable_noise_exits_2(self, data_root, tmp_path):
         rc = cli.main(
             [
@@ -1169,6 +1180,21 @@ class TestCliMixDenoise:
                 for cmd in (["synth", "--out-dir", "new"], ["denoise", "signal.csv", "--method", "ekf"])
                 for name, (_, err) in BAD_PARAMS.items()
             ),
+            # More bins than the beats fill: model.mean_beat's size rule on n_bins.
+            pytest.param(
+                ["fit", "signal.csv", "--bins", "5000"],
+                "--bins must be few enough for every phase bin to receive a sample (bin ",
+                id="fit-bins-unfilled",
+            ),
+            # denoise builds its FilterConfig before it reads any input, whatever the method.
+            *(
+                pytest.param(
+                    ["denoise", "signal.csv", "--method", method, "--n-ensemble", "1", *more],
+                    "--n-ensemble must be at least 2 for a sample covariance, got 1",
+                    id=f"denoise-{method}-n_ensemble",
+                )
+                for method, more in (("sg", []), ("wavelet", []), ("tvd", []), ("nlms", ["--reference", "signal.csv"]))
+            ),
         ],
     )
     def test_bad_size_or_encoding_is_a_usage_error(self, data_root, tmp_path, monkeypatch, capsys, argv, message):
@@ -1399,3 +1425,81 @@ class TestCliBench:
         monkeypatch.delenv(cli.DATA_ENV, raising=False)
         rc = cli.main(["mix", "118", "em", "--level", "0", "--out-dir", str(tmp_path)])
         assert rc == 2
+
+
+@pytest.fixture(scope="module")
+def rate_root(tmp_path_factory):
+    """The synthetic records 121 and em at 360 Hz, whatever ECGDENOISE_DATA
+    holds, plus r250 (an ECG record at 250 Hz), em250 (the em noise at
+    250 Hz), brief (1.5 s at 360 Hz, shorter than the warm-up) and
+    noise360.csv, a timed noise CSV at 360 Hz."""
+    root = tmp_path_factory.mktemp("rates")
+    wfdbgen.make_ecg_record(root, "121", wfdbgen.RECORD_SECONDS["121"])
+    wfdbgen.make_noise_record(root, "em", wfdbgen.NOISE_SECONDS["em"])
+    wfdbgen.make_ecg_record(root, "r250", wfdbgen.RECORD_SECONDS["121"], fs=250.0)
+    wfdbgen.make_ecg_record(root, "brief", 1.5)
+    slow = tmp_path_factory.mktemp("em250")
+    wfdbgen.make_noise_record(slow, "em", wfdbgen.NOISE_SECONDS["em"], fs=250.0)
+    head, body = (slow / "em.hea").read_text().split("\n", 1)
+    (root / "em250.hea").write_text(head.replace("em", "em250", 1) + "\n" + body.replace("em.dat", "em250.dat"))
+    (root / "em250.dat").write_bytes((slow / "em.dat").read_bytes())
+    noise = Signal(np.random.default_rng(0).normal(size=30000), 360.0)
+    (root / "noise360.csv").write_bytes(wfdbio.write_csv(noise))
+    return root
+
+
+def _rate_error(bad: str, fs: int, plan_fs: int) -> str:
+    return f"record {bad}: sampled at {fs} Hz, not at the {plan_fs} Hz of the plan's first record"
+
+
+class TestPlanRules:
+    """The plan rules (one rate, records before noise; 2 samples per record
+    to score past the warm-up) are checked before any cell runs or any
+    worker forks: a plan that breaks one exits 2 naming the flag or the
+    record, whatever the order of --records, and writes no bench.csv."""
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            pytest.param(
+                ["--duration", "2"],
+                "--duration must be long enough to score 2 samples past the 2 s warm-up at 360 Hz, got 2",
+                id="duration-scores-nothing",
+            ),
+            pytest.param(  # round(2.003 * 360) = 721 samples, 1 past the 720 of the warm-up
+                ["--duration", "2.003"],
+                "--duration must be long enough to score 2 samples past the 2 s warm-up at 360 Hz, got 2.003",
+                id="duration-scores-1-sample",
+            ),
+            pytest.param(
+                ["--records", "121,brief"],
+                "record brief: 540 samples, too few to score 2 past the 2 s warm-up",
+                id="record-shorter-than-warm-up",
+            ),
+            *(
+                pytest.param(["--records", records, "--noise", noise], _rate_error(*bad), id=f"{records}-{noise}")
+                for noise in ("em", "noise360.csv")
+                for records, bad in (("121,r250", ("r250", 250, 360)), ("r250,121", ("121", 360, 250)))
+            ),
+            pytest.param(["--noise", "em250"], _rate_error("em250", 250, 360), id="noise-record-250"),
+        ],
+    )
+    def test_plan_mistake_exits_2_before_any_cell(self, rate_root, tmp_path, monkeypatch, capsys, flags, message):
+        ran = []
+        monkeypatch.setattr(bench, "run_cell", lambda *a: ran.append("run_cell"))
+        monkeypatch.setattr(bench, "_fork_worker", lambda *a: ran.append("_fork_worker"))
+        monkeypatch.chdir(rate_root)  # where noise360.csv is
+        out = tmp_path / "out"
+        argv = ["--data-root", str(rate_root), "bench", "--records", "121", "--methods", "sg,enkf", "--levels", "12"]
+        assert cli.main(argv + ["--duration", "4", "--jobs", "2", "--out-dir", str(out), *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert ran == []
+        assert not (out / "bench.csv").exists()
+
+    def test_two_scored_samples_run(self, rate_root, tmp_path, capsys):
+        """round(2.006 * 360) = 722 samples leave 2 past the warm-up: enough for every metric."""
+        out = tmp_path / "out"
+        argv = ["--data-root", str(rate_root), "bench", "--records", "121", "--methods", "sg", "--levels", "12"]
+        assert cli.main(argv + ["--duration", "2.006", "--out-dir", str(out)]) == 0
+        rows = (out / "bench.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2 and all(row.endswith(",ok") for row in rows)
