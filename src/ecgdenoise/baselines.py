@@ -124,9 +124,6 @@ def sg_filter(signal: Signal, window: int, polyorder: int) -> Signal:
     if window > n:
         raise SettingError("window", f"at most {n} for {n} samples", window)
     x = signal.samples
-    if window == 1:
-        return Signal(x, signal.fs)
-
     half = window // 2
     offsets = np.arange(-half, half + 1, dtype=np.float64)
     vand = np.vander(offsets, polyorder + 1, increasing=True)
@@ -463,7 +460,7 @@ def tvd_denoise(signal: Signal, lam: float | None) -> Signal:
     if not lam >= 0:
         raise SettingError("lam", "non-negative", lam)
     y = signal.samples
-    if lam == 0.0 or len(y) == 1:
+    if lam == 0.0:
         return Signal(y, signal.fs)
     # The constant mean is optimal once lam bounds every partial sum of
     # (y - mean); this also keeps an infinite or overflowing lam out of the loop.

@@ -105,7 +105,7 @@ class BenchError(RuntimeError):
 
 # Leading seconds of each cell left out of its score while the filters settle.
 WARMUP_S = 2.0
-NOISE_CHANNEL = 0  # the channel bench and mix read a noise record from
+NOISE_CHANNEL = 0  # the channel load_noise reads a noise record from
 
 
 @dataclass(frozen=True)
@@ -211,10 +211,28 @@ def _warmup_samples(fs: float) -> int:
     return sample_count(WARMUP_S, fs)
 
 
-def _at_rate(what: str, signal: Signal, fs: float) -> Signal:
-    """The one-rate rule: signal, a plan's record or noise named what, is at fs, its first record's rate."""
+def load_csv(path: str | Path, fs: float, timed: bool = False) -> Signal:
+    """The CSV file at path, read at fs by wfdbio.read_csv; an InputError names the file by its path."""
+    path = Path(path)
+    try:
+        return wfdbio.read_csv(path.read_bytes(), fs, timed)
+    except InputError as exc:
+        raise exc.at(str(path)) from None
+
+
+def load_noise(name: str, fs: float, root: Callable[[], Path], of: str) -> Signal:
+    """The noise added to a signal at fs, named of: a "t,mv" CSV whose t
+    column runs at fs, or channel NOISE_CHANNEL of record name under root()
+    (called only then), sampled at fs.  The noise rule of bench and mix."""
+    if name.endswith(".csv"):
+        return load_csv(name, fs, timed=True)
+    return _at_rate(f"record {name}", load_record(root(), name, NOISE_CHANNEL)[0], fs, of)
+
+
+def _at_rate(what: str, signal: Signal, fs: float, of: str) -> Signal:
+    """The one-rate rule: signal, a record or noise named what, is at fs, the rate of of."""
     if signal.fs != fs:
-        raise InputError(f"{what}: sampled at {signal.fs:g} Hz, not at the {fs:g} Hz of the plan's first record")
+        raise InputError(f"{what}: sampled at {signal.fs:g} Hz, not at the {fs:g} Hz of {of}")
     return signal
 
 
@@ -288,16 +306,16 @@ def run_bench(plan: BenchPlan, data_root: Path, jobs: int = 1) -> list[BenchCell
     if jobs < 1:
         raise SettingError("jobs", "at least 1", jobs)
     loaded = {rid: trim(*load_record(data_root, rid, plan.channel), plan.duration_s) for rid in plan.records}
-    fs = loaded[plan.records[0]][0].fs
+    fs, first = loaded[plan.records[0]][0].fs, "the plan's first record"
     need = _warmup_samples(fs) + 2
     if sample_count(plan.duration_s, fs) < need:
         rule = f"long enough to score 2 samples past the {WARMUP_S:g} s warm-up at {fs:g} Hz"
         raise SettingError("duration_s", rule, plan.duration_s)
     for rid, (clean, _) in loaded.items():
-        _at_rate(f"record {rid}", clean, fs)
+        _at_rate(f"record {rid}", clean, fs, first)
         if len(clean) < need:  # a correlation needs two samples
             raise InputError(f"record {rid}: {len(clean)} samples, too few to score 2 past the {WARMUP_S:g} s warm-up")
-    noise = _load_noise(plan, data_root, fs)
+    noise = load_noise(plan.noise, fs, lambda: data_root, first)
     coords = plan_cells(plan)
     units = plan_units(plan, {rid: len(clean) for rid, (clean, _) in loaded.items()})
     jobs = min(jobs, len(units)) if hasattr(os, "fork") and threading.active_count() == 1 else 1
@@ -437,17 +455,6 @@ def run_cell(unit: list[tuple[str, str, float]], loaded, noise: Signal, plan: Be
             rep, err = None, f"{type(exc).__name__}: {exc}"
         cells.append(BenchCell(rid, name, level, rep, cfg.seed, share + time.perf_counter() - t0, err))
     return cells
-
-
-def _load_noise(plan: BenchPlan, data_root: Path, fs: float) -> Signal:
-    """The noise record, or a "t,mv" CSV, checked against the records' rate fs."""
-    if plan.noise.endswith(".csv"):
-        path = Path(plan.noise)
-        try:
-            return wfdbio.read_csv(path.read_bytes(), fs, timed=True)
-        except InputError as exc:
-            raise exc.at(f"noise CSV {path}") from None
-    return _at_rate(f"record {plan.noise}", load_record(data_root, plan.noise, NOISE_CHANNEL)[0], fs)
 
 
 def aggregate(cells: list[BenchCell]) -> list[BenchCell]:

@@ -46,26 +46,11 @@ def _data_root(args) -> Path:
     return Path(root)
 
 
-def _load_input(args, name: str, channel: int | None = None) -> tuple[Signal, RPeaks]:
-    """Resolve an input argument: .csv path (no R peaks) or WFDB record name, at channel (default --channel)."""
+def _load_input(args, name: str) -> tuple[Signal, RPeaks]:
+    """Resolve an input argument: .csv path read at --fs (no R peaks) or WFDB record name, at --channel."""
     if name.endswith(".csv"):
-        return _read_csv(Path(name), args.fs), RPeaks([])
-    return bench.load_record(_data_root(args), name, args.channel if channel is None else channel)
-
-
-def _read_csv(path: Path, fs: float) -> Signal:
-    try:
-        return wfdbio.read_csv(path.read_bytes(), fs)
-    except InputError as exc:
-        raise exc.at(str(path)) from None
-
-
-def _check_paired(signal: Signal, other: Signal, flag: str) -> None:
-    """core.paired's rule on a flag's input: a mismatch is bad input naming the flag."""
-    try:
-        paired(signal, other, flag)
-    except ValueError as exc:
-        raise InputError(exc) from None
+        return bench.load_csv(name, args.fs), RPeaks([])
+    return bench.load_record(_data_root(args), name, args.channel)
 
 
 def _write(path: Path, data: bytes | str) -> None:
@@ -162,7 +147,8 @@ def cmd_fit(args) -> int:
 
 def cmd_mix(args) -> int:
     clean, _ = _load_input(args, args.clean)
-    noise, _ = _load_input(args, args.noise, bench.NOISE_CHANNEL)
+    source = args.clean if args.clean.endswith(".csv") else f"record {args.clean}"
+    noise = bench.load_noise(args.noise, clean.fs, lambda: _data_root(args), source)
     mixed = metrics.mix(clean, noise, args.target_snr_db)
     out = Path(args.out_dir)
     _write(out / "noisy.csv", wfdbio.write_csv(mixed.noisy))
@@ -183,8 +169,8 @@ def cmd_denoise(args) -> int:
     if method.needs_reference:
         if not args.reference:
             raise InputError(f"--method {args.method} requires --reference (the noise channel)")
-        reference = _read_csv(Path(args.reference), signal.fs)
-        _check_paired(signal, reference, "--reference")
+        reference = bench.load_csv(args.reference, signal.fs)
+        paired(signal, reference, "--reference")
     if not method.params and args.params:  # the model-based filters take a morphology, no settings
         morphology = _load_params(args.params)
     ctx = bench.MethodContext(reference, peaks, morphology, cfg)
@@ -193,7 +179,7 @@ def cmd_denoise(args) -> int:
     # peak RSS of denoise --method nlms on a 30-min record from 133 to 145 MB.
     if args.clean:
         clean, _ = _load_input(args, args.clean)
-        _check_paired(signal, clean, "--clean")
+        paired(signal, clean, "--clean")
     settings = {name: getattr(args, name) for name in method.params}  # each setting's flag has its name as dest
     denoised = method.run(signal, settings, ctx)
 

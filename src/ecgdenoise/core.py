@@ -177,9 +177,10 @@ def sample_count(seconds: float, fs: float, name: str = "seconds") -> int:
 
 
 def paired(signal: Signal, other: Signal, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """The pair rule, stated once: other (named what) has signal's length and rate.  Returns both sample arrays."""
+    """The pair rule, stated once: other (named what) has signal's length and
+    rate, or it is bad input, an InputError.  Returns both sample arrays."""
     if len(other) != len(signal) or other.fs != signal.fs:
-        raise ValueError(
+        raise InputError(
             f"{what} must match the signal's length and rate: {len(other)} samples at {other.fs:g} Hz, "
             f"signal {len(signal)} at {signal.fs:g} Hz"
         )

@@ -84,7 +84,7 @@ class FilterConfig:
             if v is not None and not v >= 0:
                 raise SettingError(name, "non-negative", v)
         if self.r_phi == 0.0 and self.r_s == 0.0:
-            raise ValueError("r_phi and r_s cannot both be zero")
+            raise SettingError("r_s", "non-zero when r_phi is zero: both cannot be zero", self.r_s)
 
 
 def substream(master_seed: int, *key) -> np.random.Generator:

@@ -668,6 +668,11 @@ class TestTvd:
         y = np.random.default_rng(0).normal(size=50)
         assert np.array_equal(tvd_denoise(sig(y), 0.0).samples, y)
 
+    @pytest.mark.parametrize("lam", [0.0, 0.5, float("inf")])
+    def test_one_sample_returned_bit_for_bit(self, lam):
+        y = np.array([0.1 + 0.2])
+        assert tvd_denoise(sig(y), lam).samples.tobytes() == y.tobytes()
+
     def test_huge_lambda_gives_mean(self):
         y = np.random.default_rng(1).normal(size=30)
         lam = 30 * (y.max() - y.min())

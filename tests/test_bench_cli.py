@@ -351,7 +351,8 @@ class TestBenchRun:
         plan = bench.BenchPlan(records=("118", "119"), methods=("nlms",), snr_levels=(12.0, 18.0), duration_s=4.0)
         clean_run = bench.run_bench(plan, data_root)
         clean = bench.trim(*bench.load_record(data_root, "118"), plan.duration_s)[0]
-        target = metrics.mix(clean, bench._load_noise(plan, data_root, clean.fs), 18.0).noisy.samples
+        noise = bench.load_noise(plan.noise, clean.fs, lambda: data_root, "record 118")
+        target = metrics.mix(clean, noise, 18.0).noisy.samples
         nlms_blocks = baselines._nlms_blocks
 
         def faulty(primaries, references, taps, mu):
@@ -382,7 +383,7 @@ class TestBenchRun:
         rows equal those of a run without the fault."""
         plan = bench.BenchPlan(records=("118", "119"), methods=("rls",), snr_levels=(12.0, 18.0), duration_s=4.0)
         loaded = {r: bench.trim(*bench.load_record(data_root, r, plan.channel), plan.duration_s) for r in plan.records}
-        noise = bench._load_noise(plan, data_root, 360.0)
+        noise = bench.load_noise(plan.noise, 360.0, lambda: data_root, "record 118")
         unit = bench.plan_cells(plan)
         clean_run = bench.run_cell(unit, loaded, noise, plan)
         faulty_seed = bench.cell_seed(plan.seed, "119", "rls", 12.0)
@@ -628,7 +629,7 @@ class TestBenchRun:
         argv = ["--data-root", str(data_root), "bench", "--records", "122", "--methods", "sg", "--levels", "12"]
         assert cli.main(argv + ["--noise", str(noise), "--out-dir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err == f"error: noise CSV {noise}: no t column, so its rate cannot be checked against 360 Hz\n"
+        assert err == f"error: {noise}: no t column, so its rate cannot be checked against 360 Hz\n"
 
     def test_snr_in_tracks_target(self, small_result):
         # Metrics run on the post-warm-up window, so the measured input SNR
@@ -1503,3 +1504,72 @@ class TestPlanRules:
         assert cli.main(argv + ["--duration", "2.006", "--out-dir", str(out)]) == 0
         rows = (out / "bench.csv").read_text().splitlines()[1:]
         assert len(rows) == 2 and all(row.endswith(",ok") for row in rows)
+
+
+class TestNoiseRule:
+    """mix and bench read their noise by one rule (bench.load_noise): a noise
+    record at the rate of the signal it is added to, or a "t,mv" CSV whose t
+    column runs at that rate.  Other noise exits 2 naming its source before
+    anything is written, and a noise CSV's message is the same from both."""
+
+    @staticmethod
+    def _write_noise_csvs():
+        noise = np.random.default_rng(0).normal(size=3000)
+        Path("noise_mv.csv").write_bytes(wfdbio.format_rows(noise, head=b"mv\n"))
+        Path("noise250.csv").write_bytes(wfdbio.write_csv(Signal(noise, 250.0)))
+
+    @pytest.mark.parametrize(
+        "clean, noise, flags, message",
+        [
+            ("121", "em250", [], "record em250: sampled at 250 Hz, not at the 360 Hz of record 121"),
+            ("r250", "em", [], "record em: sampled at 360 Hz, not at the 250 Hz of record r250"),
+            ("121", "noise_mv.csv", [], "noise_mv.csv: no t column, so its rate cannot be checked against 360 Hz"),
+            (
+                "121",
+                "noise250.csv",
+                [],
+                "noise250.csv: row 2: t = 0.004 s is not sample 1 at 360 Hz; the t column runs at 250 Hz",
+            ),
+            # --fs is the rate of a CSV input, not of the noise: an mv-only noise file is refused at any --fs.
+            (
+                "r250",
+                "noise_mv.csv",
+                ["--fs", "250"],
+                "noise_mv.csv: no t column, so its rate cannot be checked against 250 Hz",
+            ),
+        ],
+        ids=["noise-record-250", "record-250", "untimed-csv", "csv-250", "untimed-csv-fs-250"],
+    )
+    def test_noise_mistake_exits_2_naming_it(self, rate_root, tmp_path, monkeypatch, capsys, clean, noise, flags, message):
+        monkeypatch.chdir(tmp_path)
+        self._write_noise_csvs()
+        out = tmp_path / "out"
+        argv = ["--data-root", str(rate_root), "mix", clean, noise, "--level", "12", *flags]
+        assert cli.main(argv + ["--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "noisy.csv").exists()
+        if clean == "121" and noise.endswith(".csv"):  # one reader: bench refuses the file with the same message
+            argv = ["--data-root", str(rate_root), "bench", "--records", "121", "--methods", "sg", "--levels", "12"]
+            assert cli.main(argv + ["--noise", noise, "--out-dir", str(out)]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out.exists()
+
+    def test_mix_reads_a_noise_csv_at_the_clean_rate(self, rate_root, tmp_path, monkeypatch):
+        """A 250 Hz noise CSV mixes into a 250 Hz record at the default --fs of 360."""
+        monkeypatch.chdir(tmp_path)
+        self._write_noise_csvs()
+        argv = ["--data-root", str(rate_root), "mix", "r250", "noise250.csv", "--level", "12", "--out-dir", "out"]
+        assert cli.main(argv) == 0
+        clean = bench.load_record(rate_root, "r250")[0]
+        want = metrics.mix(clean, wfdbio.read_csv(Path("noise250.csv").read_bytes(), 250.0), 12.0)
+        assert Path("out/reference.csv").read_bytes() == wfdbio.write_csv(want.scaled_noise)
+
+    def test_csv_only_mix_needs_no_data_root(self, rate_root, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(cli.DATA_ENV, raising=False)
+        clean = bench.load_record(rate_root, "121")[0]
+        Path("clean.csv").write_bytes(wfdbio.write_csv(clean))
+        Path("noise360.csv").write_bytes((rate_root / "noise360.csv").read_bytes())
+        assert cli.main(["mix", "clean.csv", "noise360.csv", "--level", "12", "--out-dir", "out"]) == 0
+        noise = wfdbio.read_csv(Path("noise360.csv").read_bytes(), 360.0)
+        assert Path("out/noisy.csv").read_bytes() == wfdbio.write_csv(metrics.mix(clean, noise, 12.0).noisy)

@@ -75,6 +75,7 @@ class TestPaired:
     def test_names_the_partner_both_lengths_and_both_rates(self, other, message):
         with pytest.raises(ValueError) as err:
             paired(Signal(np.zeros(10), 360.0), other, "noise")
+        assert type(err.value) is InputError
         assert str(err.value) == f"noise must match the signal's length and rate: {message}"
 
 
