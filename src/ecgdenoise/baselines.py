@@ -380,8 +380,8 @@ def rls_batch(
     _check_batch(primaries, references, taps)
     if not 0.0 < forgetting <= 1.0:
         raise SettingError("forgetting", "in (0, 1]", forgetting)
-    if not delta > 0:
-        raise SettingError("delta", "positive", delta)
+    if not 0 < delta < math.inf:
+        raise SettingError("delta", "finite and positive", delta)
     return _signals(_rls_blocks(primaries, references, taps, forgetting, delta), primaries)
 
 

@@ -111,6 +111,14 @@ def report(clean: Signal, noisy: Signal, denoised: Signal) -> MetricReport:
     )
 
 
+def _unreachable(target_snr_db: float) -> SettingError:
+    """The reachable-level rule, the one place it is stated: a level whose
+    power ratio 10^(level/10) the float range holds, whose gain is finite
+    and positive, and whose scaled noise changes the clean signal."""
+    rule = "reachable by a finite, positive noise gain that changes the signal"
+    return SettingError("target_snr_db", rule, target_snr_db)
+
+
 def calibrate_gain(clean: Signal, noise: Signal, target_snr_db: float) -> float:
     """Gain g so that snr(clean, clean + g*noise) equals the target exactly."""
     if not math.isfinite(target_snr_db):
@@ -122,7 +130,13 @@ def calibrate_gain(clean: Signal, noise: Signal, target_snr_db: float) -> float:
         raise UndefinedMetricError("cannot calibrate against an all-zero clean signal")
     if pwr == 0.0:
         raise UndefinedMetricError("cannot calibrate a zero-energy noise record")
-    return math.sqrt(sig / (pwr * 10.0 ** (target_snr_db / 10.0)))
+    try:
+        gain = math.sqrt(sig / (pwr * 10.0 ** (target_snr_db / 10.0)))
+    except (OverflowError, ZeroDivisionError):  # the power ratio overflows, or underflows to 0
+        raise _unreachable(target_snr_db) from None
+    if not 0 < gain < math.inf:
+        raise _unreachable(target_snr_db)
+    return gain
 
 
 @dataclass(frozen=True)
@@ -151,8 +165,11 @@ def mix(clean: Signal, noise: Signal, target_snr_db: float) -> NoisyMix:
     noise = tile_to_length(noise, len(clean))
     g = calibrate_gain(clean, noise, target_snr_db)
     scaled = Signal(g * noise.samples, clean.fs)
+    noisy = clean.samples + scaled.samples
+    if np.array_equal(noisy, clean.samples):  # a gain too small to change any sample
+        raise _unreachable(target_snr_db)
     return NoisyMix(
-        noisy=Signal(clean.samples + scaled.samples, clean.fs),
+        noisy=Signal(noisy, clean.fs),
         clean=clean,
         scaled_noise=scaled,
         gain=g,

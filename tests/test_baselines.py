@@ -643,7 +643,7 @@ class TestAdaptive:
         [
             (lambda y: nlms_denoise(y, y, 8, float("nan")), r"^mu must be in \(0, 2\), got nan$"),
             (lambda y: rls_denoise(y, y, 8, float("nan"), 100.0), r"^forgetting must be in \(0, 1\], got nan$"),
-            (lambda y: rls_denoise(y, y, 8, 0.999, float("nan")), r"^delta must be positive, got nan$"),
+            (lambda y: rls_denoise(y, y, 8, 0.999, float("nan")), r"^delta must be finite and positive, got nan$"),
         ],
         ids=["mu", "forgetting", "delta"],
     )

@@ -114,45 +114,6 @@ def close_root(data_root, tmp_path_factory):
     return root, beats[5], beats[6]
 
 
-@pytest.fixture(scope="module")
-def bad_root(tmp_path_factory):
-    """The synthetic records 121 (7,200 samples) and em, whatever
-    ECGDENOISE_DATA holds, plus one bad record per way a WFDB record can be
-    wrong, each but "empty" and "badhea" built on 121."""
-    root = tmp_path_factory.mktemp("bad")
-    wfdbgen.make_ecg_record(root, "121", wfdbgen.RECORD_SECONDS["121"])
-    wfdbgen.make_noise_record(root, "em", wfdbgen.NOISE_SECONDS["em"])
-    hea, dat = (root / "121.hea").read_text(), (root / "121.dat").read_bytes()
-    for name in ("trunc", "sum", "late"):
-        (root / f"{name}.hea").write_text(hea.replace("121.dat", f"{name}.dat"))
-    (root / "trunc.dat").write_bytes(dat[:1000])
-    assert dat[3000:3003] != bytes(3)
-    (root / "sum.dat").write_bytes(dat[:3000] + bytes(3) + dat[3003:])
-    (root / "late.dat").write_bytes(dat)
-    beats = wfdbio.read_annotations((root / "121.atr").read_bytes()).indices.tolist()
-    (root / "late.atr").write_bytes(wfdbgen.write_annotations([(b, 1) for b in beats + [7200]]))
-    (root / "empty.hea").write_text("empty 1 360 0\nempty.dat 212\n")
-    (root / "empty.dat").write_bytes(b"")
-    (root / "badhea.hea").write_text("badhea 1 360\nbadhea.dat 16\n")
-    # Bytes that are not UTF-8: in a field, and (a good record) in a comment.
-    (root / "latin.hea").write_bytes(hea.replace("121.dat 212", "121.dat 2\xb512", 1).encode("latin-1"))
-    (root / "comment.hea").write_bytes((hea + "# caf\xe9\n").encode("latin-1"))
-    return root
-
-
-# Each bad record, and the message that names it.
-BAD_RECORDS = {
-    "trunc": "record trunc: signal payload truncated: need 21600 bytes, have 1000",
-    "sum": "record sum: channel 0: checksum 5505 does not match header 6528",
-    "empty": "record empty: no samples in 0 bytes of signal data",
-    "late": "record late: beat at sample 7200 lies outside samples 0 to 7199",
-    "badhea": "record badhea: line 2: unsupported format code 16 (only 212 is handled)",
-    "latin": "record latin: line 2: unreadable format code '2\\udcb512'",
-    "nope": "[Errno 2] No such file or directory: 'ROOT/nope.hea'",
-}
-PAIR = "must match the signal's length and rate: {} samples at 360 Hz, signal 2000 at 360 Hz"
-
-
 class _Plan(Exception):
     pass
 
@@ -622,14 +583,13 @@ class TestBenchRun:
         cells = bench.run_bench(replace(plan(ok), duration_s=8.0), data_root)
         assert cells[0].report is not None
 
-    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r", b"\x0c"], ids=["lf", "crlf", "cr", "ff"])
-    def test_untimed_noise_csv_exits_2_for_any_line_break(self, data_root, tmp_path, capsys, newline):
-        noise = tmp_path / "noise_mv.csv"
-        noise.write_bytes(newline.join([b"mv", *(b"%d" % (k % 7) for k in range(3000))]) + newline)
-        argv = ["--data-root", str(data_root), "bench", "--records", "122", "--methods", "sg", "--levels", "12"]
-        assert cli.main(argv + ["--noise", str(noise), "--out-dir", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert err == f"error: {noise}: no t column, so its rate cannot be checked against 360 Hz\n"
+    def test_unreachable_level_fails_its_cells_alone(self, data_root):
+        """A level the mix cannot reach fails each of its cells, a lockstep one too, and no other."""
+        plan = bench.BenchPlan(records=("122",), methods=("sg", "nlms"), snr_levels=(12.0, 4000.0), duration_s=8.0)
+        rule = "reachable by a finite, positive noise gain that changes the signal"
+        for c in bench.run_bench(plan, data_root):
+            unreachable = f"SettingError: target_snr_db must be {rule}, got 4000" if c.input_snr == 4000.0 else None
+            assert c.error == unreachable and (c.report is None) == (unreachable is not None)
 
     def test_snr_in_tracks_target(self, small_result):
         # Metrics run on the post-warm-up window, so the measured input SNR
@@ -906,17 +866,6 @@ class TestCliSynthFit:
         assert pct < 20.0
 
 
-_WAVES = default_morphology().to_dict()
-# Morphology files that are not valid: name -> (content, the error naming it).
-BAD_PARAMS = {
-    "no-b": (json.dumps({"alpha": _WAVES["alpha"], "theta": _WAVES["theta"]}), "KeyError: 'b'"),
-    "list": ("[1, 2]", "TypeError: list indices must be integers"),
-    "3-waves": (json.dumps({k: v[:3] for k, v in _WAVES.items()}), "ValueError: alpha must have exactly 5 entries"),
-    "nan-width": (json.dumps({**_WAVES, "b": [0.25, float("nan"), 0.1, 0.1, 0.4]}), "ValueError: b contains non-finite"),
-    "broken-json": ('{"alpha": [1,', "JSONDecodeError: Expecting value"),
-}
-
-
 class TestCliMixDenoise:
     def test_mix_check_level(self, data_root, tmp_path, capsys):
         rc = cli.main(
@@ -944,22 +893,6 @@ class TestCliMixDenoise:
         noise = bench.load_record(data_root, "em", 0)[0]
         want = wfdbio.write_csv(metrics.mix(clean, noise, 12.0).scaled_noise)
         assert (tmp_path / "reference.csv").read_bytes() == want
-
-    def test_mix_unreadable_noise_exits_2(self, data_root, tmp_path):
-        rc = cli.main(
-            [
-                "--data-root",
-                str(data_root),
-                "mix",
-                "118",
-                str(tmp_path / "nope.csv"),
-                "--level",
-                "6",
-                "--out-dir",
-                str(tmp_path / "m"),
-            ]
-        )
-        assert rc == 2
 
     def test_denoise_tvd_lambda_zero_is_identity(self, tmp_path):
         synth_dir = tmp_path / "s"
@@ -1009,58 +942,6 @@ class TestCliMixDenoise:
         argv = ["--data-root", str(sparse_root), "denoise", "one_beat", "--method", "ekf", "--out", str(tmp_path / "o.csv")]
         assert cli.main(argv) == 0
 
-    def test_denoise_nlms_requires_reference(self, tmp_path, capsys):
-        synth_dir = tmp_path / "s"
-        assert cli.main(["synth", "--out-dir", str(synth_dir), "--beats", "8"]) == 0
-        rc = cli.main(
-            ["denoise", str(synth_dir / "signal.csv"), "--method", "nlms", "--out", str(tmp_path / "o.csv")]
-        )
-        assert rc == 2
-        assert "--reference" in capsys.readouterr().err
-
-    def test_denoise_reference_rate_mismatch_exits_2(self, tmp_path, capsys):
-        synth_dir = tmp_path / "s"
-        assert cli.main(["synth", "--out-dir", str(synth_dir), "--beats", "8"]) == 0
-        n = len(wfdbio.read_csv((synth_dir / "signal.csv").read_bytes(), 360.0))
-        ref = tmp_path / "ref.csv"
-        ref.write_bytes(wfdbio.write_csv(Signal(np.zeros(n), 250.0)))
-        argv = ["denoise", str(synth_dir / "signal.csv"), "--method", "nlms", "--reference", str(ref)]
-        rc = cli.main(argv + ["--out", str(tmp_path / "o.csv")])
-        assert rc == 2
-        assert "250 Hz" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("method", ["nlms", "rls"])
-    def test_denoise_non_finite_reference_named(self, tmp_path, monkeypatch, capsys, method):
-        monkeypatch.chdir(tmp_path)
-        Path("good.csv").write_bytes(wfdbio.write_csv(Signal(np.sin(np.arange(2000) / 9.0), 360.0)))
-        ref = np.random.default_rng(0).normal(size=2000)
-        ref[50] = np.nan
-        Path("ref.csv").write_bytes(wfdbio.format_rows(ref, 360.0, head=b"t,mv\n"))
-        assert cli.main(["denoise", "good.csv", "--method", method, "--reference", "ref.csv"]) == 2
-        assert capsys.readouterr().err == "error: ref.csv: row 51: mv = nan is not a finite sample\n"
-        assert not Path("denoised.csv").exists()
-
-    @pytest.mark.parametrize("content, message", [
-        (b"t,mv\n0,1\n0.002777778,inf\n", "row 2: mv = inf is not a finite sample"),
-        (b"t,mv\n", "no data rows after the header"),
-    ])
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["denoise", "bad.csv", "--method", "sg"],
-            ["denoise", "good.csv", "--method", "nlms", "--reference", "bad.csv"],
-            ["denoise", "good.csv", "--method", "sg", "--clean", "bad.csv"],
-            ["mix", "good.csv", "bad.csv", "--level", "6"],
-        ],
-    )
-    def test_non_finite_or_empty_csv_named(self, tmp_path, monkeypatch, capsys, argv, content, message):
-        monkeypatch.chdir(tmp_path)
-        Path("good.csv").write_bytes(wfdbio.write_csv(Signal(np.sin(np.arange(2000) / 9.0), 360.0)))
-        Path("bad.csv").write_bytes(content)
-        assert cli.main(argv) == 2
-        assert capsys.readouterr().err == f"error: bad.csv: {message}\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv", "good.csv"]  # nothing written
-
     def test_denoise_clean_checked_before_filtering(self, tmp_path, monkeypatch, capsys):
         """A --clean reference of another length is bad input: it fails
         before the filter runs, naming --clean."""
@@ -1090,171 +971,13 @@ class TestCliMixDenoise:
                             r"in the block from sample \d+\n", err)
         assert not Path("denoised.csv").exists()
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["denoise", "bad.csv", "--method", "sg"],
-            ["denoise", "good.csv", "--method", "nlms", "--reference", "bad.csv"],
-            ["denoise", "good.csv", "--method", "sg", "--clean", "bad.csv"],
-            ["mix", "bad.csv", "good.csv", "--level", "6"],
-            ["mix", "good.csv", "bad.csv", "--level", "6"],
-        ],
-    )
-    def test_csv_error_names_the_file(self, tmp_path, monkeypatch, capsys, argv):
-        monkeypatch.chdir(tmp_path)  # the default output paths land here
-        Path("good.csv").write_bytes(wfdbio.write_csv(Signal(np.sin(np.arange(2000) / 9.0), 360.0)))
-        Path("bad.csv").write_bytes(b"t,mv\n0,1\n0.002777778,abc\n")
-        assert cli.main(argv) == 2
-        assert "error: bad.csv: row 2: non-numeric value" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "argv, message",
-        [
-            (["fit", "signal.csv", "--seconds", "-1"], "--seconds must be finite and positive, got -1"),
-            (["fit", "signal.csv", "--seconds", "nan"], "--seconds must be finite and positive, got nan"),
-            (["fit", "signal.csv", "--seconds", "0"], "--seconds must be finite and positive, got 0"),
-            (["denoise", "signal.csv", "--method", "enkf", "--n-ensemble", "1"], "--n-ensemble must be at least 2"),
-            (["denoise", "signal.csv", "--method", "ekf", "--n-ensemble", "1"], "--n-ensemble must be at least 2"),
-            (["denoise", "latin1.csv", "--method", "sg"], "latin1.csv: row 2: invalid UTF-8"),
-            (["fit", "signal.csv", "--seconds", "0.001"], "--seconds must be long enough to keep a sample at 360 Hz"),
-            (["fit", "signal.csv", "--bins", "0"], "--bins must be at least 16, got 0"),
-            (["denoise", "signal.csv", "--method", "sg", "--window", "0"], "--window must be odd and positive, got 0"),
-            (["denoise", "signal.csv", "--method", "sg", "--polyorder", "40"], "--polyorder must be non-negative"),
-            (["denoise", "signal.csv", "--method", "wavelet", "--levels", "0"], "--levels must be at least 1, got 0"),
-            (["denoise", "signal.csv", "--method", "tvd", "--lambda", "-1"], "--lambda must be non-negative, got -1"),
-            (["denoise", "signal.csv", "--method", "nlms", "--reference", "signal.csv", "--mu", "3"], "--mu must be in"),
-            (["denoise", "signal.csv", "--method", "rls", "--reference", "signal.csv", "--taps", "0"], "--taps must be"),
-            (["synth", "--out-dir", "new", "--beats", "0"], "--beats must be at least 1, got 0"),
-            (["synth", "--out-dir", "new", "--fs", "0"], "--fs must be finite and positive, got 0"),
-            (["synth", "--out-dir", "new", "--rr", "0.1"], "--rr must be finite and above 0.2 s, got 0.1"),
-            (["synth", "--out-dir", "new", "--noise-std", "-1"], "--noise-std must be finite and non-negative, got -1"),
-            (["mix", "signal.csv", "signal.csv", "--level", "nan"], "--level must be finite, got nan"),
-            # In range, but too large (or small) for the input: 12 beats hold 3,676 samples at 360 Hz.
-            (["synth", "--out-dir", "new", "--beats", "12", "--fs", "0.01"], "--fs must be high enough for 10.21"),
-            pytest.param(
-                ["synth", "--out-dir", "new", "--fs", "1", "--rr", "0.3", "--beats", "1"],
-                "--fs must be high enough for 0.3 s to hold a sample, got 1",
-                id="synth-beats-round-to-0-samples",
-            ),
-            (["denoise", "signal.csv", "--method", "sg", "--window", "99999"], "--window must be at most 3676 for 3676"),
-            (["fit", "signal.csv", "--seconds", "1"], "--seconds must be at least 2 s to detect R peaks, got 1"),
-            (["denoise", "signal.csv", "--method", "wavelet", "--levels", "20"], "--levels must be at most 11 for 3676"),
-            # The library states each rule below; the CLI names the flag that fed it.
-            *(
-                (cmd + ["--fs", fs], f"--fs must be finite and positive, got {fs}")
-                for cmd in (["fit", "signal.csv"], ["mix", "signal.csv", "signal.csv", "--level", "6"],
-                            ["denoise", "signal.csv", "--method", "sg"])
-                for fs in ("0", "nan", "inf")
-            ),
-            (["denoise", "signal.csv", "--method", "sg", "--polyorder", "-1"], "--polyorder must be non-negative"),
-            (["synth", "--out-dir", "new", "--noise-std", "nan"], "--noise-std must be finite and non-negative, got nan"),
-            (["synth", "--out-dir", "new", "--rr", "inf"], "--rr must be finite and above 0.2 s, got inf"),
-            (["--data-root", "DATA", "fit", "118", "--channel", "-1"], "--channel must be from 0 to 1 in record 118, got -1"),
-            (
-                ["--data-root", "DATA", "bench", "--records", "118", "--methods", "sg", "--channel", "-1"],
-                "--channel must be from 0 to 1 in record 118, got -1",
-            ),
-            # Sample counts above core.MAX_SAMPLES, rejected before anything is allocated.
-            pytest.param(
-                ["synth", "--out-dir", "new", "--fs", "1e308"],
-                "--fs must be at most 3.55254e+14 for 25.3542 s, got 1e+308",
-                id="synth-fs-count",
-            ),
-            pytest.param(
-                ["synth", "--out-dir", "new", "--beats", "2", "--rr", "1e308"],
-                "--rr must be from 0 to 2.502e+13 s at 360 Hz, got inf",  # the intervals' total
-                id="synth-rr-count-inf",
-            ),
-            pytest.param(
-                ["synth", "--out-dir", "new", "--beats", "2", "--rr", "1e300"],
-                "--rr must be from 0 to 2.502e+13 s at 360 Hz, got 2e+300",
-                id="synth-rr-count",
-            ),
-            pytest.param(
-                ["fit", "signal.csv", "--seconds", "1e300"],
-                "--seconds must be from 0 to 2.502e+13 s at 360 Hz, got 1e+300",
-                id="fit-seconds-count",
-            ),
-            # A bad --params file, on both subcommands that read one.
-            *(
-                pytest.param(cmd + ["--params", f"{name}.json"], f"params file {name}.json: {err}", id=f"{cmd[0]}-{name}")
-                for cmd in (["synth", "--out-dir", "new"], ["denoise", "signal.csv", "--method", "ekf"])
-                for name, (_, err) in BAD_PARAMS.items()
-            ),
-            # More bins than the beats fill: model.mean_beat's size rule on n_bins.
-            pytest.param(
-                ["fit", "signal.csv", "--bins", "5000"],
-                "--bins must be few enough for every phase bin to receive a sample (bin ",
-                id="fit-bins-unfilled",
-            ),
-            # denoise builds its FilterConfig before it reads any input, whatever the method.
-            *(
-                pytest.param(
-                    ["denoise", "signal.csv", "--method", method, "--n-ensemble", "1", *more],
-                    "--n-ensemble must be at least 2 for a sample covariance, got 1",
-                    id=f"denoise-{method}-n_ensemble",
-                )
-                for method, more in (("sg", []), ("wavelet", []), ("tvd", []), ("nlms", ["--reference", "signal.csv"]))
-            ),
-        ],
-    )
-    def test_bad_size_or_encoding_is_a_usage_error(self, data_root, tmp_path, monkeypatch, capsys, argv, message):
-        monkeypatch.chdir(tmp_path)
-        assert cli.main(["synth", "--out-dir", ".", "--beats", "12"]) == 0
-        Path("latin1.csv").write_bytes(b"mv\n1\n\xb5\n")
-        for name, (doc, _) in BAD_PARAMS.items():
-            Path(f"{name}.json").write_text(doc)
-        before = sorted(tmp_path.rglob("*"))
-        capsys.readouterr()
-        assert cli.main([str(data_root) if a == "DATA" else a for a in argv]) == 2
-        assert f"error: {message}" in capsys.readouterr().err
-        assert sorted(tmp_path.rglob("*")) == before  # nothing written
-
-
 class TestBadInput:
     """Every bad record, file or flag is a core.InputError or an OSError, so
-    exit 2, whichever reader raised it; its message names the record, file or
-    flag at fault, and nothing is written."""
+    exit 2, whichever reader raised it (test_bad_input.py holds each case and
+    its message); a good record's header comment may hold any bytes."""
 
-    @pytest.mark.parametrize(
-        "argv, message",
-        [
-            *(
-                pytest.param(cmd, message, id=f"{cmd[0]}-{name}")
-                for name, message in BAD_RECORDS.items()
-                for cmd in (
-                    ["denoise", name, "--method", "ekf"],
-                    ["fit", name],
-                    ["bench", "--records", f"121,{name}", "--methods", "sg", "--levels", "12", "--duration", "4"],
-                )
-            ),
-            (["denoise", "long.csv", "--method", "sg", "--clean", "short.csv"], "--clean " + PAIR.format(1000)),
-            (["denoise", "long.csv", "--method", "sg", "--clean", "121"], "--clean " + PAIR.format(7200)),
-            (["denoise", "long.csv", "--method", "nlms", "--reference", "short.csv"], "--reference " + PAIR.format(1000)),
-            (["denoise", "long.csv", "--method", "rls", "--reference", "short.csv"], "--reference " + PAIR.format(1000)),
-            # A missing file: the read's own OSError names it.
-            *(
-                pytest.param(argv, "[Errno 2] No such file or directory: 'nope.csv'", id=f"missing-{flag}")
-                for flag, argv in {
-                    "input": ["denoise", "nope.csv", "--method", "sg"],
-                    "reference": ["denoise", "long.csv", "--method", "nlms", "--reference", "nope.csv"],
-                    "clean": ["denoise", "long.csv", "--method", "sg", "--clean", "nope.csv"],
-                    "params": ["denoise", "long.csv", "--method", "ekf", "--params", "nope.csv"],
-                    "noise": ["bench", "--records", "121", "--methods", "sg", "--levels", "12", "--noise", "nope.csv"],
-                }.items()
-            ),
-        ],
-    )
-    def test_bad_input_exits_2_naming_it(self, bad_root, tmp_path, monkeypatch, capsys, argv, message):
-        monkeypatch.chdir(tmp_path)  # every default output path lands here
-        Path("long.csv").write_bytes(wfdbio.write_csv(Signal(np.sin(np.arange(2000) / 9.0), 360.0)))
-        Path("short.csv").write_bytes(wfdbio.write_csv(Signal(np.sin(np.arange(1000) / 9.0), 360.0)))
-        assert cli.main(["--data-root", str(bad_root), *argv]) == 2
-        assert capsys.readouterr().err == f"error: {message.replace('ROOT', str(bad_root))}\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["long.csv", "short.csv"]  # nothing written
-
-    def test_header_comment_need_not_be_utf8(self, bad_root):
-        samples = lambda name: bench.load_record(bad_root, name)[0].samples
+    def test_header_comment_need_not_be_utf8(self, world):
+        samples = lambda name: bench.load_record(world, name)[0].samples
         assert np.array_equal(samples("comment"), samples("121"))
 
     def test_any_input_error_exits_2(self, tmp_path, monkeypatch, capsys):
@@ -1380,127 +1103,20 @@ class TestCliBench:
         assert rc == 0
         assert "0.000000" in capsys.readouterr().out
 
-    # Each id names the plan field its flag sets.  An entry that a list flag's
-    # type cannot read is argparse's error, which exits through SystemExit(2).
-    @pytest.mark.parametrize(
-        "flags, field",
-        [
-            pytest.param(["--methods", "magic"], f"--methods must be one of {', '.join(bench.METHODS)}, got 'magic'",
-                         id="flags0-method 'magic'"),
-            *(
-                pytest.param(["--duration", v], f"--duration must be finite and positive, got {v}", id=f"flags{k}-duration_s")
-                for k, v in enumerate(("-1", "nan", "inf", "0"), 1)
-            ),
-            pytest.param(["--n-ensemble", "1"], "--n-ensemble must be at least 2 for a sample covariance, got 1",
-                         id="flags5-n_ensemble"),
-            pytest.param(["--levels", "inf"], "--levels must be finite, got inf", id="flags6-snr_levels"),
-            (["--jobs", "0"], "--jobs must be at least 1, got 0"),
-            (["--jobs", "-2"], "--jobs must be at least 1, got -2"),
-            pytest.param(["--duration", "0.001"], "--duration must be long enough to keep a sample at 360 Hz, got 0.001",
-                         id="flags9-duration_s"),  # keeps no sample: bench.trim's rule
-            pytest.param(["--methods", ","], f"--methods must be one of {', '.join(bench.METHODS)}, got ''",
-                         id="methods-empty-entry"),
-            pytest.param(["--levels", "12,abc"], "argument --levels: invalid float list value: '12,abc'",
-                         id="snr_levels-unreadable"),
-            pytest.param(["--levels", ","], "argument --levels: invalid float list value: ','", id="snr_levels-empty-entry"),
-            pytest.param(["--duration", "1e300"], "--duration must be from 0 to 2.502e+13 s at 360 Hz, got 1e+300",
-                         id="duration_s-count"),  # core.sample_count's size rule, through bench.trim
-            pytest.param(["--records", "118,"], "--records must be non-empty record names, got ''", id="records-empty-entry"),
-            pytest.param(["--records", "118,119,118"], "--records must be free of repeats, got '118'", id="records-repeat"),
-            pytest.param(["--methods", "sg,tvd,sg"], "--methods must be free of repeats, got 'sg'", id="methods-repeat"),
-            pytest.param(["--levels", "12,6,12.0"], "--levels must be free of repeats, got 12", id="snr_levels-repeat"),
-        ],
-    )
-    def test_bad_plan_is_a_usage_error(self, data_root, tmp_path, capsys, flags, field):
-        out = tmp_path / "bench"
-        argv = ["--data-root", str(data_root), "bench", "--records", "118", "--methods", "sg", "--levels", "12"]
-        try:
-            status = cli.main(argv + ["--duration", "4", "--out-dir", str(out), *flags])
-        except SystemExit as exc:
-            status = exc.code
-        assert status == 2
-        assert field in capsys.readouterr().err
-        assert not out.exists()
-
     def test_no_data_root_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv(cli.DATA_ENV, raising=False)
         rc = cli.main(["mix", "118", "em", "--level", "0", "--out-dir", str(tmp_path)])
         assert rc == 2
 
 
-@pytest.fixture(scope="module")
-def rate_root(tmp_path_factory):
-    """The synthetic records 121 and em at 360 Hz, whatever ECGDENOISE_DATA
-    holds, plus r250 (an ECG record at 250 Hz), em250 (the em noise at
-    250 Hz), brief (1.5 s at 360 Hz, shorter than the warm-up) and
-    noise360.csv, a timed noise CSV at 360 Hz."""
-    root = tmp_path_factory.mktemp("rates")
-    wfdbgen.make_ecg_record(root, "121", wfdbgen.RECORD_SECONDS["121"])
-    wfdbgen.make_noise_record(root, "em", wfdbgen.NOISE_SECONDS["em"])
-    wfdbgen.make_ecg_record(root, "r250", wfdbgen.RECORD_SECONDS["121"], fs=250.0)
-    wfdbgen.make_ecg_record(root, "brief", 1.5)
-    slow = tmp_path_factory.mktemp("em250")
-    wfdbgen.make_noise_record(slow, "em", wfdbgen.NOISE_SECONDS["em"], fs=250.0)
-    head, body = (slow / "em.hea").read_text().split("\n", 1)
-    (root / "em250.hea").write_text(head.replace("em", "em250", 1) + "\n" + body.replace("em.dat", "em250.dat"))
-    (root / "em250.dat").write_bytes((slow / "em.dat").read_bytes())
-    noise = Signal(np.random.default_rng(0).normal(size=30000), 360.0)
-    (root / "noise360.csv").write_bytes(wfdbio.write_csv(noise))
-    return root
-
-
-def _rate_error(bad: str, fs: int, plan_fs: int) -> str:
-    return f"record {bad}: sampled at {fs} Hz, not at the {plan_fs} Hz of the plan's first record"
-
-
 class TestPlanRules:
-    """The plan rules (one rate, records before noise; 2 samples per record
-    to score past the warm-up) are checked before any cell runs or any
-    worker forks: a plan that breaks one exits 2 naming the flag or the
-    record, whatever the order of --records, and writes no bench.csv."""
+    """A plan keeps 2 samples per record to score past the warm-up (a plan
+    that breaks a plan rule is a row of test_bad_input.py)."""
 
-    @pytest.mark.parametrize(
-        "flags, message",
-        [
-            pytest.param(
-                ["--duration", "2"],
-                "--duration must be long enough to score 2 samples past the 2 s warm-up at 360 Hz, got 2",
-                id="duration-scores-nothing",
-            ),
-            pytest.param(  # round(2.003 * 360) = 721 samples, 1 past the 720 of the warm-up
-                ["--duration", "2.003"],
-                "--duration must be long enough to score 2 samples past the 2 s warm-up at 360 Hz, got 2.003",
-                id="duration-scores-1-sample",
-            ),
-            pytest.param(
-                ["--records", "121,brief"],
-                "record brief: 540 samples, too few to score 2 past the 2 s warm-up",
-                id="record-shorter-than-warm-up",
-            ),
-            *(
-                pytest.param(["--records", records, "--noise", noise], _rate_error(*bad), id=f"{records}-{noise}")
-                for noise in ("em", "noise360.csv")
-                for records, bad in (("121,r250", ("r250", 250, 360)), ("r250,121", ("121", 360, 250)))
-            ),
-            pytest.param(["--noise", "em250"], _rate_error("em250", 250, 360), id="noise-record-250"),
-        ],
-    )
-    def test_plan_mistake_exits_2_before_any_cell(self, rate_root, tmp_path, monkeypatch, capsys, flags, message):
-        ran = []
-        monkeypatch.setattr(bench, "run_cell", lambda *a: ran.append("run_cell"))
-        monkeypatch.setattr(bench, "_fork_worker", lambda *a: ran.append("_fork_worker"))
-        monkeypatch.chdir(rate_root)  # where noise360.csv is
-        out = tmp_path / "out"
-        argv = ["--data-root", str(rate_root), "bench", "--records", "121", "--methods", "sg,enkf", "--levels", "12"]
-        assert cli.main(argv + ["--duration", "4", "--jobs", "2", "--out-dir", str(out), *flags]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert ran == []
-        assert not (out / "bench.csv").exists()
-
-    def test_two_scored_samples_run(self, rate_root, tmp_path, capsys):
+    def test_two_scored_samples_run(self, world, tmp_path, capsys):
         """round(2.006 * 360) = 722 samples leave 2 past the warm-up: enough for every metric."""
         out = tmp_path / "out"
-        argv = ["--data-root", str(rate_root), "bench", "--records", "121", "--methods", "sg", "--levels", "12"]
+        argv = ["--data-root", str(world), "bench", "--records", "121", "--methods", "sg", "--levels", "12"]
         assert cli.main(argv + ["--duration", "2.006", "--out-dir", str(out)]) == 0
         rows = (out / "bench.csv").read_text().splitlines()[1:]
         assert len(rows) == 2 and all(row.endswith(",ok") for row in rows)
@@ -1509,67 +1125,24 @@ class TestPlanRules:
 class TestNoiseRule:
     """mix and bench read their noise by one rule (bench.load_noise): a noise
     record at the rate of the signal it is added to, or a "t,mv" CSV whose t
-    column runs at that rate.  Other noise exits 2 naming its source before
-    anything is written, and a noise CSV's message is the same from both."""
+    column runs at that rate (other noise is a row of test_bad_input.py)."""
 
-    @staticmethod
-    def _write_noise_csvs():
-        noise = np.random.default_rng(0).normal(size=3000)
-        Path("noise_mv.csv").write_bytes(wfdbio.format_rows(noise, head=b"mv\n"))
-        Path("noise250.csv").write_bytes(wfdbio.write_csv(Signal(noise, 250.0)))
-
-    @pytest.mark.parametrize(
-        "clean, noise, flags, message",
-        [
-            ("121", "em250", [], "record em250: sampled at 250 Hz, not at the 360 Hz of record 121"),
-            ("r250", "em", [], "record em: sampled at 360 Hz, not at the 250 Hz of record r250"),
-            ("121", "noise_mv.csv", [], "noise_mv.csv: no t column, so its rate cannot be checked against 360 Hz"),
-            (
-                "121",
-                "noise250.csv",
-                [],
-                "noise250.csv: row 2: t = 0.004 s is not sample 1 at 360 Hz; the t column runs at 250 Hz",
-            ),
-            # --fs is the rate of a CSV input, not of the noise: an mv-only noise file is refused at any --fs.
-            (
-                "r250",
-                "noise_mv.csv",
-                ["--fs", "250"],
-                "noise_mv.csv: no t column, so its rate cannot be checked against 250 Hz",
-            ),
-        ],
-        ids=["noise-record-250", "record-250", "untimed-csv", "csv-250", "untimed-csv-fs-250"],
-    )
-    def test_noise_mistake_exits_2_naming_it(self, rate_root, tmp_path, monkeypatch, capsys, clean, noise, flags, message):
-        monkeypatch.chdir(tmp_path)
-        self._write_noise_csvs()
-        out = tmp_path / "out"
-        argv = ["--data-root", str(rate_root), "mix", clean, noise, "--level", "12", *flags]
-        assert cli.main(argv + ["--out-dir", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert not (out / "noisy.csv").exists()
-        if clean == "121" and noise.endswith(".csv"):  # one reader: bench refuses the file with the same message
-            argv = ["--data-root", str(rate_root), "bench", "--records", "121", "--methods", "sg", "--levels", "12"]
-            assert cli.main(argv + ["--noise", noise, "--out-dir", str(out)]) == 2
-            assert capsys.readouterr().err == f"error: {message}\n"
-            assert not out.exists()
-
-    def test_mix_reads_a_noise_csv_at_the_clean_rate(self, rate_root, tmp_path, monkeypatch):
+    def test_mix_reads_a_noise_csv_at_the_clean_rate(self, world, tmp_path, monkeypatch):
         """A 250 Hz noise CSV mixes into a 250 Hz record at the default --fs of 360."""
         monkeypatch.chdir(tmp_path)
-        self._write_noise_csvs()
-        argv = ["--data-root", str(rate_root), "mix", "r250", "noise250.csv", "--level", "12", "--out-dir", "out"]
+        noise = world / "noise250.csv"
+        argv = ["--data-root", str(world), "mix", "r250", str(noise), "--level", "12", "--out-dir", "out"]
         assert cli.main(argv) == 0
-        clean = bench.load_record(rate_root, "r250")[0]
-        want = metrics.mix(clean, wfdbio.read_csv(Path("noise250.csv").read_bytes(), 250.0), 12.0)
+        clean = bench.load_record(world, "r250")[0]
+        want = metrics.mix(clean, wfdbio.read_csv(noise.read_bytes(), 250.0), 12.0)
         assert Path("out/reference.csv").read_bytes() == wfdbio.write_csv(want.scaled_noise)
 
-    def test_csv_only_mix_needs_no_data_root(self, rate_root, tmp_path, monkeypatch):
+    def test_csv_only_mix_needs_no_data_root(self, world, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv(cli.DATA_ENV, raising=False)
-        clean = bench.load_record(rate_root, "121")[0]
+        clean = bench.load_record(world, "121")[0]
         Path("clean.csv").write_bytes(wfdbio.write_csv(clean))
-        Path("noise360.csv").write_bytes((rate_root / "noise360.csv").read_bytes())
+        Path("noise360.csv").write_bytes((world / "noise360.csv").read_bytes())
         assert cli.main(["mix", "clean.csv", "noise360.csv", "--level", "12", "--out-dir", "out"]) == 0
         noise = wfdbio.read_csv(Path("noise360.csv").read_bytes(), 360.0)
         assert Path("out/noisy.csv").read_bytes() == wfdbio.write_csv(metrics.mix(clean, noise, 12.0).noisy)
