@@ -8,6 +8,12 @@ exactly "error: {message}".  ROOT stands for the world's path.  Every row
 exits 2, prints exactly that, writes nothing and runs no bench cell, in
 process and, for the CONSOLE rows, through `python -m ecgdenoise.cli`.  A new
 rule on a record, file, flag or level gets a row here.
+
+run_in_process is the one in-process runner.  INPUT_ROWS and FLAG_ROWS keep
+the test names their checks had in test_bench_cli.py
+(TestBadInput::test_bad_input_exits_2_naming_it and
+TestCliMixDenoise::test_bad_size_or_encoding_is_a_usage_error), which run them;
+test_in_process runs the other rows.
 """
 
 from __future__ import annotations
@@ -69,42 +75,19 @@ def _was(k: int, argv: list[str], matched: str, rest: str = ""):
     return P(argv, matched + rest, id=f"argv{k}-{matched}")
 
 
-ROWS = [
+# A bad record or a missing file, or a --clean or --reference that does not
+# pair with the signal.
+INPUT_ROWS = [
     # A bad record, by each command that reads one.
     *(
         P(cmd, message, id=f"{cmd[0]}-{name}")
         for name, message in BAD_RECORDS.items()
         for cmd in (["denoise", name, "--method", "ekf"], ["fit", name], [*BENCH[:2], f"121,{name}", *BENCH[3:]])
     ),
-    # A bad CSV file, in each place a CSV file is read.
-    *(
-        P(_reading(CSV_READS[i], f"{bad}.csv"), f"{bad}.csv: {message}", id=f"argv{k}-{content}-{message}")
-        for k, i in enumerate((0, 1, 2, 4))
-        for bad, content, message in (
-            ("inf", "t,mv\n0,1\n0.002777778,inf\n", "row 2: mv = inf is not a finite sample"),
-            ("headonly", "t,mv\n", "no data rows after the header"),
-        )
-    ),
-    *(
-        P(_reading(argv, "abc.csv"), "abc.csv: row 2: non-numeric value in '0.002777778,abc'", id=f"argv{k}")
-        for k, argv in enumerate(CSV_READS)
-    ),
     _was(21, ["denoise", "long.csv", *SG, "--clean", "short.csv"], "--clean " + PAIR.format(1000)),
     _was(22, ["denoise", "long.csv", *SG, "--clean", "121"], "--clean " + PAIR.format(7200)),
     _was(23, ["denoise", "long.csv", "--method", "nlms", "--reference", "short.csv"], "--reference " + PAIR.format(1000)),
     _was(24, ["denoise", "long.csv", "--method", "rls", "--reference", "short.csv"], "--reference " + PAIR.format(1000)),
-    P(
-        ["denoise", "signal.csv", "--method", "nlms", "--reference", "ref250.csv"],
-        "ref250.csv: row 2: t = 0.004 s is not sample 1 at 360 Hz; the t column runs at 250 Hz",
-        id="reference-rate-mismatch",
-    ),
-    *(
-        P(["denoise", "long.csv", "--method", m, "--reference", "nanref.csv"], "nanref.csv: row 51: mv = nan is not a finite sample",
-          id=m)
-        for m in ("nlms", "rls")
-    ),
-    P(["denoise", "signal.csv", "--method", "nlms"], "--method nlms requires --reference (the noise channel)",
-      id="nlms-requires-reference"),
     # A missing file: the read's own OSError names it.
     *(
         P(argv, "[Errno 2] No such file or directory: 'nope.csv'", id=f"missing-{flag}")
@@ -117,6 +100,10 @@ ROWS = [
             "mix-noise": ["mix", "121", "nope.csv", "--level", "6"],
         }.items()
     ),
+]
+# A bad --params file, a CSV file that is not UTF-8, or a flag's value outside
+# its rule.
+FLAG_ROWS = [
     # A bad --params file, on both subcommands that read one.
     *(
         P([*cmd, "--params", f"{name}.json"], f"params file {name}.json: {err}", id=f"{cmd[0]}-{name}")
@@ -195,6 +182,34 @@ ROWS = [
         P(["mix", "signal.csv", "noise360.csv", f"--level={v}"], LEVEL.format(v), id=f"level-{v}")
         for v in ("4000", "-4000", "-3100", "3070", "3000")
     ),
+]
+# A bad CSV file, a bad bench plan, or noise that breaks the noise rule.
+PLAN_AND_FILE_ROWS = [
+    # A bad CSV file, in each place a CSV file is read.
+    *(
+        P(_reading(CSV_READS[i], f"{bad}.csv"), f"{bad}.csv: {message}", id=f"argv{k}-{content}-{message}")
+        for k, i in enumerate((0, 1, 2, 4))
+        for bad, content, message in (
+            ("inf", "t,mv\n0,1\n0.002777778,inf\n", "row 2: mv = inf is not a finite sample"),
+            ("headonly", "t,mv\n", "no data rows after the header"),
+        )
+    ),
+    *(
+        P(_reading(argv, "abc.csv"), "abc.csv: row 2: non-numeric value in '0.002777778,abc'", id=f"argv{k}")
+        for k, argv in enumerate(CSV_READS)
+    ),
+    P(
+        ["denoise", "signal.csv", "--method", "nlms", "--reference", "ref250.csv"],
+        "ref250.csv: row 2: t = 0.004 s is not sample 1 at 360 Hz; the t column runs at 250 Hz",
+        id="reference-rate-mismatch",
+    ),
+    *(
+        P(["denoise", "long.csv", "--method", m, "--reference", "nanref.csv"], "nanref.csv: row 51: mv = nan is not a finite sample",
+          id=m)
+        for m in ("nlms", "rls")
+    ),
+    P(["denoise", "signal.csv", "--method", "nlms"], "--method nlms requires --reference (the noise channel)",
+      id="nlms-requires-reference"),
     # A bad bench plan.  An entry that a list flag's type cannot read is argparse's error.
     P([*BENCH, "--methods", "magic"], f"--methods must be one of {METHODS}, got 'magic'", id="flags0-method 'magic'"),
     *(
@@ -243,6 +258,7 @@ ROWS = [
         for nl in ("lf", "crlf", "cr", "ff")
     ),
 ]
+ROWS = [*INPUT_ROWS, *FLAG_ROWS, *PLAN_AND_FILE_ROWS]
 
 # The rows also run through the console script: each case the shell step of
 # CI once checked, and a missing file's OSError.
@@ -268,8 +284,8 @@ def _check(world: Path, status, err: str, before: list[Path], message: str) -> N
     assert sorted(world.rglob("*")) == before
 
 
-@pytest.mark.parametrize("argv, message", ROWS)
-def test_in_process(world, monkeypatch, capsys, argv, message):
+def run_in_process(world: Path, monkeypatch, capsys, argv: list[str], message: str) -> None:
+    """Run cli.main on the row from the world directory, with bench's cells replaced by a recorder."""
     ran = []
     monkeypatch.setattr(bench, "run_cell", lambda *a: ran.append("run_cell"))
     monkeypatch.setattr(bench, "_fork_worker", lambda *a: ran.append("_fork_worker"))
@@ -282,6 +298,11 @@ def test_in_process(world, monkeypatch, capsys, argv, message):
         status = exc.code
     _check(world, status, capsys.readouterr().err, before, message)
     assert ran == []
+
+
+@pytest.mark.parametrize("argv, message", PLAN_AND_FILE_ROWS)
+def test_in_process(world, monkeypatch, capsys, argv, message):
+    run_in_process(world, monkeypatch, capsys, argv, message)
 
 
 # Imported at the child's start-up, so a call of either leaves an exit status and a message no row expects.

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import wfdbgen
+from test_bad_input import FLAG_ROWS, INPUT_ROWS, run_in_process
 from ecgdenoise import baselines, bench, cli, enkf, metrics, wfdbio
 from ecgdenoise.core import InputError, SettingError, Signal
 from ecgdenoise.model import default_morphology, mean_beat, synthesize
@@ -971,10 +972,19 @@ class TestCliMixDenoise:
                             r"in the block from sample \d+\n", err)
         assert not Path("denoised.csv").exists()
 
+    @pytest.mark.parametrize("argv, message", FLAG_ROWS)
+    def test_bad_size_or_encoding_is_a_usage_error(self, world, monkeypatch, capsys, argv, message):
+        run_in_process(world, monkeypatch, capsys, argv, message)
+
+
 class TestBadInput:
     """Every bad record, file or flag is a core.InputError or an OSError, so
     exit 2, whichever reader raised it (test_bad_input.py holds each case and
     its message); a good record's header comment may hold any bytes."""
+
+    @pytest.mark.parametrize("argv, message", INPUT_ROWS)
+    def test_bad_input_exits_2_naming_it(self, world, monkeypatch, capsys, argv, message):
+        run_in_process(world, monkeypatch, capsys, argv, message)
 
     def test_header_comment_need_not_be_utf8(self, world):
         samples = lambda name: bench.load_record(world, name)[0].samples
