@@ -131,10 +131,10 @@ def sg_filter(signal: Signal, window: int, polyorder: int) -> Signal:
     kernel = np.linalg.lstsq(vand.T @ vand, vand.T, rcond=None)[0][0]
     out = np.convolve(x, kernel[::-1], mode="same")
 
-    for k in range(min(half, n)):
+    for k in range(half):
         seg = x[: k + half + 1]
         out[k] = _sg_edge_value(seg, np.arange(len(seg)) - k, polyorder)
-    for k in range(max(n - half, 0), n):
+    for k in range(n - half, n):
         seg = x[k - half :]
         out[k] = _sg_edge_value(seg, np.arange(k - half, n) - k, polyorder)
     return Signal(out, signal.fs)
@@ -151,35 +151,13 @@ def _sg_edge_value(seg: np.ndarray, offsets: np.ndarray, polyorder: int) -> floa
 # ---------------------------------------------------------------------------
 
 
-def _daubechies_filter(n_moments: int = 4) -> np.ndarray:
-    """Minimum-phase orthonormal Daubechies scaling filter with 2*n_moments taps.
-
-    Built by spectral factorization of the maxflat half-band polynomial, so
-    the coefficients carry full double precision rather than copied digits.
-    """
-    nm = n_moments
-    k = np.arange(nm)
-    from math import comb
-
-    pc = np.array([comb(nm - 1 + j, j) for j in k], dtype=np.float64)
-    # Roots of P(y), then map y -> z via y = (2 - z - 1/z)/4 and keep the
-    # root of each pair inside the unit circle.
-    yroots = np.roots(pc[::-1])
-    zroots = []
-    for y in yroots:
-        c = np.array([1.0, -(2.0 - 4.0 * y), 1.0])
-        r1, r2 = np.roots(c)
-        zroots.append(r1 if abs(r1) < 1.0 else r2)
-    poly = np.array([1.0], dtype=complex)
-    for _ in range(nm):
-        poly = np.convolve(poly, [1.0, 1.0])  # (1 + z)^nm
-    for z in zroots:
-        poly = np.convolve(poly, [1.0, -z])
-    h = np.real(poly)
-    return h * (np.sqrt(2.0) / h.sum())
-
-
-_DB_H = _daubechies_filter(4)
+# Daubechies-4 (db4) scaling filter, minimum phase, orthonormal (sum sqrt(2)):
+# the spectral factor of the maxflat half-band polynomial with four vanishing
+# moments (Daubechies, CPAM 41(7), 1988), each tap the repr of its float64.
+_DB_H = np.array([
+    0.23037781330889642, 0.7148465705529156, 0.6308807679298589, -0.027983769416859483,
+    -0.187034811719093, 0.030841381835560643, 0.03288301166688516, -0.010597401785069016,
+])  # fmt: skip
 _DB_G = np.array([(-1.0) ** v * _DB_H[len(_DB_H) - 1 - v] for v in range(len(_DB_H))])
 
 

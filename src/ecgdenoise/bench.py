@@ -507,7 +507,7 @@ _PLOT_SPECS = (
 def render_plots(cells: list[BenchCell], plan: BenchPlan) -> dict[str, str]:
     """One SVG per metric: mean-across-records value per method over the level sweep."""
     agg = {(c.method, c.input_snr): c for c in aggregate(cells)}
-    levels = sorted(set(plan.snr_levels))
+    levels = sorted(plan.snr_levels)
     out = {}
     for name, title, ylabel, pick in _PLOT_SPECS:
         series = []

@@ -19,42 +19,46 @@ class UndefinedMetricError(ValueError):
 _TINY = sys.float_info.min  # smallest normal double
 
 
+def _unit_exponent(a: np.ndarray) -> int:
+    """k with a * 2**-k peaking in [0.5, 1): an exact rescale, unless a sample turns subnormal."""
+    return math.frexp(float(np.max(np.abs(a))))[1]
+
+
+def _energy(a: np.ndarray) -> tuple[float, int]:
+    """a @ a as (e, k), a @ a = e * 4**k: the direct sum with k = 0 where it is a
+    normal double or a is all zeros, else the energy of a * 2**-k."""
+    with np.errstate(over="ignore"):
+        e = float(a @ a)
+    if _TINY <= e < math.inf:
+        return e, 0
+    k = _unit_exponent(a)
+    unit = np.ldexp(a, -k)
+    return float(unit @ unit), k
+
+
 def snr(clean: Signal, denoised: Signal) -> float:
     """10*log10 of signal energy over error energy, in dB.
 
-    An exactly error-free input returns +inf.  An error energy or energy
-    ratio outside the normal double range (an underflowed or subnormal
-    error energy, a subnormal or overflowing ratio) is taken in logs.
+    An exactly error-free input returns +inf.  An energy or energy ratio
+    outside the normal double range is taken in logs, from _energy's
+    rescaled sums.
     """
     x, y = paired(clean, denoised, "denoised")
-    sig = float(x @ x)
+    sig, ks = _energy(x)
     if sig == 0.0:
         raise UndefinedMetricError("SNR undefined for an all-zero reference")
-    err = x - y
-    noise = float(err @ err)
-    if _TINY <= noise < math.inf and _TINY <= sig / noise < math.inf:
+    noise, kn = _energy(x - y)
+    if not (ks or kn) and _TINY <= noise and _TINY <= sig / noise < math.inf:
         return 10.0 * math.log10(sig / noise)
-    norm = _error_norm(err, noise)
-    if norm == 0.0:
+    if noise == 0.0:
         return math.inf
-    return 10.0 * math.log10(sig) - 20.0 * math.log10(norm)
-
-
-def _error_norm(err: np.ndarray, energy: float) -> float:
-    """sqrt(err @ err), from max-scaled samples where the energy left the normal range."""
-    if _TINY <= energy < math.inf:
-        return math.sqrt(energy)
-    peak = float(np.max(np.abs(err)))
-    if peak == 0.0:
-        return 0.0
-    unit = err / peak
-    return peak * math.sqrt(float(unit @ unit))
+    return 10.0 * (math.log10(sig) - math.log10(noise) + (ks - kn) * math.log10(4.0))
 
 
 def rmse(clean: Signal, denoised: Signal) -> float:
     x, y = paired(clean, denoised, "denoised")
-    err = x - y
-    return float(np.sqrt((err @ err) / x.size))
+    noise, k = _energy(x - y)
+    return math.ldexp(math.sqrt(noise / x.size), k)
 
 
 def prd(clean: Signal, denoised: Signal) -> float:
@@ -64,14 +68,16 @@ def prd(clean: Signal, denoised: Signal) -> float:
     double range the two roots are taken apart, as in snr.
     """
     x, y = paired(clean, denoised, "denoised")
-    sig = float(x @ x)
+    sig, ks = _energy(x)
     if sig == 0.0:
         raise UndefinedMetricError("PRD undefined for an all-zero reference")
-    err = x - y
-    noise = float(err @ err)
-    if _TINY <= noise < math.inf and _TINY <= noise / sig < math.inf:
+    noise, kn = _energy(x - y)
+    if not (ks or kn) and _TINY <= noise and _TINY <= noise / sig < math.inf:
         return 100.0 * math.sqrt(noise / sig)
-    return 100.0 * (_error_norm(err, noise) / math.sqrt(sig))
+    try:
+        return 100.0 * math.ldexp(math.sqrt(noise) / math.sqrt(sig), kn - ks)
+    except OverflowError:
+        return math.inf
 
 
 def corr(clean: Signal, denoised: Signal) -> float:
@@ -79,10 +85,14 @@ def corr(clean: Signal, denoised: Signal) -> float:
     x, y = paired(clean, denoised, "denoised")
     xc = x - x.mean()
     yc = y - y.mean()
-    sx = float(xc @ xc)
-    sy = float(yc @ yc)
+    sx, kx = _energy(xc)
+    sy, ky = _energy(yc)
     if sx == 0.0 or sy == 0.0:
         raise UndefinedMetricError("correlation undefined for a constant signal")
+    if kx or ky or not _TINY <= sx * sy < math.inf:  # scale-free: take it from both unit-peaked signals
+        xc = np.ldexp(xc, -_unit_exponent(xc))
+        yc = np.ldexp(yc, -_unit_exponent(yc))
+        sx, sy = float(xc @ xc), float(yc @ yc)
     return float(np.clip((xc @ yc) / math.sqrt(sx * sy), -1.0, 1.0))
 
 
@@ -124,14 +134,14 @@ def calibrate_gain(clean: Signal, noise: Signal, target_snr_db: float) -> float:
     if not math.isfinite(target_snr_db):
         raise SettingError("target_snr_db", "finite", target_snr_db)
     x, v = paired(clean, noise, "noise")
-    sig = float(x @ x)
-    pwr = float(v @ v)
+    sig, ks = _energy(x)
+    pwr, kp = _energy(v)
     if sig == 0.0:
         raise UndefinedMetricError("cannot calibrate against an all-zero clean signal")
     if pwr == 0.0:
         raise UndefinedMetricError("cannot calibrate a zero-energy noise record")
     try:
-        gain = math.sqrt(sig / (pwr * 10.0 ** (target_snr_db / 10.0)))
+        gain = math.ldexp(math.sqrt(sig / (pwr * 10.0 ** (target_snr_db / 10.0))), ks - kp)
     except (OverflowError, ZeroDivisionError):  # the power ratio overflows, or underflows to 0
         raise _unreachable(target_snr_db) from None
     if not 0 < gain < math.inf:

@@ -324,6 +324,12 @@ def _fit_jacobian(vec: np.ndarray, centers: np.ndarray, amp_cap: float) -> np.nd
     return jac
 
 
+def _objective(res: np.ndarray) -> float:
+    """Sum of squared residuals; one that overflows is non-finite, which fit_params reports."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(res @ res)
+
+
 def fit_params(
     template: BeatTemplate,
     init: GaussianWaveParams | None = None,
@@ -344,7 +350,7 @@ def fit_params(
     amp_cap = 5.0 * max(float(np.abs(target).max()), 1e-9)
 
     res = _fit_residuals(vec, centers, target, amp_cap)
-    obj = float(res @ res)
+    obj = _objective(res)
     if not np.isfinite(obj):
         raise FitDivergenceError("objective non-finite at the initial point")
     if objective_trace is not None:
@@ -362,7 +368,7 @@ def fit_params(
     cand[0:5] = linear[:5]
     cand[14] = linear[5]
     cand_res = _fit_residuals(cand, centers, target, amp_cap)
-    cand_obj = float(cand_res @ cand_res)
+    cand_obj = _objective(cand_res)
     if cand_obj < obj:
         vec, res, obj = cand, cand_res, cand_obj
         if objective_trace is not None:
@@ -382,7 +388,7 @@ def fit_params(
                 continue
             cand = vec + delta
             cand_res = _fit_residuals(cand, centers, target, amp_cap)
-            cand_obj = float(cand_res @ cand_res)
+            cand_obj = _objective(cand_res)
             if not np.isfinite(cand_obj):
                 raise FitDivergenceError("objective became non-finite during iteration")
             if cand_obj < obj:
@@ -486,10 +492,10 @@ def detect_r_peaks(signal: Signal) -> RPeaks:
     npki = float(head.mean()) * 0.5
     threshold = npki + 0.25 * (spki - npki)
 
+    # Candidates lie a refractory floor apart and the searchback starts one
+    # floor past the last beat, so no accepted pair breaks the floor.
     accepted: list[int] = []
     for k in cand:
-        if accepted and k - accepted[-1] < refractory:
-            continue
         if envelope[k] > threshold:
             accepted.append(k)
             spki = 0.125 * envelope[k] + 0.875 * spki
@@ -504,7 +510,7 @@ def detect_r_peaks(signal: Signal) -> RPeaks:
                 lo = accepted[-1] + refractory
                 if lo < k:
                     back = lo + int(np.argmax(envelope[lo:k]))
-                    if envelope[back] > 0.5 * threshold and back - accepted[-1] >= refractory:
+                    if envelope[back] > 0.5 * threshold:
                         accepted.append(back)
                         spki = 0.125 * envelope[back] + 0.875 * spki
 

@@ -36,10 +36,10 @@ _W, _H = 840.0, 520.0
 _ML, _MR, _MT, _MB = 72.0, 180.0, 48.0, 56.0
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / max(target, 2)
+    raw = (hi - lo) / 6  # about six steps per axis
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:

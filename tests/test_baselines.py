@@ -371,6 +371,11 @@ class TestWavelet:
             assert abs(_DB_H[2 * k :] @ _DB_H[: ln - 2 * k]) < 1e-10
         assert abs(_DB_H @ _DB_G) < 1e-10
 
+    def test_four_vanishing_moments(self):
+        """db4's wavelet filter annihilates polynomials up to cubic: moments 0-3 of _DB_G vanish."""
+        for m in range(4):
+            assert abs((np.arange(8.0) ** m) @ _DB_G) <= 1e-12, m
+
     def test_perfect_reconstruction_zero_threshold(self):
         rng = np.random.default_rng(1)
         for n in (64, 100, 137, 4096):

@@ -197,12 +197,46 @@ class TestMethodTable:
         assert capsys.readouterr().err == "error: ValueError: invalid signal: non-finite at index 0\n"
         assert not (tmp_path / "o.csv").exists()
 
+    def test_unscorable_output_fails_its_cell(self, data_root, monkeypatch):
+        """A finite output the metrics cannot score (a constant one: no
+        correlation) fails its cell in run_cell's scoring step."""
+        flat = lambda x, p, c: Signal(np.zeros(len(x)), x.fs)
+        monkeypatch.setitem(bench.METHODS, "sg", replace(bench.METHODS["sg"], run=flat))
+        plan = bench.BenchPlan(records=("122",), methods=("sg",), snr_levels=(12.0,), duration_s=8.0)
+        [cell] = bench.run_bench(plan, data_root)
+        assert cell.report is None
+        assert cell.error == "UndefinedMetricError: correlation undefined for a constant signal"
+
     def test_cli_import_needs_no_scipy(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         code = "import sys, ecgdenoise.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+
+@pytest.fixture(scope="module")
+def unit_inputs():
+    """The unit-memory tests' input: 2,000- and 4,000-sample slices of one
+    noise-free synthetic record, and 5,000 samples of white noise."""
+    clean, _, peaks = synthesize(default_morphology(), [0.8] * 16, 360.0, noise_std=0.0, seed=3)
+    loaded = {n: bench.trim(clean, peaks, n / 360.0) for n in (2000, 4000)}
+    return loaded, Signal(np.random.default_rng(1).normal(size=5000), 360.0)
+
+
+def _unit_peak(inputs, method, rows, n, plan) -> int:
+    """The traced peak bytes of one bench unit: method on rows n-sample cells, each of which must score."""
+    loaded, noise = inputs
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        unit = [(n, method, level) for level in (0.0, 6.0, 12.0, 18.0)[:rows]]
+        cells = bench.run_cell(unit, loaded, noise, plan)
+        top = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert all(c.report is not None for c in cells)
+    return top
 
 
 class TestBenchRun:
@@ -599,39 +633,23 @@ class TestBenchRun:
         for c in cells:
             assert c.report.snr_in == pytest.approx(c.input_snr, abs=2.0)
 
-    def test_enkf_unit_memory_per_row_and_sample(self):
+    def test_enkf_unit_memory_per_row_and_sample(self, unit_inputs):
         """The traced peak of an enkf unit grows per row by the bytes per
         sample the BATCH_ROWS comment counts (32: noisy signal, observed
         phase, angular velocity and the output buffer, which the output
         Signal replaces one row at a time), plus the row's noise block; a
         row keeps no noise reference."""
         row_bytes, n_ensemble = 32, 20
-        clean, _, peaks = synthesize(default_morphology(), [0.8] * 16, 360.0, noise_std=0.0, seed=3)
-        loaded = {n: bench.trim(clean, peaks, n / 360.0) for n in (2000, 4000)}
-        noise = Signal(np.random.default_rng(1).normal(size=5000), 360.0)
         plan = bench.BenchPlan(records=("118",), n_ensemble=n_ensemble)
-
-        def peak(rows, n):
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                unit = [(n, "enkf", level) for level in (0.0, 6.0, 12.0, 18.0)[:rows]]
-                cells = bench.run_cell(unit, loaded, noise, plan)
-                top = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
-            assert all(c.report is not None for c in cells)
-            return top
-
+        peak = lambda rows, n: _unit_peak(unit_inputs, "enkf", rows, n, plan)
         block = enkf.NOISE_BLOCK * 4 * n_ensemble * 8
-        per_row = {n: (peak(4, n) - peak(2, n)) / 2 for n in loaded}
+        per_row = {n: (peak(4, n) - peak(2, n)) / 2 for n in (2000, 4000)}
         for n, grown in per_row.items():
             assert grown <= row_bytes * n + block + 16_000, n
         per_sample = (per_row[4000] - per_row[2000]) / 2000
         assert 24 <= per_sample <= row_bytes + 4
 
-
-    def test_split_enkf_unit_memory_per_row(self, monkeypatch):
+    def test_split_enkf_unit_memory_per_row(self, unit_inputs, monkeypatch):
         """A job cut into S lockstep segments holds S noise blocks, and still
         32 B per sample (its output buffer is one n-sample array, written
         over each segment's kept span): the traced peak of a split enkf unit
@@ -645,54 +663,21 @@ class TestBenchRun:
         row_bytes, n_ensemble, n = 32, 20, 4000
         segments = len(enkf.segments(n, 360.0)[1])
         assert segments == 11
-        clean, _, peaks = synthesize(default_morphology(), [0.8] * 16, 360.0, noise_std=0.0, seed=3)
-        loaded = {n: bench.trim(clean, peaks, n / 360.0)}
-        noise = Signal(np.random.default_rng(1).normal(size=5000), 360.0)
         plan = bench.BenchPlan(records=("118",), n_ensemble=n_ensemble)
-
-        def peak(rows):
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                unit = [(n, "enkf", level) for level in (0.0, 6.0, 12.0, 18.0)[:rows]]
-                cells = bench.run_cell(unit, loaded, noise, plan)
-                top = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
-            assert all(c.report is not None for c in cells)
-            return top
-
         block = enkf.NOISE_BLOCK * 4 * n_ensemble * 8
-        grown = (peak(4) - peak(2)) / 2
+        grown = (_unit_peak(unit_inputs, "enkf", 4, n, plan) - _unit_peak(unit_inputs, "enkf", 2, n, plan)) / 2
         assert segments * block <= grown <= row_bytes * n + segments * (block + 16_000)
 
-    def test_nlms_unit_memory_per_row_and_sample(self):
+    def test_nlms_unit_memory_per_row_and_sample(self, unit_inputs):
         """The traced peak of an nlms unit is the bytes per sample the
         BATCH_ROWS comment counts for each row (32: noisy signal, reference,
         output buffer and padded reference, whose place the output Signal's
         copy takes), plus the block kernel's chunk arrays, which
         baselines.NLMS_CHUNK_BYTES bounds over the whole unit: that part grows
         with neither the length nor the row count."""
-        row_bytes = 32
-        clean, _, peaks = synthesize(default_morphology(), [0.8] * 16, 360.0, noise_std=0.0, seed=3)
-        loaded = {n: bench.trim(clean, peaks, n / 360.0) for n in (2000, 4000)}
-        noise = Signal(np.random.default_rng(1).normal(size=5000), 360.0)
-        plan = bench.BenchPlan(records=("118",))
-
-        def peak(rows, n):
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                unit = [(n, "nlms", level) for level in (0.0, 6.0, 12.0, 18.0)[:rows]]
-                cells = bench.run_cell(unit, loaded, noise, plan)
-                top = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
-            assert all(c.report is not None for c in cells)
-            return top
-
-        peaks_by = {(rows, n): peak(rows, n) for rows in (1, 2, 4) for n in loaded}
-        for n in loaded:
+        row_bytes, plan = 32, bench.BenchPlan(records=("118",))
+        peaks_by = {(r, n): _unit_peak(unit_inputs, "nlms", r, n, plan) for r in (1, 2, 4) for n in (2000, 4000)}
+        for n in (2000, 4000):
             assert (peaks_by[4, n] - peaks_by[2, n]) / 2 <= row_bytes * n + 16_000, n
         # A chunk rounds down to whole blocks: up to one block per row
         # (9 kB at 16 taps) under the budget.
@@ -702,34 +687,17 @@ class TestBenchRun:
         per_sample = ((peaks_by[4, 4000] - peaks_by[2, 4000]) - (peaks_by[4, 2000] - peaks_by[2, 2000])) / 2 / 2000
         assert 24 <= per_sample <= row_bytes + 4
 
-    def test_rls_unit_memory_per_row_and_sample(self):
+    def test_rls_unit_memory_per_row_and_sample(self, unit_inputs):
         """The traced peak of an rls unit is the bytes per sample the
         BATCH_ROWS comment counts for each row (32, as for nlms), plus each
         row's recursion state and one block's working arrays (about 19 kB at
         16 taps), which do not grow with the length."""
-        row_bytes, state = 32, 24_000
-        clean, _, peaks = synthesize(default_morphology(), [0.8] * 16, 360.0, noise_std=0.0, seed=3)
-        loaded = {n: bench.trim(clean, peaks, n / 360.0) for n in (2000, 4000)}
-        noise = Signal(np.random.default_rng(1).normal(size=5000), 360.0)
-        plan = bench.BenchPlan(records=("118",))
-
-        def peak(rows, n):
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                unit = [(n, "rls", level) for level in (0.0, 6.0, 12.0, 18.0)[:rows]]
-                cells = bench.run_cell(unit, loaded, noise, plan)
-                top = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
-            assert all(c.report is not None for c in cells)
-            return top
-
-        peaks_by = {(rows, n): peak(rows, n) for rows in (2, 4) for n in loaded}
-        for n in loaded:
+        row_bytes, state, plan = 32, 24_000, bench.BenchPlan(records=("118",))
+        peaks_by = {(r, n): _unit_peak(unit_inputs, "rls", r, n, plan) for r in (2, 4) for n in (2000, 4000)}
+        for n in (2000, 4000):
             assert (peaks_by[4, n] - peaks_by[2, n]) / 2 <= row_bytes * n + state, n
         # A 4-row unit peaks inside the kernel at both lengths.
-        rest = [peaks_by[4, n] - 4 * row_bytes * n for n in loaded]
+        rest = [peaks_by[4, n] - 4 * row_bytes * n for n in (2000, 4000)]
         assert max(rest) <= 4 * state and max(rest) - min(rest) <= 16_000
         per_sample = (peaks_by[4, 4000] - peaks_by[4, 2000]) / 4 / 2000
         assert row_bytes - 4 <= per_sample <= row_bytes + 1
@@ -856,6 +824,21 @@ class TestCliSynthFit:
         assert cli.main(denoise + ["own.csv"]) == 0
         assert cli.main(denoise + ["given.csv", "--params", "m.json"]) == 0
         assert Path("own.csv").read_bytes() == Path("given.csv").read_bytes()
+
+    def test_fit_divergence_writes_its_trace(self, tmp_path, monkeypatch, capsys):
+        """Record 121 read at a header gain of 1e-157 (samples near 1e159 mV)
+        overflows the fit objective at the initial point: fit exits 1 with
+        FitDivergenceError's report, numpy warns of nothing, and the trace
+        file holds one empty line."""
+        wfdbgen.make_ecg_record(tmp_path, "121", wfdbgen.RECORD_SECONDS["121"])
+        hea = tmp_path / "121.hea"
+        hea.write_text(hea.read_text().replace("121.dat 212 200 ", "121.dat 212 1e-157 "))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["--data-root", str(tmp_path), "fit", "121", "--out", "m.json"]) == 1
+        message = "objective non-finite at the initial point; objective trace written to m.trace.txt"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert Path("m.trace.txt").read_bytes() == b"\n"
+        assert not Path("m.json").exists()
 
     def test_fit_record_residual(self, data_root, capsys):
         rc = cli.main(
@@ -1104,6 +1087,17 @@ class TestCliBench:
             assert cli.main(argv + ["--jobs", "1", "--out-dir", str(tmp_path / "one")]) == 0
             files = lambda out: {f.name: f.read_bytes() for f in out.iterdir()}
             assert files(tmp_path / "out") == files(tmp_path / "one")
+
+    def test_failed_cell_is_reported_and_exits_1(self, data_root, tmp_path, capsys):
+        """A failed cell is written, counted in the summary and named on its own stderr line; the run exits 1."""
+        out = tmp_path / "out"
+        argv = ["--data-root", str(data_root), "bench", "--records", "122", "--methods", "sg", "--levels", "12,4000"]
+        assert cli.main(argv + ["--duration", "8", "--jobs", "1", "--out-dir", str(out)]) == 1
+        summary, *rest = capsys.readouterr().err.splitlines()
+        pattern = r"2 cells \(1 failed\) in \d+\.\d s wall with --jobs 1 \(\d+\.\d s of cell time\) -> .*/bench\.csv"
+        assert re.fullmatch(pattern, summary), summary
+        rule = "reachable by a finite, positive noise gain that changes the signal"
+        assert rest == [f"  failed: 122/sg@4000dB: SettingError: target_snr_db must be {rule}, got 4000"]
 
     def test_data_root_env(self, data_root, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(cli.DATA_ENV, str(data_root))

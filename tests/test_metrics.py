@@ -129,6 +129,30 @@ class TestMetricIdentities:
             assert abs(base - mapped) <= 1e-12
 
 
+class TestFloatRangeEnds:
+    @pytest.mark.parametrize("exponent", [520, -540])
+    def test_rescaled_pair_keeps_every_value(self, exponent):
+        """Scaled by 2**520 every energy overflows, by 2**-540 every one
+        underflows; each metric and the calibrated gain still match the unit
+        pair's (rmse and the gain times the factor), and numpy warns of nothing."""
+        rng = np.random.default_rng(5)
+        x = np.sin(np.linspace(0.0, 40.0, 2000)) + 0.1 * rng.normal(size=2000)
+        y = x + 0.05 * rng.normal(size=2000)
+        v = rng.normal(size=2000)
+        f = 2.0**exponent
+
+        def values(x, y, v, f):
+            clean, out = sig(x), sig(y)
+            gain = calibrate_gain(clean, sig(v), 12.0)
+            return snr(clean, out), rmse(clean, out) / f, prd(clean, out), corr(clean, out), gain / f
+
+        unit = values(x, y, v, 1.0)
+        scaled = values(x * f, y * f, v, f)
+        assert scaled[0] == pytest.approx(unit[0], abs=1e-9)
+        assert scaled[1:] == pytest.approx(unit[1:], rel=1e-9)
+        assert calibrate_gain(sig(x * f), sig(v * f), 12.0) == pytest.approx(unit[4], rel=1e-9)
+
+
 class TestMixer:
     def test_equal_power_zero_db(self):
         x = np.ones(16)

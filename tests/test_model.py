@@ -330,6 +330,31 @@ class TestDetectRPeaks:
             out = enkf.denoise(sig, RPeaks([]), None, enkf.FilterConfig(n_ensemble=10))
             assert len(out) == len(sig)
 
+    @pytest.mark.parametrize("scale, found", [(0.3, False), (0.45, True), (0.55, True)])
+    def test_searchback_finds_a_weak_beat(self, scale, found):
+        """A beat scaled to 0.45 peaks between half the running threshold and
+        the threshold: the accept loop passes it over, and the searchback that
+        a P wave 1.66 R-R past the last beat starts finds it.  At 0.3 it is
+        under half the threshold and lost; at 0.55 the loop accepts it."""
+        sig, _, truth = synthesize(default_morphology(), [0.8] * 12, 360.0, noise_std=0.0, seed=3)
+        x, beats = sig.samples.copy(), truth.indices
+        x[(beats[5] + beats[6]) // 2 : (beats[6] + beats[7]) // 2] *= scale
+        want = [b for b in beats[1:] if found or b != beats[6]]
+        assert detect_r_peaks(Signal(x, 360.0)).indices.tolist() == want
+
+    def test_close_maxima_keep_the_later_taller(self):
+        """A taller beat 64 samples after beat 6, inside the 72-sample
+        refractory floor, has its own envelope peak a floor away; the two
+        localize to raw maxima 64 apart, and the later, taller one replaces
+        the earlier."""
+        sig, _, truth = synthesize(default_morphology(), [0.8] * 12, 360.0, noise_std=0.0, seed=3)
+        beats = truth.indices
+        extra = beats[6] + 64
+        t = np.arange(len(sig))
+        x = sig.samples + 1.2 * np.exp(-0.5 * ((t - extra) / 7.2) ** 2)
+        want = [extra if b == beats[6] else b for b in beats[1:]]
+        assert detect_r_peaks(Signal(x, 360.0)).indices.tolist() == want
+
     def test_too_short(self):
         with pytest.raises(ValueError, match="2 s"):
             detect_r_peaks(Signal(np.zeros(100), 360.0))
